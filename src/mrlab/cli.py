@@ -13,9 +13,9 @@ files and malformed input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,24 +44,28 @@ from .sampling import reservoir_sample, scan_srs, sort_sample
 SCHEMA_VERSION = 1
 
 
-def _sequential_forced() -> bool:
-    return os.environ.get("MRLAB_SEQUENTIAL", "") not in ("", "0")
-
-
 def _config(args) -> ClusterConfig:
     mode = args.mode if args.mode in ("disk", "memory") else "disk"
-    return ClusterConfig(
-        num_splits=args.splits,
-        iteration_mode=mode,
-        seed=args.seed,
-        parallel=not _sequential_forced(),
-    )
+    return ClusterConfig(num_splits=args.splits, iteration_mode=mode, seed=args.seed)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def _add_shared(parser: argparse.ArgumentParser, *, bench: bool = False) -> None:
     parser.add_argument("input", help="input data file")
-    parser.add_argument("--splits", type=int, default=1, help="number of input splits")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--splits", type=_int_at_least(1), default=1, help="number of input splits")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed")
     if bench:
         parser.add_argument("--mode", choices=["disk", "memory", "both"], default="both",
                             help="iteration modes to benchmark")
@@ -275,12 +279,7 @@ def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     table = {}
     for mode in modes:
-        config = ClusterConfig(
-            num_splits=base_config.num_splits,
-            iteration_mode=mode,
-            seed=base_config.seed,
-            parallel=base_config.parallel,
-        )
+        config = dataclasses.replace(base_config, iteration_mode=mode)
         _state, stats = run_iterative(_identity_factory, [], iters, None, dataset, config)
         table[mode] = stats.as_dict()
     result = {"iters": iters, "modes": table}
@@ -319,9 +318,8 @@ def run(argv) -> int:
     """Parse argv, run the subcommand, print the JSON report."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config(args)
     try:
-        result, stats, exit_code = _HANDLERS[args.command](args, config)
+        result, stats, exit_code = _HANDLERS[args.command](args, _config(args))
     except (RowParseError, ParameterError, EmptyInputError) as err:
         print(f"mrlab: {args.command}: {err}", file=sys.stderr)
         return 2

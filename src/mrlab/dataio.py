@@ -51,25 +51,44 @@ def write_csv_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _parse_numeric(rows, names, nonfinite: str, label_idx=None, numeric_labels=False):
+    """Parse CSV rows as floats: (matrix of every column but label_idx,
+    label column as floats, zeros unless numeric_labels).
+
+    Each row must have one field per name. A row's label is parsed after
+    its other fields; only the matrix is checked for non-finite values.
+    """
+    columns = [j for j in range(len(names)) if j != label_idx]
+    matrix = np.empty((len(rows), len(columns)))
+    labels = np.zeros(len(rows))
+    for r, row in enumerate(rows):
+        line = r + 2  # header is line 1
+        if len(row) != len(names):
+            raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
+        for out, j in enumerate(columns):
+            try:
+                matrix[r, out] = float(row[j])
+            except ValueError:
+                raise RowParseError(line, f"bad numeric value {row[j]!r} in column {names[j]!r}") from None
+        if numeric_labels:
+            raw = row[label_idx].strip()
+            try:
+                labels[r] = float(raw)
+            except ValueError:
+                raise RowParseError(line, f"bad numeric label {raw!r}") from None
+    if not np.all(np.isfinite(matrix)):
+        r = int(np.argwhere(~np.isfinite(matrix))[0][0])
+        raise RowParseError(r + 2, nonfinite)
+    return matrix, labels
+
+
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Load an all-numeric CSV with a header as (column names, matrix)."""
     header, rows = read_csv_rows(path)
     names = [h.strip() for h in header]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    matrix = np.empty((len(rows), len(names)))
-    for r, row in enumerate(rows):
-        line = r + 2
-        if len(row) != len(names):
-            raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
-        for j, fieldvalue in enumerate(row):
-            try:
-                matrix[r, j] = float(fieldvalue)
-            except ValueError:
-                raise RowParseError(line, f"bad numeric value {fieldvalue!r} in column {names[j]!r}") from None
-    if not np.all(np.isfinite(matrix)):
-        r = int(np.argwhere(~np.isfinite(matrix))[0][0])
-        raise RowParseError(r + 2, "non-finite value")
+    matrix, _labels = _parse_numeric(rows, names, "non-finite value")
     return names, matrix
 
 
@@ -88,31 +107,8 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     feature_names = [n for i, n in enumerate(names) if i != label_idx]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-
-    features = np.empty((len(rows), len(feature_names)))
-    labels = np.zeros(len(rows))
-    raw_labels = []
-    for r, row in enumerate(rows):
-        line = r + 2  # header is line 1
-        if len(row) != len(names):
-            raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
-        raw = row[label_idx].strip()
-        raw_labels.append(raw)
-        j = 0
-        for i, field in enumerate(row):
-            if i == label_idx:
-                continue
-            try:
-                features[r, j] = float(field)
-            except ValueError:
-                raise RowParseError(line, f"bad numeric value {field!r} in column {names[i]!r}") from None
-            j += 1
-        if numeric_labels:
-            try:
-                labels[r] = float(raw)
-            except ValueError:
-                raise RowParseError(line, f"bad numeric label {raw!r}") from None
-    if not np.all(np.isfinite(features)):
-        r = int(np.argwhere(~np.isfinite(features))[0][0])
-        raise RowParseError(r + 2, "non-finite feature value")
+    features, labels = _parse_numeric(
+        rows, names, "non-finite feature value", label_idx, numeric_labels,
+    )
+    raw_labels = [row[label_idx].strip() for row in rows]
     return Table(features, labels, raw_labels, feature_names, label)

@@ -1,11 +1,11 @@
 """Single-process MapReduce engine with deterministic shuffle semantics.
 
-The engine mimics a small cluster: the dataset is cut into contiguous
-splits, a mapper runs over each split (possibly on worker threads), the
-shuffle groups emitted pairs by exact key bytes, and a reducer runs per
-group. Outputs never depend on physical execution order because the
-shuffle applies a canonical ordering: groups sorted by key bytes, values
-within a group ordered by (split_id, emission index).
+The engine mimics a small cluster on one thread: the dataset is cut into
+contiguous splits, a mapper runs over each split in turn, the shuffle
+groups emitted pairs by exact key bytes, and a reducer runs per group.
+Outputs never depend on execution order because the shuffle applies a
+canonical ordering: groups sorted by key bytes, values within a group
+ordered by (split_id, emission index).
 
 Iterative drivers model the cost difference between disk-backed rounds
 (re-read the dataset and re-write state every round) and memory-resident
@@ -15,8 +15,6 @@ rounds (read once, keep state live); RunStats records the difference.
 from __future__ import annotations
 
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -68,6 +66,13 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class ClusterConfig:
+    """Split count, iteration mode and base seed of a simulated cluster.
+
+    ``parallel`` is accepted and ignored, so existing callers keep working:
+    jobs always run on the calling thread, because per-record Python
+    mappers and reducers hold the GIL and worker threads only added cost.
+    """
+
     num_splits: int = 1
     iteration_mode: str = DISK
     seed: int = 0
@@ -187,10 +192,6 @@ def _reduce_group(job: JobSpec, key: bytes, values: list[bytes]) -> list[KeyValu
         raise JobExecutionError("reduce", str(exc), key=key) from exc
 
 
-def _pool_size(tasks: int) -> int:
-    return max(1, min(tasks, os.cpu_count() or 4))
-
-
 def run_job(
     job: JobSpec,
     dataset: Sequence,
@@ -215,11 +216,7 @@ def run_job(
         stats.records_read += len(dataset)
         stats.bytes_read += sum(record_nbytes(r) for r in dataset)
 
-    if config.parallel and len(splits) > 1:
-        with ThreadPoolExecutor(max_workers=_pool_size(len(splits))) as pool:
-            per_split = list(pool.map(lambda s: _map_split(job, s, config.seed), splits))
-    else:
-        per_split = [_map_split(job, s, config.seed) for s in splits]
+    per_split = [_map_split(job, s, config.seed) for s in splits]
 
     if config.iteration_mode == DISK:
         stats.records_written += sum(len(p) for p in per_split)
@@ -232,13 +229,8 @@ def run_job(
     stats.records_shuffled += sum(len(vs) for _, vs in groups)
 
     output: list[KeyValue] = []
-    if config.parallel and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=_pool_size(len(groups))) as pool:
-            for part in pool.map(lambda g: _reduce_group(job, g[0], g[1]), groups):
-                output.extend(part)
-    else:
-        for key, values in groups:
-            output.extend(_reduce_group(job, key, values))
+    for key, values in groups:
+        output.extend(_reduce_group(job, key, values))
 
     if _write_output:
         stats.records_written += len(output)

@@ -80,6 +80,14 @@ class TreeModel:
 
         return walk(0)
 
+    def as_dict(self) -> dict:
+        """The serialized form shared by model files and shuffle values."""
+        return {"degenerate": self.degenerate, "nodes": self.nodes}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "TreeModel":
+        return cls(raw["nodes"], raw["degenerate"])
+
 
 @dataclass
 class ForestModel:
@@ -92,7 +100,7 @@ class ForestModel:
             {
                 "task": self.task,
                 "classes": self.classes,
-                "trees": [{"degenerate": t.degenerate, "nodes": t.nodes} for t in self.trees],
+                "trees": [t.as_dict() for t in self.trees],
             },
             sort_keys=True,
         )
@@ -100,7 +108,7 @@ class ForestModel:
     @classmethod
     def from_json(cls, text: str) -> "ForestModel":
         raw = json.loads(text)
-        trees = [TreeModel(t["nodes"], t["degenerate"]) for t in raw["trees"]]
+        trees = [TreeModel.from_dict(t) for t in raw["trees"]]
         return cls(trees, raw["task"], raw["classes"])
 
 
@@ -304,12 +312,11 @@ def fit_forest(
 
 
 def tree_to_bytes(tree: TreeModel) -> bytes:
-    return json.dumps({"degenerate": tree.degenerate, "nodes": tree.nodes}, sort_keys=True).encode("utf-8")
+    return json.dumps(tree.as_dict(), sort_keys=True).encode("utf-8")
 
 
 def tree_from_bytes(data: bytes) -> TreeModel:
-    raw = json.loads(data.decode("utf-8"))
-    return TreeModel(raw["nodes"], raw["degenerate"])
+    return TreeModel.from_dict(json.loads(data.decode("utf-8")))
 
 
 def predict_forest(model: ForestModel, record) -> object:

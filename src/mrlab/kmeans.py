@@ -37,6 +37,15 @@ class CenterSet:
         return self.centers.shape[0]
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> tuple[int, float]:
+    """(index, squared distance) of the nearest center; ties go to the
+    smallest index."""
+    deltas = centers - x
+    d2 = np.einsum("ij,ij->i", deltas, deltas)
+    c = int(np.argmin(d2))
+    return c, float(d2[c])
+
+
 def assign(record, centers, metric: Optional[Callable] = None) -> int:
     """Index of the nearest center; ties go to the smallest index."""
     pts = centers.centers if isinstance(centers, CenterSet) else np.asarray(centers, dtype=float)
@@ -48,8 +57,7 @@ def assign(record, centers, metric: Optional[Callable] = None) -> int:
     if metric is not None:
         dists = [metric(x, c) for c in pts]
         return int(np.argmin(dists))
-    deltas = pts - x
-    return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+    return _nearest(x, pts)[0]
 
 
 def recompute(groups, previous) -> np.ndarray:
@@ -145,13 +153,11 @@ def fit_kmeans(
 
         def mapper(indexed, rng):
             i, x = indexed
-            deltas = centers - x
-            d2 = np.einsum("ij,ij->i", deltas, deltas)
-            c = int(np.argmin(d2))
+            c, d2 = _nearest(x, centers)
             return [
                 KeyValue(_ASSIGN + u64_key(i), count_value(c)),
                 KeyValue(_CENTER + u32_key(c), f64s_value(np.append(x, 1.0))),
-                KeyValue(_OBJECTIVE, f64s_value([float(d2[c])])),
+                KeyValue(_OBJECTIVE, f64s_value([d2])),
             ]
 
         return JobSpec(mapper, _dispatching_reducer, combiner=_dispatching_combiner, name="kmeans")

@@ -255,6 +255,19 @@ def test_bad_sample_size_exits_two(numbers_csv, capsys):
     assert "sample size" in err
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--splits", "0", ["linreg", "--label", "y"]),
+    ("--seed", "-1", ["sample", "--n", "2"]),
+], ids=["splits", "seed"])
+def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv):
+    path = numbers_csv("line.csv", ["x", "y"], [[1, 2], [2, 4], [3, 7]])
+    with pytest.raises(SystemExit) as exc:
+        cli.run([argv[0], path, *argv[1:], flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= " in err
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate", "x.csv"])
