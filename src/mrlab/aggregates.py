@@ -24,7 +24,7 @@ from .encoding import (
 )
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_job
 from .errors import RowParseError
-from .numerics import fsum_vectors
+from .numerics import fsum_vectors, sum_vectors_reduce
 
 CALL_HEADER = ("date", "caller", "callee", "duration")
 
@@ -70,12 +70,8 @@ def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
     return [KeyValue(key, count_value(sum(parse_count(v) for v in values)))]
 
 
-def _sum_pairs_reduce(key: bytes, values: list) -> list[KeyValue]:
-    return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
-
-
 def avg_duration_job() -> JobSpec:
-    def mapper(record: CallRecord, rng) -> list[KeyValue]:
+    def mapper(record: CallRecord) -> list[KeyValue]:
         key = text_key(record.date.isoformat())
         return [KeyValue(key, f64s_value((record.duration, 1.0)))]
 
@@ -83,7 +79,7 @@ def avg_duration_job() -> JobSpec:
         total, count = fsum_vectors([parse_f64s(v) for v in values])
         return [KeyValue(key, f64s_value((total / count, count)))]
 
-    return JobSpec(mapper, reducer, combiner=_sum_pairs_reduce, name="avg-duration")
+    return JobSpec(mapper, reducer, combiner=sum_vectors_reduce, name="avg-duration")
 
 
 def avg_duration_by_date(
@@ -101,7 +97,7 @@ def avg_duration_by_date(
 
 
 def calls_per_caller_job() -> JobSpec:
-    def mapper(record: CallRecord, rng) -> list[KeyValue]:
+    def mapper(record: CallRecord) -> list[KeyValue]:
         return [KeyValue(text_key(record.date.isoformat(), record.caller), count_value(1))]
 
     return JobSpec(mapper, _count_reduce, combiner=_count_reduce, name="calls-count")
@@ -119,7 +115,7 @@ def calls_per_date_number(
 
 
 def word_count_job() -> JobSpec:
-    def mapper(document: str, rng) -> list[KeyValue]:
+    def mapper(document: str) -> list[KeyValue]:
         return [KeyValue(token.encode("utf-8"), count_value(1)) for token in document.split()]
 
     return JobSpec(mapper, _count_reduce, combiner=_count_reduce, name="word-count")

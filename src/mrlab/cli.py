@@ -155,6 +155,8 @@ def _cmd_sample(args, config):
     header, rows = dataio.read_csv_rows(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
+    if not 1 <= args.n <= len(rows):
+        raise ParameterError(f"--n: sample size must be in 1..{len(rows)} (the row count), got {args.n}")
     exit_code = 0
     result = {"method": args.method, "n": args.n, "success": True}
     if args.method == "reservoir":
@@ -264,13 +266,7 @@ def _cmd_rf(args, config):
 
 
 def _identity_factory(t: int, state):
-    def mapper(record, rng):
-        return []
-
-    def reducer(key, values):
-        return []
-
-    return JobSpec(mapper, reducer, name="bench-io")
+    return JobSpec(lambda record: [], lambda key, values: [], name="bench-io")
 
 
 def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
@@ -349,3 +345,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

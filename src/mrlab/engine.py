@@ -7,9 +7,9 @@ Outputs never depend on execution order because the shuffle applies a
 canonical ordering: groups sorted by key bytes, values within a group
 ordered by (split_id, emission index).
 
-Iterative drivers model the cost difference between disk-backed rounds
-(re-read the dataset and re-write state every round) and memory-resident
-rounds (read once, keep state live); RunStats records the difference.
+run_iterative owns the per-round read and write policy that RunStats
+records: disk-backed rounds re-read the dataset and re-write state every
+round, memory-resident rounds read once and keep state live.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, JobExecutionError, ParameterError
-from .rng import mix
 
 DISK = "disk"
 MEMORY = "memory"
-
-_MASK64 = (1 << 64) - 1
 
 
 class KeyValue(NamedTuple):
@@ -36,7 +33,7 @@ class KeyValue(NamedTuple):
     value: bytes
 
 
-Mapper = Callable[[Any, np.random.Generator], Iterable[KeyValue]]
+Mapper = Callable[[Any], Iterable[KeyValue]]
 Reducer = Callable[[bytes, list], Iterable[KeyValue]]
 
 
@@ -53,9 +50,11 @@ class InputSplit:
 class JobSpec:
     """Mapper + reducer (+ optional combiner) for one MR round.
 
-    Mappers receive (record, split-local RNG) and must be pure given
-    both. Combiners share the reducer signature and run per split before
-    the shuffle; they must be idempotent with respect to the reducer.
+    A mapper is a pure function of its one record; randomness comes from
+    ``rng.record_uniform``/``rng.substream``, keyed by record index or by
+    tree, never by split. Combiners share the reducer signature and run
+    per split before the shuffle; they must be idempotent with respect to
+    the reducer.
     """
 
     mapper: Mapper
@@ -152,12 +151,17 @@ def shuffle(emitted: Sequence[Sequence[KeyValue]]) -> list[tuple[bytes, list[byt
     return sorted(groups.items())
 
 
-def _map_split(job: JobSpec, split: InputSplit, seed: int) -> list[KeyValue]:
-    rng = np.random.default_rng((seed & _MASK64) ^ mix(split.split_id))
+def _charge_write(stats: RunStats, pairs: Sequence[KeyValue]) -> None:
+    """Charge writing these pairs: one record and key plus value bytes each."""
+    stats.records_written += len(pairs)
+    stats.bytes_written += sum(len(k) + len(v) for k, v in pairs)
+
+
+def _map_split(job: JobSpec, split: InputSplit) -> list[KeyValue]:
     out: list[KeyValue] = []
     for offset, record in enumerate(split.records):
         try:
-            out.extend(job.mapper(record, rng))
+            out.extend(job.mapper(record))
         except JobExecutionError:
             raise
         except Exception as exc:
@@ -198,29 +202,28 @@ def run_job(
     config: ClusterConfig,
     *,
     stats: Optional[RunStats] = None,
-    _read: bool = True,
-    _write_output: bool = True,
+    _resident: bool = False,
 ) -> tuple[list[KeyValue], RunStats]:
     """Run one MR round: map over splits, shuffle, reduce.
 
-    Accounting: reading the dataset charges records/bytes read (skipped
-    when an in-memory driver already holds the data); in disk mode the
-    raw map output is materialized, charging one write per emitted pair;
-    the reduce output is written unless an iterative driver keeps it
-    live. ``iterations`` counts completed MR rounds.
+    Accounting: reading the dataset charges records/bytes read; in disk
+    mode the raw map output is materialized, charging one write per
+    emitted pair; the reduce output is written. ``_resident`` is set
+    only by run_iterative, which charges the dataset read and the state
+    writes itself. ``iterations`` counts completed MR rounds.
     """
     if stats is None:
         stats = RunStats()
     splits = partition(dataset, config.num_splits)
-    if _read:
+    if not _resident:
         stats.records_read += len(dataset)
         stats.bytes_read += sum(record_nbytes(r) for r in dataset)
 
-    per_split = [_map_split(job, s, config.seed) for s in splits]
+    per_split = [_map_split(job, s) for s in splits]
 
     if config.iteration_mode == DISK:
-        stats.records_written += sum(len(p) for p in per_split)
-        stats.bytes_written += sum(len(k) + len(v) for p in per_split for k, v in p)
+        for pairs in per_split:
+            _charge_write(stats, pairs)
 
     if job.combiner is not None:
         per_split = [_combine_split(job, s.split_id, p) for s, p in zip(splits, per_split)]
@@ -232,9 +235,8 @@ def run_job(
     for key, values in groups:
         output.extend(_reduce_group(job, key, values))
 
-    if _write_output:
-        stats.records_written += len(output)
-        stats.bytes_written += sum(len(k) + len(v) for k, v in output)
+    if not _resident:
+        _charge_write(stats, output)
     stats.iterations += 1
     return output, stats
 
@@ -259,20 +261,22 @@ def run_iterative(
     stats = RunStats()
     state = list(initial_state)
     disk = config.iteration_mode == DISK
+    nbytes = sum(record_nbytes(r) for r in dataset)
     for t in range(max_iters):
+        if disk or t == 0:
+            stats.records_read += len(dataset)
+            stats.bytes_read += nbytes
         job = job_factory(t, state)
         try:
-            new_state, _ = run_job(
-                job, dataset, config,
-                stats=stats, _read=disk or t == 0, _write_output=disk,
-            )
+            new_state, _ = run_job(job, dataset, config, stats=stats, _resident=True)
         except JobExecutionError as err:
             err.iteration = t
             raise
+        if disk:
+            _charge_write(stats, new_state)
         old_state, state = state, new_state
         if converged is not None and converged(old_state, state):
             break
     if not disk:
-        stats.records_written += len(state)
-        stats.bytes_written += sum(len(k) + len(v) for k, v in state)
+        _charge_write(stats, state)
     return state, stats

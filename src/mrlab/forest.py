@@ -282,7 +282,7 @@ def fit_forest(
         y = np.asarray(labels, dtype=float)
         n_classes = 0
 
-    def mapper(indexed, rng):
+    def mapper(indexed):
         i, row = indexed
         payload = f64s_value(np.append(x[i], y[i]))
         return [

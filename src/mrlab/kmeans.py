@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import count_value, f64s_value, parse_count, parse_f64s, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative
 from .errors import ParameterError
-from .numerics import fsum_vectors
+from .numerics import fsum_vectors, sum_vectors_reduce
 from .sampling import reservoir_sample
 
 _ASSIGN = b"A"
@@ -101,17 +101,14 @@ def _objective_from_state(state: Sequence[KeyValue]) -> float:
 def _dispatching_combiner(key: bytes, values: list) -> list[KeyValue]:
     if key[:1] == _ASSIGN:
         return [KeyValue(key, v) for v in values]
-    return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
+    return sum_vectors_reduce(key, values)
 
 
 def _dispatching_reducer(key: bytes, values: list) -> list[KeyValue]:
-    if key[:1] == _ASSIGN:
-        return [KeyValue(key, v) for v in values]
-    merged = fsum_vectors([parse_f64s(v) for v in values])
-    if key[:1] == _CENTER:
-        total, count = merged[:-1], merged[-1]
-        return [KeyValue(key, f64s_value(total / count))]
-    return [KeyValue(key, f64s_value(merged))]
+    if key[:1] != _CENTER:
+        return _dispatching_combiner(key, values)
+    merged = fsum_vectors([parse_f64s(v) for v in values])  # coordinate sums, then count
+    return [KeyValue(key, f64s_value(merged[:-1] / merged[-1]))]
 
 
 def fit_kmeans(
@@ -151,7 +148,7 @@ def fit_kmeans(
         centers = _centers_from_state(state, current["centers"])
         current["centers"] = centers
 
-        def mapper(indexed, rng):
+        def mapper(indexed):
             i, x = indexed
             c, d2 = _nearest(x, centers)
             return [

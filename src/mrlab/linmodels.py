@@ -18,7 +18,7 @@ import numpy as np
 from .encoding import f64s_value, parse_f64s
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
-from .numerics import fsum_vectors, sigmoid, softplus
+from .numerics import fsum_vectors, sigmoid, softplus, sum_vectors_reduce
 
 _PIVOT_RTOL = 1e-12
 
@@ -88,10 +88,6 @@ class LinearModel:
     residual_norm: float  # linear: ||y - Xb||_2; logistic: final ||grad||_inf
 
 
-def _sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
-    return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
-
-
 def gram_job(
     data: DataMatrix,
     config: Optional[ClusterConfig] = None,
@@ -106,12 +102,12 @@ def gram_job(
     """
     d = data.width
 
-    def mapper(record, rng):
+    def mapper(record):
         x, y = record
         payload = np.concatenate([np.outer(x, x).ravel(), x * y])
         return [KeyValue(b"G", f64s_value(payload))]
 
-    job = JobSpec(mapper, _sum_vectors_reduce, combiner=_sum_vectors_reduce, name="gram")
+    job = JobSpec(mapper, sum_vectors_reduce, combiner=sum_vectors_reduce, name="gram")
     output, stats = run_job(job, data.records(), config or ClusterConfig(), stats=stats)
     flat = parse_f64s(output[0].value)
     return GramPair(flat[: d * d].reshape(d, d).copy(), flat[d * d :].copy()), stats
@@ -156,28 +152,30 @@ def fit_linear(
     gram, _ = gram_job(data, config, stats=stats)
     beta = solve_normal_equations(gram)
 
-    def mapper(record, rng):
+    def mapper(record):
         x, y = record
         r = y - float(x @ beta)
         return [KeyValue(b"R", f64s_value([r * r]))]
 
-    job = JobSpec(mapper, _sum_vectors_reduce, combiner=_sum_vectors_reduce, name="residual")
+    job = JobSpec(mapper, sum_vectors_reduce, combiner=sum_vectors_reduce, name="residual")
     output, _ = run_job(job, data.records(), config, stats=stats)
     rss = float(parse_f64s(output[0].value)[0])
     return LinearModel(beta, stats.iterations, math.sqrt(max(rss, 0.0))), stats
 
 
-def _check_binary_label(y: float) -> float:
-    if y not in (0.0, 1.0):
-        raise ValueError(f"logistic label must be 0 or 1, got {y}")
-    return y
+def _binary_records(data: DataMatrix) -> list:
+    """The (x, y) records, once every label is checked to be 0 or 1."""
+    records = data.records()
+    bad = np.flatnonzero((data.y != 0.0) & (data.y != 1.0))
+    if bad.size:
+        raise RowParseError(int(bad[0]) + 1, f"logistic label must be 0 or 1, got {data.y[bad[0]]}")
+    return records
 
 
 def _gradient_mapper(beta: np.ndarray):
-    def mapper(record, rng):
+    def mapper(record):
         x, y = record
-        y = _check_binary_label(float(y))
-        resid = sigmoid(float(x @ beta)) - y
+        resid = sigmoid(float(x @ beta)) - float(y)
         return [KeyValue(b"g", f64s_value(resid * x))]
 
     return mapper
@@ -197,10 +195,10 @@ def logistic_gradient_job(
     """
     beta = np.asarray(beta, dtype=float)
     job = JobSpec(
-        _gradient_mapper(beta), _sum_vectors_reduce,
-        combiner=_sum_vectors_reduce, name="logistic-gradient",
+        _gradient_mapper(beta), sum_vectors_reduce,
+        combiner=sum_vectors_reduce, name="logistic-gradient",
     )
-    output, stats = run_job(job, data.records(), config or ClusterConfig(), stats=stats)
+    output, stats = run_job(job, _binary_records(data), config or ClusterConfig(), stats=stats)
     return parse_f64s(output[0].value).copy(), stats
 
 
@@ -246,7 +244,7 @@ def fit_logistic(
 
         return JobSpec(
             _gradient_mapper(beta), reducer,
-            combiner=_sum_vectors_reduce, name="logistic-step",
+            combiner=sum_vectors_reduce, name="logistic-step",
         )
 
     rounds = 0
@@ -263,7 +261,7 @@ def fit_logistic(
         return tol is not None and float(np.max(np.abs(grad))) < tol
 
     initial = [KeyValue(b"B", f64s_value(np.zeros(d)))]
-    state, stats = run_iterative(job_factory, initial, max_iters, converged, data.records(), config)
+    state, stats = run_iterative(job_factory, initial, max_iters, converged, _binary_records(data), config)
     flat = parse_f64s(state[0].value)
     model = LinearModel(flat[:d].copy(), stats.iterations, float(np.max(np.abs(flat[d:]))))
     return model, stats

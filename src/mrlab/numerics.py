@@ -7,6 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoding import f64s_value, parse_f64s
+from .engine import KeyValue
+
 
 def fsum_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Column-wise exact-ish sum of equal-length float vectors.
@@ -22,6 +25,11 @@ def fsum_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
         return first.copy()
     stacked = np.stack([np.asarray(v, dtype=float) for v in vectors])
     return np.array([math.fsum(stacked[:, j]) for j in range(stacked.shape[1])])
+
+
+def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
+    """Reducer/combiner: one pair holding the fsum of float-vector values."""
+    return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
 
 
 def sigmoid(z: float) -> float:

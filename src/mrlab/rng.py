@@ -26,14 +26,6 @@ def splitmix64(x: int) -> int:
     return x
 
 
-def mix(*parts: int) -> int:
-    """Fold integers into one well-scrambled 64-bit value (order-sensitive)."""
-    h = 0
-    for p in parts:
-        h = splitmix64(h ^ (p & _MASK64))
-    return h
-
-
 def record_uniform(seed: int, index: int) -> float:
     """Uniform on [0, 1) for one record, from (seed, index) alone."""
     h = splitmix64(splitmix64(seed & _MASK64) ^ (index & _MASK64))

@@ -74,7 +74,7 @@ def sort_sample(
         raise ParameterError(f"need 1 <= n <= N, got n={n}, N={N}")
     draw = key_fn if key_fn is not None else (lambda i: record_uniform(seed, i))
 
-    def mapper(indexed, rng):
+    def mapper(indexed):
         i, _record = indexed
         return [KeyValue(f64_key(draw(i)) + u64_key(i), b"")]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,15 @@ def test_logreg_divergence_exits_one(numbers_csv, capsys):
     assert "diverged" in err
 
 
+def test_logreg_non_binary_label_exits_two(numbers_csv, capsys):
+    path = numbers_csv("labels.csv", ["x", "label"], [[-1, 0], [1, 2], [2, 1]])
+    code, out, err = run_cli(["logreg", path, "--label", "label"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "row 2" in err
+    assert "label must be 0 or 1, got 2.0" in err
+
+
 def test_rf_trains_and_saves_model(numbers_csv, tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = []
@@ -255,6 +268,15 @@ def test_bad_sample_size_exits_two(numbers_csv, capsys):
     assert "sample size" in err
 
 
+@pytest.mark.parametrize("method", ["reservoir", "sort", "scan"])
+def test_sample_size_above_row_count_exits_two(numbers_csv, capsys, method):
+    path = numbers_csv("rows.csv", ["v"], [[1], [2], [3]])
+    code, out, err = run_cli(["sample", path, "--method", method, "--n", "9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--n: sample size" in err
+
+
 @pytest.mark.parametrize("flag, value, argv", [
     ("--splits", "0", ["linreg", "--label", "y"]),
     ("--seed", "-1", ["sample", "--n", "2"]),
@@ -305,3 +327,18 @@ def test_out_file_matches_stdout(calls_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     _, out, _ = run_cli(["calls-avg", calls_csv, "--out", str(out_path)], capsys)
     assert out_path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("module", ["mrlab", "mrlab.cli"])
+def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
+    path = numbers_csv("line.csv", ["x", "y"], [[x, 2 * x + 1] for x in range(5)])
+    argv = ["linreg", path, "--label", "y"]
+    _, expected, _ = run_cli(argv, capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

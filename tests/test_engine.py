@@ -13,7 +13,7 @@ from mrlab.errors import EmptyInputError, JobExecutionError, ParameterError
 
 
 def count_job():
-    def mapper(record, rng):
+    def mapper(record):
         return [KeyValue(record.encode(), count_value(1))]
 
     def reducer(key, values):
@@ -111,7 +111,7 @@ def test_run_job_word_count_hand_example():
 
 
 def test_run_job_identity_groups_input():
-    def mapper(record, rng):
+    def mapper(record):
         return [KeyValue(*record)]
 
     def reducer(key, values):
@@ -153,7 +153,7 @@ def test_float_sums_agree_across_split_counts():
     rng = np.random.default_rng(3)
     data = [float(x) for x in rng.normal(size=500)]
 
-    def mapper(record, _rng):
+    def mapper(record):
         return [KeyValue(b"s", f64s_value([record]))]
 
     def reducer(key, values):
@@ -171,21 +171,6 @@ def test_float_sums_agree_across_split_counts():
         assert r == pytest.approx(results[0], rel=1e-9)
 
 
-def test_mapper_rng_streams_differ_per_split_but_reproduce():
-    def mapper(record, rng):
-        return [KeyValue(b"u", f64s_value([rng.random()]))]
-
-    def reducer(key, values):
-        return [KeyValue(key, v) for v in values]
-
-    config = ClusterConfig(num_splits=2, seed=99)
-    out1, _ = run_job(JobSpec(mapper, reducer), [0, 1], config)
-    out2, _ = run_job(JobSpec(mapper, reducer), [0, 1], config)
-    assert out1 == out2
-    draws = [float(parse_f64s(v)[0]) for _, v in out1]
-    assert draws[0] != draws[1]  # distinct per-split streams
-
-
 def test_combiner_preserves_reducer_result():
     data = [f"w{i % 4}" for i in range(30)]
     base = count_job()
@@ -201,7 +186,7 @@ def test_combiner_preserves_reducer_result():
 
 
 def test_mapper_error_names_split_and_record():
-    def mapper(record, rng):
+    def mapper(record):
         if record == "boom":
             raise ValueError("bad record")
         return []
@@ -219,7 +204,7 @@ def test_mapper_error_names_split_and_record():
 
 
 def test_reducer_error_names_key():
-    def mapper(record, rng):
+    def mapper(record):
         return [KeyValue(record.encode(), b"1")]
 
     def reducer(key, values):
@@ -233,7 +218,7 @@ def test_reducer_error_names_key():
 
 def test_iterative_error_carries_iteration_index():
     def factory(t, state):
-        def mapper(record, rng):
+        def mapper(record):
             if t == 2:
                 raise ValueError("dies at round 2")
             return []
@@ -253,7 +238,7 @@ def test_iterative_error_carries_iteration_index():
 
 
 def _noop_factory(t, state):
-    def mapper(record, rng):
+    def mapper(record):
         return []
 
     def reducer(key, values):
@@ -276,6 +261,22 @@ def test_memory_mode_reads_once():
     assert stats.iterations == 5
 
 
+@pytest.mark.parametrize("mode, rounds_read", [("disk", 5), ("memory", 1)])
+def test_run_iterative_sizes_its_input_once(monkeypatch, mode, rounds_read):
+    calls = []
+
+    def counting_nbytes(record):
+        calls.append(record)
+        return 8
+
+    monkeypatch.setattr(engine, "record_nbytes", counting_nbytes)
+    data = list(range(100))
+    _, stats = run_iterative(_noop_factory, [], 5, None, data, ClusterConfig(iteration_mode=mode))
+    assert len(calls) == 100
+    assert stats.bytes_read == rounds_read * 800
+    assert stats.iterations == 5
+
+
 def test_convergence_stops_early():
     def converged(old, new):
         return converged.calls.append(0) or len(converged.calls) >= 2
@@ -293,7 +294,7 @@ def test_run_iterative_rejects_zero_iterations():
 def test_state_write_accounting_by_mode():
     # one state pair per round; disk re-writes it every round, memory once
     def factory(t, state):
-        def mapper_emit(record, rng):
+        def mapper_emit(record):
             return [KeyValue(b"s", b"x")] if record == 0 else []
 
         def reducer_pass(key, values):

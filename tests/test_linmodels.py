@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mrlab.engine import ClusterConfig
 from mrlab.errors import (
     DivergenceError,
-    JobExecutionError,
     ParameterError,
     RowParseError,
     SingularMatrixError,
@@ -193,10 +192,9 @@ def test_gradient_matches_finite_differences(seed):
 
 def test_gradient_rejects_non_binary_labels():
     data = DataMatrix(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(JobExecutionError) as err:
+    with pytest.raises(RowParseError) as err:
         logistic_gradient_job(data, np.zeros(1))
-    assert err.value.stage == "map"
-    assert err.value.record_index == 1
+    assert err.value.row == 2
 
 
 # ------------------------------------------------------------- fit_logistic

@@ -19,11 +19,6 @@ def test_splitmix64_known_values():
     assert rng.splitmix64(GAMMA) == 0x6E789E6AA1B965F4
 
 
-def test_mix_is_order_sensitive():
-    assert rng.mix(1, 2) != rng.mix(2, 1)
-    assert rng.mix(1, 2) == rng.mix(1, 2)
-
-
 @given(u64, st.integers(0, 2**63))
 def test_record_uniform_in_unit_interval(seed, index):
     u = rng.record_uniform(seed, index)
