@@ -22,7 +22,7 @@ from .encoding import (
     split_text_key,
     text_key,
 )
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
 from .errors import RowParseError
 from .numerics import fsum_vectors, sum_vectors_reduce
 
@@ -79,7 +79,7 @@ def avg_duration_job() -> JobSpec:
         total, count = fsum_vectors([parse_f64s(v) for v in values])
         return [KeyValue(key, f64s_value((total / count, count)))]
 
-    return JobSpec(mapper, reducer, combiner=sum_vectors_reduce, name="avg-duration")
+    return JobSpec(per_record(mapper), reducer, combiner=sum_vectors_reduce, name="avg-duration")
 
 
 def avg_duration_by_date(
@@ -100,7 +100,7 @@ def calls_per_caller_job() -> JobSpec:
     def mapper(record: CallRecord) -> list[KeyValue]:
         return [KeyValue(text_key(record.date.isoformat(), record.caller), count_value(1))]
 
-    return JobSpec(mapper, _count_reduce, combiner=_count_reduce, name="calls-count")
+    return JobSpec(per_record(mapper), _count_reduce, combiner=_count_reduce, name="calls-count")
 
 
 def calls_per_date_number(
@@ -118,7 +118,7 @@ def word_count_job() -> JobSpec:
     def mapper(document: str) -> list[KeyValue]:
         return [KeyValue(token.encode("utf-8"), count_value(1)) for token in document.split()]
 
-    return JobSpec(mapper, _count_reduce, combiner=_count_reduce, name="word-count")
+    return JobSpec(per_record(mapper), _count_reduce, combiner=_count_reduce, name="word-count")
 
 
 def word_count(

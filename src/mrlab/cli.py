@@ -214,10 +214,22 @@ def _cmd_kmeans(args, config):
     return result, stats, 0
 
 
-def _cmd_linreg(args, config):
+def _fit_table(args, fit):
+    """Read the labelled CSV and fit(DataMatrix) on it.
+
+    The library numbers data rows from 1; a RowParseError it raises is
+    renumbered to the file line, where the header is line 1.
+    """
     table = dataio.read_table(args.input, args.label)
-    data = DataMatrix.from_features(table.features, table.labels)
-    model, stats = fit_linear(data, config)
+    try:
+        model, stats = fit(DataMatrix.from_features(table.features, table.labels))
+    except RowParseError as err:
+        raise RowParseError(err.row + 1, err.message) from None
+    return table, model, stats
+
+
+def _cmd_linreg(args, config):
+    table, model, stats = _fit_table(args, lambda data: fit_linear(data, config))
     result = {
         "coefficients": [float(b) for b in model.beta],
         "columns": ["intercept"] + table.feature_names,
@@ -227,9 +239,9 @@ def _cmd_linreg(args, config):
 
 
 def _cmd_logreg(args, config):
-    table = dataio.read_table(args.input, args.label)
-    data = DataMatrix.from_features(table.features, table.labels)
-    model, stats = fit_logistic(data, args.step, args.iters, args.tol, config)
+    table, model, stats = _fit_table(
+        args, lambda data: fit_logistic(data, args.step, args.iters, args.tol, config),
+    )
     result = {
         "coefficients": [float(b) for b in model.beta],
         "columns": ["intercept"] + table.feature_names,
@@ -266,7 +278,7 @@ def _cmd_rf(args, config):
 
 
 def _identity_factory(t: int, state):
-    return JobSpec(lambda record: [], lambda key, values: [], name="bench-io")
+    return JobSpec(lambda split: [], lambda key, values: [], name="bench-io")
 
 
 def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:

@@ -27,12 +27,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def text_key(*fields: str) -> bytes:
-    """Join UTF-8 fields with the unit separator."""
-    return FIELD_SEP.join(f.encode("utf-8") for f in fields)
+    """Join UTF-8 fields with the unit separator.
+
+    A lone surrogate, which strict UTF-8 cannot encode, passes through as
+    its three-byte form, so every str round-trips through split_text_key.
+    """
+    return FIELD_SEP.join(f.encode("utf-8", "surrogatepass") for f in fields)
 
 
 def split_text_key(key: bytes) -> tuple[str, ...]:
-    return tuple(f.decode("utf-8") for f in key.split(FIELD_SEP))
+    return tuple(f.decode("utf-8", "surrogatepass") for f in key.split(FIELD_SEP))
 
 
 def u32_key(value: int) -> bytes:

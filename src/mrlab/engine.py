@@ -1,8 +1,11 @@
 """Single-process MapReduce engine with deterministic shuffle semantics.
 
 The engine mimics a small cluster on one thread: the dataset is cut into
-contiguous splits, a mapper runs over each split in turn, the shuffle
-groups emitted pairs by exact key bytes, and a reducer runs per group.
+contiguous splits, the mapper is called once per split and returns that
+split's pairs, the shuffle groups emitted pairs by exact key bytes, and a
+reducer runs per group. A mapper that sums over its records can emit one
+partial per split (in-mapper combining); ``per_record`` lifts a function
+of one record into a mapper for the jobs that work a record at a time.
 Outputs never depend on execution order because the shuffle applies a
 canonical ordering: groups sorted by key bytes, values within a group
 ordered by (split_id, emission index).
@@ -33,28 +36,36 @@ class KeyValue(NamedTuple):
     value: bytes
 
 
-Mapper = Callable[[Any], Iterable[KeyValue]]
-Reducer = Callable[[bytes, list], Iterable[KeyValue]]
-
-
 @dataclass(frozen=True)
 class InputSplit:
-    """A contiguous slice of the source dataset assigned to one mapper."""
+    """A contiguous slice of the source dataset assigned to one mapper.
+
+    ``records`` is a view of the rows when the dataset is a numpy array,
+    else a tuple of the records.
+    """
 
     split_id: int
-    records: tuple
+    records: tuple | np.ndarray
     origin_range: tuple[int, int]  # (first, last) source indices, inclusive
+
+
+Mapper = Callable[[InputSplit], Iterable[KeyValue]]
+Reducer = Callable[[bytes, list], Iterable[KeyValue]]
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """Mapper + reducer (+ optional combiner) for one MR round.
 
-    A mapper is a pure function of its one record; randomness comes from
-    ``rng.record_uniform``/``rng.substream``, keyed by record index or by
-    tree, never by split. Combiners share the reducer signature and run
-    per split before the shuffle; they must be idempotent with respect to
-    the reducer.
+    The mapper takes one ``InputSplit`` and returns that split's pairs;
+    wrap a function of one record in ``per_record``. A mapper may emit
+    per-split partials, but the reduced result must not depend on where
+    the split boundaries fall: randomness comes from
+    ``rng.record_uniform``/``rng.substream``, keyed by record index
+    (``origin_range[0]`` plus the offset in the split) or by tree, never
+    by split. Combiners share the reducer signature and run per split
+    before the shuffle; they must be idempotent with respect to the
+    reducer.
     """
 
     mapper: Mapper
@@ -118,7 +129,9 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     """Cut the dataset into contiguous splits of near-equal size.
 
     Sizes differ by at most one: the first (n mod s) splits take the
-    extra record. num_splits larger than the dataset is clamped.
+    extra record. num_splits larger than the dataset is clamped. A numpy
+    dataset is split into views of its rows; any other sequence into
+    tuples.
     """
     n = len(dataset)
     if n == 0:
@@ -132,7 +145,10 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     for sid in range(s):
         size = base + (1 if sid < extra else 0)
         stop = start + size
-        splits.append(InputSplit(sid, tuple(dataset[start:stop]), (start, stop - 1)))
+        rows = dataset[start:stop]
+        if not isinstance(rows, np.ndarray):
+            rows = tuple(rows)
+        splits.append(InputSplit(sid, rows, (start, stop - 1)))
         start = stop
     return splits
 
@@ -157,19 +173,34 @@ def _charge_write(stats: RunStats, pairs: Sequence[KeyValue]) -> None:
     stats.bytes_written += sum(len(k) + len(v) for k, v in pairs)
 
 
+def per_record(fn: Callable[[Any], Iterable[KeyValue]]) -> Mapper:
+    """A mapper that calls fn on each record of its split in order and
+    concatenates the pairs; a failure names the record's global index."""
+
+    def mapper(split: InputSplit) -> list[KeyValue]:
+        out: list[KeyValue] = []
+        for offset, record in enumerate(split.records):
+            try:
+                out.extend(fn(record))
+            except JobExecutionError:
+                raise
+            except Exception as exc:
+                raise JobExecutionError(
+                    "map", str(exc), split_id=split.split_id,
+                    record_index=split.origin_range[0] + offset,
+                ) from exc
+        return out
+
+    return mapper
+
+
 def _map_split(job: JobSpec, split: InputSplit) -> list[KeyValue]:
-    out: list[KeyValue] = []
-    for offset, record in enumerate(split.records):
-        try:
-            out.extend(job.mapper(record))
-        except JobExecutionError:
-            raise
-        except Exception as exc:
-            raise JobExecutionError(
-                "map", str(exc), split_id=split.split_id,
-                record_index=split.origin_range[0] + offset,
-            ) from exc
-    return out
+    try:
+        return list(job.mapper(split))
+    except JobExecutionError:
+        raise
+    except Exception as exc:
+        raise JobExecutionError("map", str(exc), split_id=split.split_id) from exc
 
 
 def _combine_split(job: JobSpec, split_id: int, pairs: list[KeyValue]) -> list[KeyValue]:

@@ -14,11 +14,13 @@ class ParameterError(MRLabError, ValueError):
 
 
 class RowParseError(MRLabError, ValueError):
-    """A malformed input row. ``row`` is the 1-based line number."""
+    """A malformed input row. ``row`` is 1-based: the file line for
+    readers (the header is line 1), the data row for library code."""
 
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
         self.row = row
+        self.message = message
 
 
 class JobExecutionError(MRLabError):

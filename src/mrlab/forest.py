@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s, parse_u32_key, u32_key
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
 from .errors import ParameterError
 from .rng import substream
 
@@ -299,7 +299,7 @@ def fit_forest(
         )
         return [KeyValue(key, tree_to_bytes(tree))]
 
-    job = JobSpec(mapper, reducer, name="forest")
+    job = JobSpec(per_record(mapper), reducer, name="forest")
     output, stats = run_job(job, list(enumerate(x)), config or ClusterConfig())
 
     trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}

@@ -1,11 +1,15 @@
 """Lloyd's k-means as an iterated MapReduce job.
 
-Each round maps every record to its nearest center (centers are
+Each round assigns every record to its nearest center (centers are
 broadcast driver state, read-only during the round) and reduces
-per-cluster coordinate sums into new barycenters. The round's output
-also carries every record's assignment and the total within-cluster
-squared error, so the driver can report assignments and track the
-objective without extra passes.
+per-cluster coordinate sums into new barycenters. A map task folds its
+whole split at once: it emits one (coordinate sums, count) partial per
+cluster present in the split, one partial of the within-cluster squared
+error, and the split's assignments as one block keyed by the index of
+its first record. The round's output carries the assignment blocks and
+the total objective, so fit_kmeans can report assignments and track the
+objective without extra passes, and the assignment vector it decodes is
+the same whatever the split layout.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import count_value, f64s_value, parse_count, parse_f64s, u32_key, u64_key
+from .encoding import f64s_value, parse_f64s, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative
 from .errors import ParameterError
 from .numerics import fsum_vectors, sum_vectors_reduce
@@ -37,13 +41,15 @@ class CenterSet:
         return self.centers.shape[0]
 
 
-def _nearest(x: np.ndarray, centers: np.ndarray) -> tuple[int, float]:
-    """(index, squared distance) of the nearest center; ties go to the
-    smallest index."""
-    deltas = centers - x
-    d2 = np.einsum("ij,ij->i", deltas, deltas)
-    c = int(np.argmin(d2))
-    return c, float(d2[c])
+def _nearest(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (m, p) block: the index of the nearest center and
+    the squared distance to it; ties go to the smallest index. One
+    center at a time, so the scratch space is (m, p), not (m, k, p)."""
+    d2 = np.empty((block.shape[0], centers.shape[0]))
+    for c, center in enumerate(centers):
+        d2[:, c] = ((block - center) ** 2).sum(axis=1)
+    nearest = np.argmin(d2, axis=1)
+    return nearest, d2[np.arange(block.shape[0]), nearest]
 
 
 def assign(record, centers, metric: Optional[Callable] = None) -> int:
@@ -57,7 +63,7 @@ def assign(record, centers, metric: Optional[Callable] = None) -> int:
     if metric is not None:
         dists = [metric(x, c) for c in pts]
         return int(np.argmin(dists))
-    return _nearest(x, pts)[0]
+    return int(_nearest(x[None, :], pts)[0][0])
 
 
 def recompute(groups, previous) -> np.ndarray:
@@ -87,7 +93,9 @@ def _assignments_from_state(state: Sequence[KeyValue], n: int) -> np.ndarray:
     out = np.full(n, -1, dtype=np.int64)
     for key, value in state:
         if key[:1] == _ASSIGN:
-            out[int.from_bytes(key[1:9], "big")] = parse_count(value)
+            block = parse_f64s(value)
+            first = int.from_bytes(key[1:9], "big")
+            out[first : first + block.size] = block
     return out
 
 
@@ -98,15 +106,27 @@ def _objective_from_state(state: Sequence[KeyValue]) -> float:
     return float("inf")
 
 
-def _dispatching_combiner(key: bytes, values: list) -> list[KeyValue]:
-    if key[:1] == _ASSIGN:
+def _split_mapper(centers: np.ndarray):
+    def mapper(split):
+        block = split.records
+        nearest, d2 = _nearest(block, centers)
+        out = []
+        for c in np.unique(nearest).tolist():
+            members = block[nearest == c]
+            partial = np.append(fsum_vectors(members), len(members))  # coordinate sums, then count
+            out.append(KeyValue(_CENTER + u32_key(c), f64s_value(partial)))
+        out.append(KeyValue(_OBJECTIVE, f64s_value(fsum_vectors(d2[:, None]))))
+        out.append(KeyValue(_ASSIGN + u64_key(split.origin_range[0]), f64s_value(nearest)))
+        return out
+
+    return mapper
+
+
+def _reducer(key: bytes, values: list) -> list[KeyValue]:
+    if key[:1] == _ASSIGN:  # one block per split, keyed by its first record
         return [KeyValue(key, v) for v in values]
-    return sum_vectors_reduce(key, values)
-
-
-def _dispatching_reducer(key: bytes, values: list) -> list[KeyValue]:
-    if key[:1] != _CENTER:
-        return _dispatching_combiner(key, values)
+    if key[:1] == _OBJECTIVE:
+        return sum_vectors_reduce(key, values)
     merged = fsum_vectors([parse_f64s(v) for v in values])  # coordinate sums, then count
     return [KeyValue(key, f64s_value(merged[:-1] / merged[-1]))]
 
@@ -147,17 +167,7 @@ def fit_kmeans(
     def job_factory(t: int, state: list[KeyValue]) -> JobSpec:
         centers = _centers_from_state(state, current["centers"])
         current["centers"] = centers
-
-        def mapper(indexed):
-            i, x = indexed
-            c, d2 = _nearest(x, centers)
-            return [
-                KeyValue(_ASSIGN + u64_key(i), count_value(c)),
-                KeyValue(_CENTER + u32_key(c), f64s_value(np.append(x, 1.0))),
-                KeyValue(_OBJECTIVE, f64s_value([d2])),
-            ]
-
-        return JobSpec(mapper, _dispatching_reducer, combiner=_dispatching_combiner, name="kmeans")
+        return JobSpec(_split_mapper(centers), _reducer, name="kmeans")
 
     def converged(old_state, new_state) -> bool:
         old = _centers_from_state(old_state, current["centers"])
@@ -171,8 +181,7 @@ def fit_kmeans(
         return float(np.max(np.abs(new - old))) < tol
 
     initial_state = [KeyValue(_CENTER + u32_key(c), f64s_value(init[c])) for c in range(k)]
-    records = list(enumerate(points))
-    state, stats = run_iterative(job_factory, initial_state, max_iters, converged, records, config)
+    state, stats = run_iterative(job_factory, initial_state, max_iters, converged, points, config)
 
     final_centers = _centers_from_state(state, current["centers"])
     result = CenterSet(final_centers, stats.iterations, _objective_from_state(state))

@@ -5,6 +5,12 @@ into the Gram products X'X and X'y, then solves the normal equations
 X'X b = X'y in memory (the cross-products matrix is small even when n
 is huge). Logistic regression runs gradient descent where every
 iteration is one MR round summing per-record gradient contributions.
+
+Every job splits the (n, d+1) block [X | y] and its mapper folds a whole
+split at once: one vectorized pass over the split's rows, then one
+column-wise ``fsum`` to a single partial per split (in-mapper
+combining). Row values are computed row by row, never by a BLAS
+matrix-vector product, whose rounding depends on the rows around it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
 from .numerics import fsum_vectors, sigmoid, softplus, sum_vectors_reduce
 
@@ -69,10 +75,11 @@ class DataMatrix:
     def width(self) -> int:
         return self.x.shape[1]
 
-    def records(self) -> list:
+    def block(self) -> np.ndarray:
+        """The (n, d+1) dataset [X | y] the jobs split: one row per record."""
         if self.y is None:
             raise ParameterError("this operation needs labels")
-        return list(zip(self.x, self.y))
+        return np.column_stack([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -96,19 +103,19 @@ def gram_job(
 ) -> tuple[GramPair, RunStats]:
     """One MR round computing X'X and X'y.
 
-    Mappers emit each record's outer product x x' and moment x*y packed
-    into one vector; the combiner folds each split to a single partial,
-    and the reducer sums partials in canonical split order.
+    Each split's mapper sums its records' outer products x x' and moments
+    x*y, packed into one vector, to a single partial; the reducer sums
+    the partials.
     """
     d = data.width
 
-    def mapper(record):
-        x, y = record
-        payload = np.concatenate([np.outer(x, x).ravel(), x * y])
-        return [KeyValue(b"G", f64s_value(payload))]
+    def mapper(split):
+        x, y = _xy(split)
+        outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), d * d)
+        return [KeyValue(b"G", f64s_value(fsum_vectors(np.hstack([outer, x * y[:, None]]))))]
 
-    job = JobSpec(mapper, sum_vectors_reduce, combiner=sum_vectors_reduce, name="gram")
-    output, stats = run_job(job, data.records(), config or ClusterConfig(), stats=stats)
+    job = JobSpec(mapper, sum_vectors_reduce, name="gram")
+    output, stats = run_job(job, data.block(), config or ClusterConfig(), stats=stats)
     flat = parse_f64s(output[0].value)
     return GramPair(flat[: d * d].reshape(d, d).copy(), flat[d * d :].copy()), stats
 
@@ -152,31 +159,40 @@ def fit_linear(
     gram, _ = gram_job(data, config, stats=stats)
     beta = solve_normal_equations(gram)
 
-    def mapper(record):
-        x, y = record
-        r = y - float(x @ beta)
-        return [KeyValue(b"R", f64s_value([r * r]))]
+    def mapper(split):
+        x, y = _xy(split)
+        r = y - _rowdot(x, beta)
+        return [KeyValue(b"R", f64s_value(fsum_vectors((r * r)[:, None])))]
 
-    job = JobSpec(mapper, sum_vectors_reduce, combiner=sum_vectors_reduce, name="residual")
-    output, _ = run_job(job, data.records(), config, stats=stats)
+    job = JobSpec(mapper, sum_vectors_reduce, name="residual")
+    output, _ = run_job(job, data.block(), config, stats=stats)
     rss = float(parse_f64s(output[0].value)[0])
     return LinearModel(beta, stats.iterations, math.sqrt(max(rss, 0.0))), stats
 
 
-def _binary_records(data: DataMatrix) -> list:
-    """The (x, y) records, once every label is checked to be 0 or 1."""
-    records = data.records()
+def _xy(split: InputSplit) -> tuple[np.ndarray, np.ndarray]:
+    """A split of ``DataMatrix.block`` as (x rows, labels)."""
+    return split.records[:, :-1], split.records[:, -1]
+
+
+def _rowdot(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x @ beta one row at a time, so a row's value is the same in any split."""
+    return np.einsum("ij,j->i", x, beta)
+
+
+def _binary_block(data: DataMatrix) -> np.ndarray:
+    """``data.block()``, once every label is checked to be 0 or 1."""
     bad = np.flatnonzero((data.y != 0.0) & (data.y != 1.0))
     if bad.size:
         raise RowParseError(int(bad[0]) + 1, f"logistic label must be 0 or 1, got {data.y[bad[0]]}")
-    return records
+    return data.block()
 
 
 def _gradient_mapper(beta: np.ndarray):
-    def mapper(record):
-        x, y = record
-        resid = sigmoid(float(x @ beta)) - float(y)
-        return [KeyValue(b"g", f64s_value(resid * x))]
+    def mapper(split):
+        x, y = _xy(split)
+        resid = sigmoid(_rowdot(x, beta)) - y
+        return [KeyValue(b"g", f64s_value(fsum_vectors(resid[:, None] * x)))]
 
     return mapper
 
@@ -194,11 +210,8 @@ def logistic_gradient_job(
     log-likelihood at beta.
     """
     beta = np.asarray(beta, dtype=float)
-    job = JobSpec(
-        _gradient_mapper(beta), sum_vectors_reduce,
-        combiner=sum_vectors_reduce, name="logistic-gradient",
-    )
-    output, stats = run_job(job, _binary_records(data), config or ClusterConfig(), stats=stats)
+    job = JobSpec(_gradient_mapper(beta), sum_vectors_reduce, name="logistic-gradient")
+    output, stats = run_job(job, _binary_block(data), config or ClusterConfig(), stats=stats)
     return parse_f64s(output[0].value).copy(), stats
 
 
@@ -242,10 +255,7 @@ def fit_logistic(
                 new_beta = beta - step * grad
             return [KeyValue(b"B", f64s_value(np.concatenate([new_beta, grad])))]
 
-        return JobSpec(
-            _gradient_mapper(beta), reducer,
-            combiner=sum_vectors_reduce, name="logistic-step",
-        )
+        return JobSpec(_gradient_mapper(beta), reducer, name="logistic-step")
 
     rounds = 0
 
@@ -261,7 +271,7 @@ def fit_logistic(
         return tol is not None and float(np.max(np.abs(grad))) < tol
 
     initial = [KeyValue(b"B", f64s_value(np.zeros(d)))]
-    state, stats = run_iterative(job_factory, initial, max_iters, converged, _binary_records(data), config)
+    state, stats = run_iterative(job_factory, initial, max_iters, converged, _binary_block(data), config)
     flat = parse_f64s(state[0].value)
     model = LinearModel(flat[:d].copy(), stats.iterations, float(np.max(np.abs(flat[d:]))))
     return model, stats

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -11,20 +10,18 @@ from .encoding import f64s_value, parse_f64s
 from .engine import KeyValue
 
 
-def fsum_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-wise exact-ish sum of equal-length float vectors.
+def fsum_vectors(block) -> np.ndarray:
+    """Column sums of a 2-D block (or a list of equal-length vectors).
 
-    Uses ``math.fsum`` per component so the result does not depend on
-    the order the vectors arrive in, which keeps reductions stable
-    across different split layouts.
+    Each column is summed with ``math.fsum``: correctly rounded, so the
+    result does not depend on the order of the rows, and a split mapper's
+    partial and the reducer's sum of partials each round once. Columns
+    go through ``tolist`` so that fsum reads Python floats.
     """
-    if not vectors:
-        raise ValueError("fsum_vectors needs at least one vector")
-    first = np.asarray(vectors[0], dtype=float)
-    if len(vectors) == 1:
-        return first.copy()
-    stacked = np.stack([np.asarray(v, dtype=float) for v in vectors])
-    return np.array([math.fsum(stacked[:, j]) for j in range(stacked.shape[1])])
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] == 0:
+        raise ValueError(f"fsum_vectors needs a non-empty 2-D block, got shape {block.shape}")
+    return np.array([math.fsum(column) for column in block.T.tolist()])
 
 
 def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
@@ -32,12 +29,11 @@ def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
     return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
 
 
-def sigmoid(z: float) -> float:
-    """Numerically stable logistic function for scalars."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .encoding import f64_key, parse_u64_key, u64_key
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
 from .errors import ParameterError
 from .rng import record_uniform, record_uniforms
 
@@ -81,7 +81,7 @@ def sort_sample(
     def reducer(key, values):
         return [KeyValue(key, v) for v in values]
 
-    job = JobSpec(mapper, reducer, name="sort-sample")
+    job = JobSpec(per_record(mapper), reducer, name="sort-sample")
     output, stats = run_job(job, list(enumerate(dataset)), config or ClusterConfig(seed=seed))
     winners = [parse_u64_key(key[-8:]) for key, _ in output[:n]]
     return [dataset[i] for i in winners], stats

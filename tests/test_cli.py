@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrlab import cli
 
@@ -196,8 +200,23 @@ def test_logreg_non_binary_label_exits_two(numbers_csv, capsys):
     code, out, err = run_cli(["logreg", path, "--label", "label"], capsys)
     assert code == 2
     assert out == ""
-    assert "row 2" in err
+    assert "row 3" in err  # file line of the label 2; the header is line 1
     assert "label must be 0 or 1, got 2.0" in err
+
+
+@pytest.mark.parametrize("command, cell, message", [
+    ("logreg", "abc", "bad numeric label 'abc'"),
+    ("logreg", "nan", "non-finite label"),
+    ("logreg", "2", "logistic label must be 0 or 1, got 2.0"),
+    ("linreg", "abc", "bad numeric label 'abc'"),
+    ("linreg", "nan", "non-finite label"),
+])
+def test_label_errors_name_the_file_line(numbers_csv, capsys, command, cell, message):
+    path = numbers_csv("labels.csv", ["x", "label"], [[-1, 0], [1, cell]])
+    code, out, err = run_cli([command, path, "--label", "label"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"row 3: {message}" in err  # the header is line 1
 
 
 def test_rf_trains_and_saves_model(numbers_csv, tmp_path, capsys):
@@ -342,3 +361,71 @@ def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+# ------------------------------------------------------------ argv property
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    table = root / "table.csv"
+    table.write_text(
+        "x0,x1,y\n" + "".join(f"{i % 3}.5,{(i * 7) % 5},{i % 2}\n" for i in range(8)),
+        encoding="utf-8",
+    )
+    calls = root / "calls.csv"
+    calls.write_text(
+        "date,caller,callee,duration\n2024-01-01,a,b,3\n2024-01-02,a,c,4\n2024-01-02,b,c,5\n",
+        encoding="utf-8",
+    )
+    docs = root / "docs.txt"
+    docs.write_text("a b a\nc b\n", encoding="utf-8")
+    return {"table": str(table), "calls": str(calls), "docs": str(docs)}
+
+
+_COUNTS = st.integers(-3, 12)
+_FLOATS = st.floats()  # includes nan, +-inf, subnormals and huge values
+_SUBCOMMANDS = {
+    # name: (input, fixed argv, {numeric flag: domain})
+    "calls-avg": ("calls", [], {}),
+    "calls-count": ("calls", [], {}),
+    "wordcount": ("docs", [], {}),
+    "sample": ("table", [], {"--n": _COUNTS, "--delta": _FLOATS}),
+    "kmeans": ("table", [], {"--k": _COUNTS, "--iters": _COUNTS, "--tol": _FLOATS}),
+    "linreg": ("table", ["--label", "y"], {}),
+    "logreg": ("table", ["--label", "y"], {"--step": _FLOATS, "--iters": _COUNTS, "--tol": _FLOATS}),
+    "rf": ("table", ["--label", "y"], {
+        "--trees": st.integers(-2, 6), "--k": st.integers(-3, 30),
+        "--mtry": st.integers(-2, 4), "--max-depth": st.integers(-2, 6),
+    }),
+    "bench-io": ("table", [], {"--iters": _COUNTS}),
+}
+_SHARED = {"--splits": st.integers(-3, 40), "--seed": st.integers(-3, 2**64 + 3)}
+
+
+@st.composite
+def _argv(draw, inputs):
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    source, fixed, flags = _SUBCOMMANDS[name]
+    argv = [name, inputs[source], *fixed]
+    if name == "sample":
+        argv += ["--method", draw(st.sampled_from(["reservoir", "sort", "scan"]))]
+    for flag, domain in sorted({**flags, **_SHARED}.items()):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(domain)!r}")  # '=' keeps '-inf' from reading as a flag
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_numeric_flags_never_end_in_a_traceback(fuzz_inputs, data):
+    argv = data.draw(_argv(fuzz_inputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

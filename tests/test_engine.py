@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from mrlab import engine
 from mrlab.encoding import count_value, f64s_value, parse_count, parse_f64s
-from mrlab.engine import ClusterConfig, InputSplit, JobSpec, KeyValue, partition, run_iterative, run_job, shuffle
+from mrlab.engine import (
+    ClusterConfig, InputSplit, JobSpec, KeyValue, partition, per_record, run_iterative, run_job, shuffle,
+)
 from mrlab.errors import EmptyInputError, JobExecutionError, ParameterError
 
 
@@ -19,7 +21,7 @@ def count_job():
     def reducer(key, values):
         return [KeyValue(key, count_value(sum(parse_count(v) for v in values)))]
 
-    return JobSpec(mapper, reducer, name="count")
+    return JobSpec(per_record(mapper), reducer, name="count")
 
 
 # ---------------------------------------------------------------- partition
@@ -118,7 +120,7 @@ def test_run_job_identity_groups_input():
         return [KeyValue(key, v) for v in values]
 
     data = [(b"x", b"1"), (b"y", b"2"), (b"x", b"3")]
-    out, _ = run_job(JobSpec(mapper, reducer), data, ClusterConfig(num_splits=1))
+    out, _ = run_job(JobSpec(per_record(mapper), reducer), data, ClusterConfig(num_splits=1))
     assert out == [KeyValue(b"x", b"1"), KeyValue(b"x", b"3"), KeyValue(b"y", b"2")]
 
 
@@ -165,7 +167,7 @@ def test_float_sums_agree_across_split_counts():
 
     results = []
     for s in (1, 2, 8):
-        out, _ = run_job(JobSpec(mapper, reducer, combiner), data, ClusterConfig(num_splits=s))
+        out, _ = run_job(JobSpec(per_record(mapper), reducer, combiner), data, ClusterConfig(num_splits=s))
         results.append(float(parse_f64s(out[0].value)[0]))
     for r in results[1:]:
         assert r == pytest.approx(results[0], rel=1e-9)
@@ -196,11 +198,60 @@ def test_mapper_error_names_split_and_record():
 
     data = ["ok"] * 5 + ["boom"] + ["ok"] * 2
     with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(mapper, reducer), data, ClusterConfig(num_splits=2))
+        run_job(JobSpec(per_record(mapper), reducer), data, ClusterConfig(num_splits=2))
     assert err.value.stage == "map"
     assert err.value.record_index == 5
     assert err.value.split_id == 1
     assert "split=1" in str(err.value)
+
+
+def test_split_mapper_error_names_stage_and_split():
+    def mapper(split):
+        if split.split_id == 2:
+            raise ValueError("bad split")
+        return []
+
+    with pytest.raises(JobExecutionError) as err:
+        run_job(JobSpec(mapper, lambda key, values: []), list(range(9)), ClusterConfig(num_splits=3))
+    assert err.value.stage == "map"
+    assert err.value.split_id == 2
+    assert err.value.record_index is None
+    assert "bad split" in str(err.value) and "split=2" in str(err.value)
+
+
+def test_per_record_error_names_global_record_index():
+    def mapper(row):
+        if row[0] == 7.0:
+            raise ValueError("bad row")
+        return []
+
+    data = np.arange(20.0).reshape(10, 2) / 2.0  # row i starts with i
+    with pytest.raises(JobExecutionError) as err:
+        run_job(JobSpec(per_record(mapper), lambda key, values: []), data, ClusterConfig(num_splits=3))
+    assert err.value.stage == "map"
+    assert err.value.split_id == 2  # splits hold rows 0-3, 4-6, 7-9
+    assert err.value.record_index == 7
+
+
+@pytest.mark.parametrize("n, splits", [(1, 1), (10, 3), (10, 10), (7, 20), (100, 8)])
+def test_ndarray_splits_are_views_covering_every_row_once(n, splits):
+    data = np.arange(n * 3, dtype=float).reshape(n, 3)
+    seen = []
+
+    def mapper(split):
+        seen.append(split)
+        return []
+
+    run_job(JobSpec(mapper, lambda key, values: []), data, ClusterConfig(num_splits=splits))
+    covered = np.zeros(n, dtype=int)
+    for split in seen:
+        first, last = split.origin_range
+        assert isinstance(split.records, np.ndarray)
+        assert split.records.flags.c_contiguous
+        assert np.shares_memory(split.records, data)  # a view: no copy of the rows
+        np.testing.assert_array_equal(split.records, data[first : last + 1])
+        covered[first : last + 1] += 1
+    assert covered.tolist() == [1] * n
 
 
 def test_reducer_error_names_key():
@@ -211,7 +262,7 @@ def test_reducer_error_names_key():
         raise RuntimeError("reduce failed")
 
     with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(mapper, reducer), ["k1"], ClusterConfig())
+        run_job(JobSpec(per_record(mapper), reducer), ["k1"], ClusterConfig())
     assert err.value.stage == "reduce"
     assert err.value.key == b"k1"
 
@@ -226,7 +277,7 @@ def test_iterative_error_carries_iteration_index():
         def reducer(key, values):
             return []
 
-        return JobSpec(mapper, reducer)
+        return JobSpec(per_record(mapper), reducer)
 
     with pytest.raises(JobExecutionError) as err:
         run_iterative(factory, [], 5, None, [1, 2, 3], ClusterConfig())
@@ -244,7 +295,7 @@ def _noop_factory(t, state):
     def reducer(key, values):
         return []
 
-    return JobSpec(mapper, reducer)
+    return JobSpec(per_record(mapper), reducer)
 
 
 def test_disk_mode_rereads_each_round():
@@ -300,7 +351,7 @@ def test_state_write_accounting_by_mode():
         def reducer_pass(key, values):
             return [KeyValue(key, values[0])]
 
-        return JobSpec(mapper_emit, reducer_pass)
+        return JobSpec(per_record(mapper_emit), reducer_pass)
 
     data = list(range(10))
     _, disk = run_iterative(factory, [], 3, None, data, ClusterConfig(iteration_mode="disk"))

@@ -163,6 +163,23 @@ def test_io_accounting_by_mode():
     assert disk.iterations == mem.iterations
 
 
+def test_records_shuffled_per_round_does_not_grow_with_n():
+    # each split emits at most k center partials, one objective partial
+    # and one assignment block, however many records it holds
+    k, splits, rounds = 3, 4, 5
+    spots = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
+    per_round = []
+    for n in (50, 500):
+        rng = np.random.default_rng(n)
+        pts = spots[np.arange(n) % k] + rng.normal(size=(n, 2))  # every split meets every blob
+        _, _, stats = fit_kmeans(pts, k, init=spots, max_iters=rounds, tol=0.0,
+                                 config=ClusterConfig(num_splits=splits, iteration_mode="memory"))
+        assert stats.iterations == rounds
+        per_round.append(stats.records_shuffled / rounds)
+    assert per_round[0] == per_round[1]
+    assert per_round[0] <= splits * (k + 2)
+
+
 def test_default_init_samples_k_rows():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 2))

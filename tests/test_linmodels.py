@@ -274,5 +274,5 @@ def test_disk_mode_io_accounting_per_iteration():
     _, mem = fit_logistic(data, 0.1, 4, config=ClusterConfig(iteration_mode="memory"))
     assert disk.records_read == 4 * 6
     assert mem.records_read == 6
-    # each disk round materializes one gradient pair per record plus the state
-    assert disk.records_written == 4 * (6 + 1)
+    # each disk round materializes one gradient partial per split plus the state
+    assert disk.records_written == 4 * (1 + 1)
