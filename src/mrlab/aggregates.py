@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .dataio import open_text
 from .encoding import (
     count_value,
     f64s_value,
     parse_count,
     parse_f64s,
+    parse_f64s_rows,
     split_text_key,
     text_key,
 )
@@ -58,7 +60,7 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
 
 def read_call_csv(path) -> list[CallRecord]:
     """Load a call log: header date,caller,callee,duration, ISO dates."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip().lower() for h in header) != CALL_HEADER:
@@ -76,7 +78,7 @@ def avg_duration_job() -> JobSpec:
         return [KeyValue(key, f64s_value((record.duration, 1.0)))]
 
     def reducer(key, values):
-        total, count = fsum_vectors([parse_f64s(v) for v in values])
+        total, count = fsum_vectors(parse_f64s_rows(values))
         return [KeyValue(key, f64s_value((total / count, count)))]
 
     return JobSpec(per_record(mapper), reducer, combiner=sum_vectors_reduce, name="avg-duration")

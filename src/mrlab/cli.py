@@ -25,7 +25,7 @@ from .engine import (
     ClusterConfig,
     JobSpec,
     RunStats,
-    record_nbytes,
+    dataset_nbytes,
     run_iterative,
 )
 from .errors import (
@@ -163,7 +163,7 @@ def _cmd_sample(args, config):
         sample = reservoir_sample(rows, args.n, args.seed)
         stats = RunStats(
             records_read=len(rows),
-            bytes_read=sum(record_nbytes(r) for r in rows),
+            bytes_read=dataset_nbytes(rows),
             records_written=len(sample),
             iterations=1,
         )
@@ -171,7 +171,7 @@ def _cmd_sample(args, config):
         sample, stats = sort_sample(rows, args.n, args.seed, config)
     else:
         scan, stats = scan_srs(rows, args.n, args.delta, args.seed)
-        stats.bytes_read = sum(record_nbytes(r) for r in rows)
+        stats.bytes_read = dataset_nbytes(rows)
         sample = scan.sample
         result.update(
             success=scan.success,
@@ -264,15 +264,14 @@ def _cmd_rf(args, config):
     )
     labels = table.raw_labels if classification else table.labels
     model, stats = fit_forest(table.features, labels, params, args.task, config)
-    model_json = model.to_json()
     if args.model_out:
-        Path(args.model_out).write_text(model_json + "\n", encoding="utf-8")
+        Path(args.model_out).write_text(model.to_json() + "\n", encoding="utf-8")
     result = {
         "task": model.task,
         "classes": model.classes,
         "trees": len(model.trees),
         "degenerate_trees": sum(1 for t in model.trees if t.degenerate),
-        "model": json.loads(model_json),
+        "model": model.as_dict(),
     }
     return result, stats, 0
 

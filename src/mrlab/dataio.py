@@ -1,11 +1,14 @@
 """CSV and text file loading for the command-line tools.
 
 All readers raise RowParseError with the 1-based file line number on
-malformed content, so failures point at the offending line.
+malformed content, so failures point at the offending line. Every reader
+decodes its file through ``open_text``, which also names the line of the
+first byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,15 +29,35 @@ class Table:
     label_name: str
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading, untranslated (newline="").
+
+    Bytes that are not UTF-8, met anywhere in the ``with`` body, raise
+    RowParseError naming the file line that holds the first of them.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise RowParseError(data.count(b"\n", 0, err.start) + 1, "not valid UTF-8") from None
+            raise
+
+
 def read_lines(path) -> list[str]:
     """One document per non-empty line."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as fh:
+        text = fh.read()
     return [line for line in text.splitlines() if line.strip()]
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     """Raw CSV as (header, rows); rows keep their string fields."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

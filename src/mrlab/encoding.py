@@ -12,7 +12,7 @@ vectors/matrices as length-prefixed little-endian float64 arrays.
 from __future__ import annotations
 
 import struct
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,3 +95,27 @@ def parse_f64s(value: bytes) -> np.ndarray:
     if arr.size != count:
         raise ValueError(f"corrupt float64 array: declared {count}, got {arr.size}")
     return arr
+
+
+def parse_f64s_rows(values: Sequence[bytes]) -> np.ndarray:
+    """Decode equal-width ``f64s_value`` payloads as the rows of one array.
+
+    One ``frombuffer`` over the joined bytes, read as packed
+    ``(<u4 length, <f8[width])`` records. Every payload must have the
+    first one's byte length and every length prefix must declare that
+    width, so a payload is accepted here exactly when ``parse_f64s``
+    accepts it at the common width.
+    """
+    if not values:
+        raise ValueError("parse_f64s_rows needs at least one value")
+    size = len(values[0])
+    width, rest = divmod(size - _LEN.size, 8)
+    if width < 0 or rest:
+        raise ValueError(f"corrupt float64 array: {size} bytes is no length prefix plus float64s")
+    if any(len(v) != size for v in values):
+        raise ValueError(f"float64 arrays of unequal width: expected {size} bytes each")
+    packed = np.frombuffer(b"".join(values), dtype=[("n", "<u4"), ("v", "<f8", (width,))])
+    declared = packed["n"]
+    if np.any(declared != width):
+        raise ValueError(f"corrupt float64 array: declared {int(declared[declared != width][0])}, got {width}")
+    return np.ascontiguousarray(packed["v"]).reshape(len(values), width)

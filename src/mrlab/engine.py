@@ -125,6 +125,14 @@ def record_nbytes(record: Any) -> int:
     return len(repr(record).encode("utf-8"))
 
 
+def dataset_nbytes(dataset: Sequence) -> int:
+    """Bytes charged for reading a dataset: the sum of ``record_nbytes``
+    over its records, taken as ``.nbytes`` for a 2-D array of rows."""
+    if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
+        return dataset.nbytes
+    return sum(record_nbytes(r) for r in dataset)
+
+
 def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     """Cut the dataset into contiguous splits of near-equal size.
 
@@ -248,7 +256,7 @@ def run_job(
     splits = partition(dataset, config.num_splits)
     if not _resident:
         stats.records_read += len(dataset)
-        stats.bytes_read += sum(record_nbytes(r) for r in dataset)
+        stats.bytes_read += dataset_nbytes(dataset)
 
     per_split = [_map_split(job, s) for s in splits]
 
@@ -292,7 +300,7 @@ def run_iterative(
     stats = RunStats()
     state = list(initial_state)
     disk = config.iteration_mode == DISK
-    nbytes = sum(record_nbytes(r) for r in dataset)
+    nbytes = dataset_nbytes(dataset)
     for t in range(max_iters):
         if disk or t == 0:
             stats.records_read += len(dataset)

@@ -8,23 +8,30 @@ reducer, and the reducer grows a CART-style tree. The same machinery
 covers undersampling (k*m < n), rebalancing (= n) and oversampling
 (> n).
 
-Replication counts come from an RNG stream keyed by (seed, record
-index, tree id), so resampling is independent of how records are laid
-out across splits.
+Replication counts are counter-based (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011): tree j's uniform stream is keyed
+by (seed, j) and indexed by the global record index, and each uniform is
+turned into a count by inverse CDF. A count depends on (seed, record,
+tree) alone, so resampling is independent of how records are laid out
+across splits, and a map task draws its whole split in one block. Only
+the per-tree feature draws of tree growth use ``rng.substream``.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s, parse_u32_key, u32_key
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
+from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
+from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import ParameterError
-from .rng import substream
+from .rng import record_uniform, record_uniforms, splitmix64, substream
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -95,15 +102,17 @@ class ForestModel:
     task: str
     classes: Optional[list] = None  # original labels, sorted; classification only
 
+    def as_dict(self) -> dict:
+        """The model as plain JSON types: the one form behind to_json and
+        the CLI report."""
+        return {
+            "task": self.task,
+            "classes": self.classes,
+            "trees": [t.as_dict() for t in self.trees],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "task": self.task,
-                "classes": self.classes,
-                "trees": [t.as_dict() for t in self.trees],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ForestModel":
@@ -112,21 +121,75 @@ class ForestModel:
         return cls(trees, raw["task"], raw["classes"])
 
 
+# A Poisson CDF table stops once the mass beyond it is below the
+# resolution of a 53-bit uniform.
+_TAIL = 2.0**-53
+
+
+@functools.lru_cache(maxsize=32)
+def _poisson_cdf(rate: float) -> tuple[float, ...]:
+    """P(X <= k) for X ~ Poisson(rate), k = 0, 1, ... until P(X >= k) < 2**-53.
+
+    Each mass is exp of its log (``lgamma``), so no term is derived from
+    exp(-rate), which underflows to 0 for rates above about 745. Past the
+    mean, P(X >= k) <= pmf(k) * (k + 1) / (k + 1 - rate) bounds the tail.
+    """
+    if not (rate > 0.0 and math.isfinite(rate)):
+        raise ParameterError(f"Poisson rate must be positive and finite, got {rate}")
+    log_rate = math.log(rate)
+    cdf = []
+    total = 0.0
+    k = 0
+    while True:
+        mass = math.exp(k * log_rate - rate - math.lgamma(k + 1))
+        total += mass
+        cdf.append(total)
+        if k + 1 > rate and mass * (k + 1) / (k + 1 - rate) < _TAIL:
+            return tuple(cdf)
+        k += 1
+
+
+def _tree_seed(seed: int, tree: int) -> int:
+    """The key of tree ``tree``'s uniform stream under ``seed``."""
+    return splitmix64(splitmix64(seed) ^ tree)
+
+
 def poisson_counts(seed: int, record_index: int, trees: int, rate: float) -> np.ndarray:
-    """Replication counts p_ij for one record across all trees."""
+    """Replication counts p_ij ~ Poisson(rate) for one record across all
+    trees: the scalar form of ``poisson_count_block``, bit-identical to
+    row ``record_index - start`` of any block that holds the record."""
+    cdf = _poisson_cdf(rate)
     return np.array(
-        [int(substream(seed, record_index, j).poisson(rate)) for j in range(trees)],
+        [bisect.bisect_right(cdf, record_uniform(_tree_seed(seed, j), record_index))
+         for j in range(trees)],
         dtype=np.int64,
     )
 
 
-def poisson_resample_map(record_index: int, record, params: ForestParams, n: int) -> list:
-    """Emit (tree_id, record) exactly p_ij times, p_ij ~ Poisson(k/n)."""
-    rate = params.sample_size / n
-    counts = poisson_counts(params.seed, record_index, params.trees, rate)
-    out = []
-    for j in np.flatnonzero(counts):
-        out.extend([(int(j), record)] * int(counts[j]))
+def poisson_count_block(seed: int, start: int, count: int, trees: int, rate: float) -> np.ndarray:
+    """Replication counts of records start..start+count-1 across all trees,
+    as a (count, trees) int64 array: the inverse Poisson CDF of each
+    tree's counter-based uniforms."""
+    cdf = np.array(_poisson_cdf(rate))
+    out = np.empty((count, trees), dtype=np.int64)
+    for j in range(trees):
+        out[:, j] = np.searchsorted(cdf, record_uniforms(_tree_seed(seed, j), start, count), side="right")
+    return out
+
+
+def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> list[KeyValue]:
+    """Map one split of (features..., label) rows: emit (tree j, row)
+    p_ij ~ Poisson(k/n) times, record by record, trees ascending."""
+    rows = split.records
+    counts = poisson_count_block(
+        params.seed, split.origin_range[0], len(rows), params.trees, params.sample_size / n,
+    )
+    keys = [u32_key(j) for j in range(params.trees)]
+    payloads = [f64s_value(row) for row in rows]
+    out: list[KeyValue] = []
+    records, trees = np.nonzero(counts)  # row-major: record, then tree
+    for r, j, c in zip(records.tolist(), trees.tolist(), counts[records, trees].tolist()):
+        out.extend([KeyValue(keys[j], payloads[r])] * c)
     return out
 
 
@@ -282,25 +345,17 @@ def fit_forest(
         y = np.asarray(labels, dtype=float)
         n_classes = 0
 
-    def mapper(indexed):
-        i, row = indexed
-        payload = f64s_value(np.append(x[i], y[i]))
-        return [
-            KeyValue(u32_key(j), payload)
-            for j, _rec in poisson_resample_map(i, row, params, n)
-        ]
-
     def reducer(key, values):
         tree_id = parse_u32_key(key)
-        rows = np.stack([parse_f64s(v) for v in values])
+        rows = parse_f64s_rows(values)
         tree = train_tree_reduce(
             rows[:, :-1], rows[:, -1], params,
             substream(params.seed, tree_id), task, n_classes,
         )
         return [KeyValue(key, tree_to_bytes(tree))]
 
-    job = JobSpec(per_record(mapper), reducer, name="forest")
-    output, stats = run_job(job, list(enumerate(x)), config or ClusterConfig())
+    job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer, name="forest")
+    output, stats = run_job(job, np.column_stack([x, y]), config or ClusterConfig())
 
     trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}
     fallback = _leaf_payload(y, task, n_classes)

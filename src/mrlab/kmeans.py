@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s, u32_key, u64_key
+from .encoding import f64s_value, parse_f64s, parse_f64s_rows, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative
 from .errors import ParameterError
 from .numerics import fsum_vectors, sum_vectors_reduce
@@ -127,7 +127,7 @@ def _reducer(key: bytes, values: list) -> list[KeyValue]:
         return [KeyValue(key, v) for v in values]
     if key[:1] == _OBJECTIVE:
         return sum_vectors_reduce(key, values)
-    merged = fsum_vectors([parse_f64s(v) for v in values])  # coordinate sums, then count
+    merged = fsum_vectors(parse_f64s_rows(values))  # coordinate sums, then count
     return [KeyValue(key, f64s_value(merged[:-1] / merged[-1]))]
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s
+from .encoding import f64s_value, parse_f64s, parse_f64s_rows
 from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
 from .numerics import fsum_vectors, sigmoid, softplus, sum_vectors_reduce
@@ -249,7 +249,7 @@ def fit_logistic(
         beta = parse_f64s(state[0].value)[:d].copy()
 
         def reducer(key, values):
-            grad = fsum_vectors([parse_f64s(v) for v in values])
+            grad = fsum_vectors(parse_f64s_rows(values))
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow to inf is caught by the divergence check
                 new_beta = beta - step * grad

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s
+from .encoding import f64s_value, parse_f64s_rows
 from .engine import KeyValue
 
 
@@ -26,7 +26,7 @@ def fsum_vectors(block) -> np.ndarray:
 
 def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
     """Reducer/combiner: one pair holding the fsum of float-vector values."""
-    return [KeyValue(key, f64s_value(fsum_vectors([parse_f64s(v) for v in values])))]
+    return [KeyValue(key, f64s_value(fsum_vectors(parse_f64s_rows(values))))]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

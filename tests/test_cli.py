@@ -242,6 +242,24 @@ def test_rf_trains_and_saves_model(numbers_csv, tmp_path, capsys):
     assert saved == result["model"]
 
 
+@pytest.mark.parametrize("task, labels", [
+    ("classification", ["a", "b"]),
+    ("regression", [-1.5, 2.25]),
+])
+def test_rf_report_model_equals_model_file(numbers_csv, tmp_path, capsys, task, labels):
+    rng = np.random.default_rng(1)
+    rows = [[round(rng.normal(3.0 * c), 4), labels[c]] for c in (0, 1) for _ in range(30)]
+    path = numbers_csv("rf.csv", ["x", "y"], rows)
+    model_out = tmp_path / "model.json"
+    code, out, _ = run_cli(
+        ["rf", path, "--label", "y", "--task", task, "--trees", "4", "--splits", "3",
+         "--model-out", str(model_out)],
+        capsys,
+    )
+    assert code == 0
+    assert report_of(out)["result"]["model"] == json.loads(model_out.read_text(encoding="utf-8"))
+
+
 def test_bench_io_read_ratio(numbers_csv, capsys):
     path = numbers_csv("data.csv", ["v"], [[i] for i in range(100)])
     code, out, _ = run_cli(["bench-io", path, "--iters", "5"], capsys)
@@ -278,6 +296,21 @@ def test_malformed_call_csv_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["calls-avg", str(path)], capsys)
     assert code == 2
     assert "row 1" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["calls-count"], b"date,caller,callee,duration\n2024-01-01,\xff\xfe,b,3\n"),
+    (["rf", "--label", "y"], b"x,y\n1.0,\xffa\n2.0,b\n"),
+    (["wordcount"], b"first line\nsecond \xc3( line\n"),
+    (["kmeans", "--k", "1"], b"x,y\n1.0,2\xe9\n"),
+], ids=["calls-count", "rf", "wordcount", "kmeans"])
+def test_input_that_is_not_utf8_exits_two_naming_the_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"mrlab: {argv[0]}: row 2: not valid UTF-8" in err
 
 
 def test_bad_sample_size_exits_two(numbers_csv, capsys):

@@ -81,3 +81,24 @@ def test_parse_f64s_rejects_corrupt_length():
     blob = encoding.f64s_value([1.0, 2.0])
     with pytest.raises(ValueError, match="corrupt"):
         encoding.parse_f64s(blob[:-8])
+
+
+@given(st.integers(0, 6), st.lists(st.lists(finite_floats, min_size=6, max_size=6), min_size=1, max_size=8))
+def test_f64s_rows_equal_rowwise_decoding(width, rows):
+    values = [encoding.f64s_value(row[:width]) for row in rows]
+    block = encoding.parse_f64s_rows(values)
+    assert block.shape == (len(rows), width)
+    expected = np.array([encoding.parse_f64s(v) for v in values]).reshape(len(rows), width)
+    assert np.array_equal(block, expected)
+
+
+@pytest.mark.parametrize("values, match", [
+    ([], "at least one"),
+    ([b"\x01\x00\x00"], "corrupt"),
+    ([encoding.f64s_value([1.0, 2.0]), struct.pack("<I", 3) + bytes(16)], "declared 3, got 2"),
+    ([encoding.f64s_value([1.0]), encoding.f64s_value([1.0, 2.0])], "unequal width"),
+    ([encoding.f64s_value([1.0, 2.0])[:-4]], "corrupt"),
+], ids=["empty", "short", "bad-prefix", "unequal", "torn"])
+def test_parse_f64s_rows_checks_every_length(values, match):
+    with pytest.raises(ValueError, match=match):
+        encoding.parse_f64s_rows(values)

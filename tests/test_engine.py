@@ -383,3 +383,26 @@ def test_runstats_as_dict_is_flat():
     d = stats.as_dict()
     assert d["records_read"] == 2
     assert all(isinstance(v, int) for v in d.values())
+
+
+@pytest.mark.parametrize("dataset", [
+    np.arange(12.0).reshape(4, 3),
+    np.arange(24.0).reshape(6, 4)[::2, 1:],  # a strided view
+    np.zeros((3, 0)),
+    (("a", 1.0), ("bc", 2), ("déf", (3.0, b"xy"))),
+    ((0, np.ones(2)), (1, np.ones(2))),
+    np.arange(5.0),  # 1-D: 8 bytes a scalar, by the walk
+], ids=["2d", "2d-view", "2d-empty-rows", "tuples", "indexed-rows", "1d"])
+def test_dataset_nbytes_equals_the_record_walk(dataset):
+    assert engine.dataset_nbytes(dataset) == sum(engine.record_nbytes(r) for r in dataset)
+
+
+def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):
+    calls = []
+    real = engine.record_nbytes
+    monkeypatch.setattr(engine, "record_nbytes", lambda r: calls.append(r) or real(r))
+    data = np.ones((50, 3))
+    _, stats = run_iterative(_noop_factory, [], 3, None, data, ClusterConfig(iteration_mode="disk"))
+    _, one = run_job(_noop_factory(0, []), data, ClusterConfig(num_splits=4))
+    assert calls == []
+    assert stats.bytes_read == 3 * data.nbytes and one.bytes_read == data.nbytes

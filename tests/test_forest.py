@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mrlab.engine import ClusterConfig
+from mrlab import forest
+from mrlab.encoding import parse_f64s, parse_u32_key
+from mrlab.engine import ClusterConfig, InputSplit
 from mrlab.errors import ParameterError
 from mrlab.forest import (
     CLASSIFICATION,
@@ -13,8 +15,9 @@ from mrlab.forest import (
     ForestParams,
     TreeModel,
     fit_forest,
+    poisson_count_block,
     poisson_counts,
-    poisson_resample_map,
+    poisson_resample_split,
     predict_forest,
     train_tree_reduce,
 )
@@ -64,30 +67,66 @@ def test_poisson_counts_deterministic():
     assert a.min() >= 0
 
 
+@pytest.mark.parametrize("rate", [1e-6, 0.025, 1.0, 10.0, 800.0])
+def test_count_block_rows_equal_scalar_counts(rate):
+    start, count, trees = 9_990, 40, 6
+    block = poisson_count_block(4, start, count, trees, rate)
+    assert block.shape == (count, trees) and block.dtype == np.int64
+    scalar = np.stack([poisson_counts(4, start + r, trees, rate) for r in range(count)])
+    assert np.array_equal(block, scalar)
+
+
+def test_count_block_mean_and_variance_at_large_rate():
+    # exp(-800) underflows: the CDF table must be built in log space
+    rate, n = 800.0, 20_000
+    draws = poisson_count_block(9, 17, n, 3, rate).ravel().astype(float)
+    size = draws.size
+    assert abs(draws.mean() - rate) <= 5 * math.sqrt(rate / size)
+    # Var of the sample variance of Poisson draws: (rate + 2 rate^2) / size
+    assert abs(draws.var(ddof=1) - rate) <= 5 * math.sqrt((rate + 2 * rate * rate) / size)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+def test_count_block_rejects_bad_rate(rate):
+    with pytest.raises(ParameterError):
+        poisson_count_block(0, 0, 3, 2, rate)
+
+
 def test_resample_map_emits_each_pair_count_times():
     params = ForestParams(trees=8, sample_size=40, mtry=1, seed=3)
-    counts = poisson_counts(3, 5, 8, 40 / 20)
-    pairs = poisson_resample_map(5, "rec", params, 20)
-    emitted = {}
-    for j, rec in pairs:
-        assert rec == "rec"
-        emitted[j] = emitted.get(j, 0) + 1
-    assert emitted == {int(j): int(c) for j, c in enumerate(counts) if c > 0}
+    rows = np.arange(15.0).reshape(5, 3)
+    split = InputSplit(1, rows, (5, 9))
+    counts = poisson_count_block(3, 5, 5, 8, 40 / 20)
+    pairs = poisson_resample_split(split, params, 20)
+    expected = [(r, j) for r in range(5) for j in range(8) for _ in range(counts[r, j])]
+    assert len(pairs) == len(expected)  # record-major, trees ascending
+    for (key, value), (r, j) in zip(pairs, expected):
+        assert parse_u32_key(key) == j
+        assert np.array_equal(parse_f64s(value), rows[r])
 
 
 def test_per_tree_sample_size_concentrates_near_k():
     # sum of n Poisson(k/n) draws is Poisson(k)
     n, k = 2000, 100
-    params = ForestParams(trees=1, sample_size=k, mtry=1, seed=11)
-    total = sum(len(poisson_resample_map(i, None, params, n)) for i in range(n))
+    total = int(poisson_count_block(11, 0, n, 1, k / n).sum())
     assert abs(total - k) <= 3 * math.sqrt(k)
 
 
 def test_never_sampled_fraction_tracks_poisson_zero_mass():
-    n, m = 20_000, 1
-    params = ForestParams(trees=m, sample_size=n, mtry=1, seed=5)  # rate 1
-    never = sum(1 for i in range(n) if not poisson_resample_map(i, None, params, n))
+    n = 20_000
+    counts = poisson_count_block(5, 0, n, 1, 1.0)  # k = n
+    never = int(np.count_nonzero(counts[:, 0] == 0))
     assert never / n == pytest.approx(math.exp(-1.0), abs=0.02)
+
+
+def test_fit_forest_calls_substream_once_per_tree(monkeypatch):
+    # Resampling counts are counter-based; substream seeds only tree growth.
+    calls = []
+    real = forest.substream
+    monkeypatch.setattr(forest, "substream", lambda *key: calls.append(key) or real(*key))
+    x, y = blobs(seed=2, n_per=50)
+    fit_forest(x, y, ForestParams(trees=6, sample_size=100, mtry=2, seed=4))
+    assert len(calls) <= 6
 
 
 # ------------------------------------------------------------ tree training
@@ -225,10 +264,11 @@ def test_forest_deterministic_serialization():
 def test_forest_split_layout_invariant():
     x, y = blobs(seed=5, n_per=100)
     params = ForestParams(trees=4, sample_size=80, mtry=2, seed=2)
-    base, _ = fit_forest(x, y, params, config=ClusterConfig(num_splits=1))
-    for splits in (2, 8):
-        model, _ = fit_forest(x, y, params, config=ClusterConfig(num_splits=splits))
+    base, base_stats = fit_forest(x, y, params, config=ClusterConfig(num_splits=1))
+    for splits in (2, 3, 8):
+        model, stats = fit_forest(x, y, params, config=ClusterConfig(num_splits=splits))
         assert model.to_json() == base.to_json()
+        assert stats == base_stats
 
 
 @pytest.mark.parametrize("k", [20, 200, 800])
@@ -278,6 +318,7 @@ def test_model_json_roundtrip():
     x, y = blobs(seed=10, n_per=80)
     params = ForestParams(trees=3, sample_size=60, mtry=1, seed=17)
     model, _ = fit_forest(x, y, params)
+    assert json.loads(model.to_json()) == model.as_dict()
     restored = ForestModel.from_json(model.to_json())
     assert restored.task == model.task
     assert restored.classes == model.classes
