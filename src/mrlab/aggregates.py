@@ -2,19 +2,20 @@
 
 These are the smallest real jobs the engine runs and double as its
 integration tests: group durations by date, count calls per (date,
-caller), count token occurrences. Reducers emit (sum, count) style
-payloads so combiners can merge partials without losing exactness.
+caller), count token occurrences. Each mapper folds its split into one
+partial per distinct key, a count or an (fsum, count) pair: in-mapper
+combining, so the jobs need no combiner.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dataio import open_text
+from .dataio import read_csv_rows
 from .encoding import (
     count_value,
     f64s_value,
@@ -24,9 +25,9 @@ from .encoding import (
     split_text_key,
     text_key,
 )
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import RowParseError
-from .numerics import fsum_vectors, sum_vectors_reduce
+from .numerics import fsum_vectors
 
 CALL_HEADER = ("date", "caller", "callee", "duration")
 
@@ -37,6 +38,11 @@ class CallRecord:
     caller: str
     callee: str
     duration: float  # seconds
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes read: 10 for the ISO date, caller and callee in UTF-8, 8 for the duration."""
+        return 18 + len(self.caller.encode("utf-8")) + len(self.callee.encode("utf-8"))
 
 
 def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
@@ -60,12 +66,10 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
 
 def read_call_csv(path) -> list[CallRecord]:
     """Load a call log: header date,caller,callee,duration, ISO dates."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != CALL_HEADER:
-            raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
-        return [parse_call_row(row, i) for i, row in enumerate(reader, start=2)]
+    header, rows = read_csv_rows(path)
+    if tuple(h.strip().lower() for h in header) != CALL_HEADER:
+        raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
+    return [parse_call_row(row, i) for i, row in enumerate(rows, start=2)]
 
 
 def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
@@ -73,15 +77,18 @@ def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
 
 
 def avg_duration_job() -> JobSpec:
-    def mapper(record: CallRecord) -> list[KeyValue]:
-        key = text_key(record.date.isoformat())
-        return [KeyValue(key, f64s_value((record.duration, 1.0)))]
+    def mapper(split: InputSplit) -> list[KeyValue]:
+        durations: dict[datetime.date, list[float]] = {}
+        for record in split.records:
+            durations.setdefault(record.date, []).append(record.duration)
+        return [KeyValue(text_key(date.isoformat()), f64s_value((math.fsum(ds), len(ds))))
+                for date, ds in durations.items()]
 
     def reducer(key, values):
         total, count = fsum_vectors(parse_f64s_rows(values))
         return [KeyValue(key, f64s_value((total / count, count)))]
 
-    return JobSpec(per_record(mapper), reducer, combiner=sum_vectors_reduce, name="avg-duration")
+    return JobSpec(mapper, reducer, name="avg-duration")
 
 
 def avg_duration_by_date(
@@ -91,18 +98,16 @@ def avg_duration_by_date(
     if not records:
         return [], RunStats()
     output, stats = run_job(avg_duration_job(), records, config or ClusterConfig())
-    decoded = []
-    for key, value in output:
-        mean, count = parse_f64s(value)
-        decoded.append((split_text_key(key)[0], (float(mean), int(count))))
-    return decoded, stats
+    means = [(split_text_key(key)[0], parse_f64s(value)) for key, value in output]
+    return [(date, (float(mean), int(count))) for date, (mean, count) in means], stats
 
 
 def calls_per_caller_job() -> JobSpec:
-    def mapper(record: CallRecord) -> list[KeyValue]:
-        return [KeyValue(text_key(record.date.isoformat(), record.caller), count_value(1))]
+    def mapper(split: InputSplit) -> list[KeyValue]:
+        counts = Counter((record.date, record.caller) for record in split.records)
+        return [KeyValue(text_key(d.isoformat(), c), count_value(n)) for (d, c), n in counts.items()]
 
-    return JobSpec(per_record(mapper), _count_reduce, combiner=_count_reduce, name="calls-count")
+    return JobSpec(mapper, _count_reduce, name="calls-count")
 
 
 def calls_per_date_number(
@@ -112,15 +117,15 @@ def calls_per_date_number(
     if not records:
         return [], RunStats()
     output, stats = run_job(calls_per_caller_job(), records, config or ClusterConfig())
-    decoded = [(split_text_key(k), parse_count(v)) for k, v in output]
-    return [((date, caller), n) for (date, caller), n in decoded], stats
+    return [(split_text_key(k), parse_count(v)) for k, v in output], stats
 
 
 def word_count_job() -> JobSpec:
-    def mapper(document: str) -> list[KeyValue]:
-        return [KeyValue(token.encode("utf-8"), count_value(1)) for token in document.split()]
+    def mapper(split: InputSplit) -> list[KeyValue]:
+        counts = Counter(token for document in split.records for token in document.split())
+        return [KeyValue(token.encode("utf-8"), count_value(n)) for token, n in counts.items()]
 
-    return JobSpec(per_record(mapper), _count_reduce, combiner=_count_reduce, name="word-count")
+    return JobSpec(mapper, _count_reduce, name="word-count")
 
 
 def word_count(

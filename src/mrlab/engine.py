@@ -76,17 +76,11 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Split count, iteration mode and base seed of a simulated cluster.
-
-    ``parallel`` is accepted and ignored, so existing callers keep working:
-    jobs always run on the calling thread, because per-record Python
-    mappers and reducers hold the GIL and worker threads only added cost.
-    """
+    """Split count, iteration mode and base seed of a simulated cluster."""
 
     num_splits: int = 1
     iteration_mode: str = DISK
     seed: int = 0
-    parallel: bool = False
 
     def __post_init__(self):
         if self.num_splits < 1:
@@ -111,18 +105,19 @@ class RunStats:
 
 
 def record_nbytes(record: Any) -> int:
-    """Approximate serialized size of a record, for byte accounting."""
+    """Bytes charged for reading a record; other types give their own ``nbytes``."""
     if isinstance(record, (bytes, bytearray)):
         return len(record)
     if isinstance(record, str):
         return len(record.encode("utf-8"))
-    if isinstance(record, np.ndarray):
-        return record.nbytes
     if isinstance(record, (bool, numbers.Number)):
         return 8
     if isinstance(record, (tuple, list)):
         return sum(record_nbytes(r) for r in record)
-    return len(repr(record).encode("utf-8"))
+    try:
+        return record.nbytes
+    except AttributeError:
+        raise TypeError(f"cannot size a record of type {type(record).__name__}") from None
 
 
 def dataset_nbytes(dataset: Sequence) -> int:

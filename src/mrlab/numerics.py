@@ -25,7 +25,7 @@ def fsum_vectors(block) -> np.ndarray:
 
 
 def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
-    """Reducer/combiner: one pair holding the fsum of float-vector values."""
+    """Reducer: one pair holding the fsum of float-vector values."""
     return [KeyValue(key, f64s_value(fsum_vectors(parse_f64s_rows(values))))]
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .encoding import f64_key, parse_u64_key, u64_key
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, per_record, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import ParameterError
 from .rng import record_uniform, record_uniforms
 
@@ -74,15 +74,15 @@ def sort_sample(
         raise ParameterError(f"need 1 <= n <= N, got n={n}, N={N}")
     draw = key_fn if key_fn is not None else (lambda i: record_uniform(seed, i))
 
-    def mapper(indexed):
-        i, _record = indexed
-        return [KeyValue(f64_key(draw(i)) + u64_key(i), b"")]
+    def mapper(split: InputSplit) -> list[KeyValue]:
+        first, last = split.origin_range
+        return [KeyValue(f64_key(draw(i)) + u64_key(i), b"") for i in range(first, last + 1)]
 
     def reducer(key, values):
         return [KeyValue(key, v) for v in values]
 
-    job = JobSpec(per_record(mapper), reducer, name="sort-sample")
-    output, stats = run_job(job, list(enumerate(dataset)), config or ClusterConfig(seed=seed))
+    job = JobSpec(mapper, reducer, name="sort-sample")
+    output, stats = run_job(job, dataset, config or ClusterConfig(seed=seed))
     winners = [parse_u64_key(key[-8:]) for key, _ in output[:n]]
     return [dataset[i] for i in winners], stats
 

@@ -10,7 +10,7 @@ from mrlab.aggregates import (
     read_call_csv,
     word_count,
 )
-from mrlab.engine import ClusterConfig
+from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
 D1 = datetime.date(2024, 1, 1)
@@ -111,6 +111,22 @@ def test_word_count_matches_counter_oracle():
         out, _ = word_count(docs, ClusterConfig(num_splits=splits))
         assert dict(out) == dict(oracle)
         assert [t for t, _ in out] == sorted(oracle)
+
+
+# ------------------------------------------------------- in-mapper combining
+
+
+@pytest.mark.parametrize("job", ["avg_duration_by_date", "calls_per_date_number", "word_count"])
+def test_jobs_emit_one_pair_per_key_per_split(call_corpus, job):
+    run, data, keys_of = {
+        "avg_duration_by_date": (avg_duration_by_date, call_corpus, lambda r: [r.date]),
+        "calls_per_date_number": (calls_per_date_number, call_corpus, lambda r: [(r.date, r.caller)]),
+        "word_count": (word_count, [f"w{i % 7} w{i % 3} w{i % 7}" for i in range(40)], str.split),
+    }[job]
+    out, stats = run(data, ClusterConfig(num_splits=4, iteration_mode="disk"))
+    distinct = sum(len({k for r in s.records for k in keys_of(r)}) for s in partition(data, 4))
+    assert stats.records_shuffled == distinct < len(data)
+    assert stats.records_written == stats.records_shuffled + len(out)
 
 
 # -------------------------------------------------------------- CSV parsing

@@ -298,6 +298,22 @@ def test_malformed_call_csv_exits_two(tmp_path, capsys):
     assert "row 1" in err
 
 
+@pytest.mark.parametrize("command, key", [("calls-avg", "means"), ("calls-count", "counts")])
+def test_call_log_without_rows(tmp_path, capsys, command, key):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    code, out, err = run_cli([command, str(empty)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"mrlab: {command}: ") and "Traceback" not in err
+
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("date,caller,callee,duration\n", encoding="utf-8")
+    code, out, _ = run_cli([command, str(header_only)], capsys)
+    assert code == 0
+    assert report_of(out)["result"] == {key: []}
+
+
 @pytest.mark.parametrize("argv, text", [
     (["calls-count"], b"date,caller,callee,duration\n2024-01-01,\xff\xfe,b,3\n"),
     (["rf", "--label", "y"], b"x,y\n1.0,\xffa\n2.0,b\n"),
