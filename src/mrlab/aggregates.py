@@ -66,10 +66,10 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
 
 def read_call_csv(path) -> list[CallRecord]:
     """Load a call log: header date,caller,callee,duration, ISO dates."""
-    header, rows = read_csv_rows(path)
+    header, rows, lines = read_csv_rows(path)
     if tuple(h.strip().lower() for h in header) != CALL_HEADER:
         raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
-    return [parse_call_row(row, i) for i, row in enumerate(rows, start=2)]
+    return [parse_call_row(row, line) for row, line in zip(rows, lines)]
 
 
 def _count_reduce(key: bytes, values: list) -> list[KeyValue]:

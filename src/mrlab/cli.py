@@ -152,7 +152,7 @@ def _cmd_wordcount(args, config):
 
 
 def _cmd_sample(args, config):
-    header, rows = dataio.read_csv_rows(args.input)
+    header, rows, _lines = dataio.read_csv_rows(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
     if not 1 <= args.n <= len(rows):
@@ -171,7 +171,6 @@ def _cmd_sample(args, config):
         sample, stats = sort_sample(rows, args.n, args.seed, config)
     else:
         scan, stats = scan_srs(rows, args.n, args.delta, args.seed)
-        stats.bytes_read = dataset_nbytes(rows)
         sample = scan.sample
         result.update(
             success=scan.success,
@@ -218,13 +217,13 @@ def _fit_table(args, fit):
     """Read the labelled CSV and fit(DataMatrix) on it.
 
     The library numbers data rows from 1; a RowParseError it raises is
-    renumbered to the file line, where the header is line 1.
+    renumbered to the file line on which that row starts.
     """
     table = dataio.read_table(args.input, args.label)
     try:
         model, stats = fit(DataMatrix.from_features(table.features, table.labels))
     except RowParseError as err:
-        raise RowParseError(err.row + 1, err.message) from None
+        raise RowParseError(table.lines[err.row - 1], err.message) from None
     return table, model, stats
 
 
@@ -296,7 +295,7 @@ def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
 
 
 def _cmd_bench_io(args, config):
-    _header, rows = dataio.read_csv_rows(args.input)
+    _header, rows, _lines = dataio.read_csv_rows(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
     modes = ["disk", "memory"] if args.mode == "both" else [args.mode]

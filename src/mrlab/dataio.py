@@ -27,6 +27,7 @@ class Table:
     raw_labels: list  # original label strings, same order
     feature_names: list
     label_name: str
+    lines: list  # the file line on which each row starts
 
 
 @contextlib.contextmanager
@@ -55,16 +56,23 @@ def read_lines(path) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Raw CSV as (header, rows); rows keep their string fields."""
+def read_csv_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """Raw CSV as (header, rows, lines); rows keep their string fields,
+    and lines holds the file line on which each row starts (a quoted
+    field may span lines)."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: empty file") from None
-        rows = list(reader)
-    return header, rows
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            rows.append(row)
+            lines.append(start)
+            start = reader.line_num + 1
+    return header, rows, lines
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
@@ -74,18 +82,18 @@ def write_csv_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_numeric(rows, names, nonfinite: str, label_idx=None, numeric_labels=False):
+def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_labels=False):
     """Parse CSV rows as floats: (matrix of every column but label_idx,
     label column as floats, zeros unless numeric_labels).
 
-    Each row must have one field per name. A row's label is parsed after
-    its other fields; only the matrix is checked for non-finite values.
+    Each row must have one field per name; errors name the row's file
+    line. A row's label is parsed after its other fields; only the
+    matrix is checked for non-finite values.
     """
     columns = [j for j in range(len(names)) if j != label_idx]
     matrix = np.empty((len(rows), len(columns)))
     labels = np.zeros(len(rows))
-    for r, row in enumerate(rows):
-        line = r + 2  # header is line 1
+    for r, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != len(names):
             raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
         for out, j in enumerate(columns):
@@ -101,17 +109,17 @@ def _parse_numeric(rows, names, nonfinite: str, label_idx=None, numeric_labels=F
                 raise RowParseError(line, f"bad numeric label {raw!r}") from None
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
-        raise RowParseError(r + 2, nonfinite)
+        raise RowParseError(lines[r], nonfinite)
     return matrix, labels
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Load an all-numeric CSV with a header as (column names, matrix)."""
-    header, rows = read_csv_rows(path)
+    header, rows, lines = read_csv_rows(path)
     names = [h.strip() for h in header]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    matrix, _labels = _parse_numeric(rows, names, "non-finite value")
+    matrix, _labels = _parse_numeric(rows, lines, names, "non-finite value")
     return names, matrix
 
 
@@ -122,7 +130,7 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     parsed as floats when numeric_labels is set and kept as raw strings
     either way (classification tasks map strings to classes later).
     """
-    header, rows = read_csv_rows(path)
+    header, rows, lines = read_csv_rows(path)
     names = [h.strip() for h in header]
     if label not in names:
         raise ParameterError(f"label column {label!r} not in header {names}")
@@ -131,7 +139,7 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     features, labels = _parse_numeric(
-        rows, names, "non-finite feature value", label_idx, numeric_labels,
+        rows, lines, names, "non-finite feature value", label_idx, numeric_labels,
     )
     raw_labels = [row[label_idx].strip() for row in rows]
-    return Table(features, labels, raw_labels, feature_names, label)
+    return Table(features, labels, raw_labels, feature_names, label, lines)

@@ -60,12 +60,12 @@ class JobSpec:
     The mapper takes one ``InputSplit`` and returns that split's pairs;
     wrap a function of one record in ``per_record``. A mapper may emit
     per-split partials, but the reduced result must not depend on where
-    the split boundaries fall: randomness comes from
-    ``rng.record_uniform``/``rng.substream``, keyed by record index
-    (``origin_range[0]`` plus the offset in the split) or by tree, never
-    by split. Combiners share the reducer signature and run per split
-    before the shuffle; they must be idempotent with respect to the
-    reducer.
+    the split boundaries fall: every draw is a counter-based uniform
+    (``rng.record_uniform``/``rng.record_uniforms``) keyed by its
+    coordinates, such as a record index (``origin_range[0]`` plus the
+    offset in the split) or a tree node, never by split. Combiners
+    share the reducer signature and run per split before the shuffle;
+    they must be idempotent with respect to the reducer.
     """
 
     mapper: Mapper
@@ -105,15 +105,20 @@ class RunStats:
 
 
 def record_nbytes(record: Any) -> int:
-    """Bytes charged for reading a record; other types give their own ``nbytes``."""
+    """Bytes charged for reading a record; other types give their own ``nbytes``.
+
+    Builtin types are tested before the far slower ``numbers.Number`` check.
+    """
+    if isinstance(record, (int, float)):
+        return 8
     if isinstance(record, (bytes, bytearray)):
         return len(record)
     if isinstance(record, str):
         return len(record.encode("utf-8"))
-    if isinstance(record, (bool, numbers.Number)):
-        return 8
     if isinstance(record, (tuple, list)):
-        return sum(record_nbytes(r) for r in record)
+        return sum(map(record_nbytes, record))
+    if isinstance(record, numbers.Number):
+        return 8
     try:
         return record.nbytes
     except AttributeError:
@@ -125,7 +130,7 @@ def dataset_nbytes(dataset: Sequence) -> int:
     over its records, taken as ``.nbytes`` for a 2-D array of rows."""
     if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
         return dataset.nbytes
-    return sum(record_nbytes(r) for r in dataset)
+    return sum(map(record_nbytes, dataset))
 
 
 def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:

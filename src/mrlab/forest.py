@@ -13,8 +13,10 @@ Numbers: As Easy as 1, 2, 3", SC 2011): tree j's uniform stream is keyed
 by (seed, j) and indexed by the global record index, and each uniform is
 turned into a count by inverse CDF. A count depends on (seed, record,
 tree) alone, so resampling is independent of how records are laid out
-across splits, and a map task draws its whole split in one block. Only
-the per-tree feature draws of tree growth use ``rng.substream``.
+across splits, and a map task draws its whole split in one block. Tree
+growth draws the same way: each node's features come from uniforms keyed
+by the node's key, which is fixed by the tree's growth key and the
+node's left/right path from the root, not by the order nodes are grown.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
 from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import ParameterError
-from .rng import record_uniform, record_uniforms, splitmix64, substream
+from .rng import record_uniform, record_uniforms, splitmix64
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -154,6 +156,24 @@ def _tree_seed(seed: int, tree: int) -> int:
     return splitmix64(splitmix64(seed) ^ tree)
 
 
+def _growth_key(seed: int, tree: int) -> int:
+    """The key of tree ``tree``'s root under ``seed``: the stream key of
+    tree ``~tree`` (all bits flipped), a tree that no forest reaches, so
+    growth never draws from a Poisson stream."""
+    return _tree_seed(seed, ~tree)
+
+
+def _child_keys(key: int) -> tuple[int, int]:
+    """The keys of a node's left and right children, from its key alone."""
+    return splitmix64(key ^ 1), splitmix64(key ^ 2)
+
+
+def _node_features(key: int, p: int, mtry: int) -> np.ndarray:
+    """A node's features: the mtry smallest of p uniforms keyed by the
+    node, ties to the smaller index."""
+    return np.argsort(record_uniforms(key, 0, p), kind="stable")[:mtry]
+
+
 def poisson_counts(seed: int, record_index: int, trees: int, rate: float) -> np.ndarray:
     """Replication counts p_ij ~ Poisson(rate) for one record across all
     trees: the scalar form of ``poisson_count_block``, bit-identical to
@@ -257,7 +277,7 @@ def train_tree_reduce(
     x: np.ndarray,
     y: np.ndarray,
     params: ForestParams,
-    rng: np.random.Generator,
+    key: int,
     task: str,
     n_classes: int = 0,
 ) -> TreeModel:
@@ -266,8 +286,10 @@ def train_tree_reduce(
     At each node, mtry features are drawn without replacement and the
     impurity-minimizing midpoint split is taken (Gini for
     classification, variance for regression); growth stops on purity,
-    max_depth, min_leaf, or when no feature varies. Traversal is
-    depth-first, left child first, which fixes the RNG draw order.
+    max_depth, min_leaf, or when no feature varies. ``key`` is the
+    root's key; a node's draw depends on its key alone, so regrowing
+    from a node's rows with its key and the depth left reproduces its
+    subtree. Nodes are numbered depth-first, left child first.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -275,37 +297,34 @@ def train_tree_reduce(
         raise ParameterError("cannot train a tree on an empty sample")
     p = x.shape[1]
     mtry = min(params.mtry, p)
-    tree = TreeModel()
-    # work items: (node index, row subset); children pushed right first
-    tree.nodes.append({})
-    stack = [(0, np.arange(x.shape[0]))]
+    tree = TreeModel(nodes=[{}])
+    # work items: (node index, row subset, depth, node key); right child pushed first
+    stack = [(0, np.arange(x.shape[0]), 0, key)]
     while stack:
-        node_id, rows = stack.pop()
+        node_id, rows, depth, node_key = stack.pop()
         sub_y = y[rows]
-        node_depth = tree.nodes[node_id].pop("_depth", 0)
         can_split = (
             rows.size >= 2 * params.min_leaf
             and not _is_pure(sub_y)
-            and (params.max_depth is None or node_depth < params.max_depth)
+            and (params.max_depth is None or depth < params.max_depth)
         )
         split = None
         if can_split:
-            feature_ids = rng.choice(p, size=mtry, replace=False)
+            feature_ids = _node_features(node_key, p, mtry)
             split = _best_split(x[rows], sub_y, feature_ids, params.min_leaf, task, n_classes)
         if split is None:
-            tree.nodes[node_id].update(_leaf_payload(sub_y, task, n_classes))
+            tree.nodes[node_id] = _leaf_payload(sub_y, task, n_classes)
             continue
         _score, feat, threshold = split
         mask = x[rows, feat] <= threshold
-        left_id = len(tree.nodes)
-        right_id = left_id + 1
-        tree.nodes.append({"_depth": node_depth + 1})
-        tree.nodes.append({"_depth": node_depth + 1})
-        tree.nodes[node_id].update(
-            {"feature": int(feat), "threshold": float(threshold), "left": left_id, "right": right_id}
-        )
-        stack.append((right_id, rows[~mask]))
-        stack.append((left_id, rows[mask]))
+        left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
+        tree.nodes += [{}, {}]
+        tree.nodes[node_id] = {
+            "feature": int(feat), "threshold": float(threshold), "left": left_id, "right": right_id,
+        }
+        left_key, right_key = _child_keys(node_key)
+        stack.append((right_id, rows[~mask], depth + 1, right_key))
+        stack.append((left_id, rows[mask], depth + 1, left_key))
     return tree
 
 
@@ -350,7 +369,7 @@ def fit_forest(
         rows = parse_f64s_rows(values)
         tree = train_tree_reduce(
             rows[:, :-1], rows[:, -1], params,
-            substream(params.seed, tree_id), task, n_classes,
+            _growth_key(params.seed, tree_id), task, n_classes,
         )
         return [KeyValue(key, tree_to_bytes(tree))]
 

@@ -15,7 +15,7 @@ the same whatever the split layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def _nearest(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     return nearest, d2[np.arange(block.shape[0]), nearest]
 
 
-def assign(record, centers, metric: Optional[Callable] = None) -> int:
+def assign(record, centers) -> int:
     """Index of the nearest center; ties go to the smallest index."""
     pts = centers.centers if isinstance(centers, CenterSet) else np.asarray(centers, dtype=float)
     x = np.asarray(record, dtype=float)
@@ -60,25 +60,7 @@ def assign(record, centers, metric: Optional[Callable] = None) -> int:
         raise ParameterError("centers must be a non-empty (k, p) array")
     if x.shape != (pts.shape[1],):
         raise ParameterError(f"record has dimension {x.shape}, centers have {pts.shape[1]}")
-    if metric is not None:
-        dists = [metric(x, c) for c in pts]
-        return int(np.argmin(dists))
     return int(_nearest(x[None, :], pts)[0][0])
-
-
-def recompute(groups, previous) -> np.ndarray:
-    """New barycenters: per-cluster coordinate means, summed in a fixed
-    order; clusters absent from groups keep their previous center."""
-    prev = previous.centers if isinstance(previous, CenterSet) else np.asarray(previous, dtype=float)
-    centers = prev.copy()
-    for cluster, members in groups:
-        if not 0 <= cluster < centers.shape[0]:
-            raise ParameterError(f"cluster index {cluster} out of range")
-        if len(members) == 0:
-            continue
-        total = fsum_vectors([np.asarray(m, dtype=float) for m in members])
-        centers[cluster] = total / len(members)
-    return centers
 
 
 def _centers_from_state(state: Sequence[KeyValue], fallback: np.ndarray) -> np.ndarray:
@@ -141,7 +123,7 @@ def fit_kmeans(
     *,
     history: Optional[list] = None,
 ) -> tuple[CenterSet, np.ndarray, RunStats]:
-    """Iterate assign/recompute rounds until centers stop moving.
+    """Iterate assign/barycenter rounds until centers stop moving.
 
     Stops when the largest center displacement (infinity norm) drops
     below tol, or after max_iters rounds. init is a (k, p) array of
@@ -157,7 +139,7 @@ def fit_kmeans(
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if init is None:
-        init = np.array(reservoir_sample(points, k, np.random.default_rng(config.seed)))
+        init = np.array(reservoir_sample(points, k, config.seed))
     init = np.asarray(init, dtype=float)
     if init.shape != (k, p):
         raise ParameterError(f"init must have shape {(k, p)}, got {init.shape}")

@@ -1,8 +1,10 @@
 """Deterministic randomness helpers.
 
-Record-level draws are keyed by (seed, global record index) so that the
-same record always sees the same draw no matter how the dataset is cut
-into splits, and no matter in which order splits execute.
+Every draw a map or reduce task makes is a counter-based hash of (key,
+counter): a record's by (seed, global record index), a tree node's
+feature draw by (node key, feature index). The same coordinate always
+sees the same draw, however the dataset is cut into splits and in
+whatever order the work runs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# As numpy scalars, built once: record_uniforms runs once per tree node.
+_U64 = {c: np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, 11)}
 
 
 def splitmix64(x: int) -> int:
@@ -35,25 +39,15 @@ def record_uniform(seed: int, index: int) -> float:
 def record_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized ``record_uniform`` for indices start..start+count-1.
 
-    Bit-identical to the scalar version; the scalar one is used inside
-    mappers, this one inside single-pass vectorized scans.
+    Bit-identical to the scalar version. Array arithmetic on uint64
+    wraps silently, as the mask does in the scalar version.
     """
-    with np.errstate(over="ignore"):
-        x = np.arange(start, start + count, dtype=np.uint64)
-        x ^= np.uint64(splitmix64(seed & _MASK64))
-        x += np.uint64(_GAMMA)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)) * 2.0**-53
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for a (seed, *path) coordinate.
-
-    Distinct paths give statistically independent streams; the same path
-    always reproduces the same stream.
-    """
-    return np.random.default_rng((seed & _MASK64, *path))
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x ^= np.uint64(splitmix64(seed & _MASK64))
+    x += _U64[_GAMMA]
+    x ^= x >> _U64[30]
+    x *= _U64[_MIX1]
+    x ^= x >> _U64[27]
+    x *= _U64[_MIX2]
+    x ^= x >> _U64[31]
+    return (x >> _U64[11]) * 2.0**-53

@@ -16,13 +16,13 @@ the split layout, so skewed record placement cannot bias the draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .encoding import f64_key, parse_u64_key, u64_key
-from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, dataset_nbytes, run_job
 from .errors import ParameterError
 from .rng import record_uniform, record_uniforms
 
@@ -60,23 +60,21 @@ def sort_sample(
     n: int,
     seed: int,
     config: Optional[ClusterConfig] = None,
-    *,
-    key_fn: Optional[Callable[[int], float]] = None,
 ) -> tuple[list, RunStats]:
     """MR sampling by sorting on random keys; n smallest keys win.
 
-    Each record's key is uniform on [0,1) keyed by its global index
-    (key_fn overrides the draw, for tests); the shuffle's byte order on
-    (key, index) does the sort, index breaking ties.
+    Each record's key is uniform on [0,1) keyed by its global index, and
+    a map task draws its split's keys as one block; the shuffle's byte
+    order on (key, index) does the sort, index breaking ties.
     """
     N = len(dataset)
     if not 1 <= n <= N:
         raise ParameterError(f"need 1 <= n <= N, got n={n}, N={N}")
-    draw = key_fn if key_fn is not None else (lambda i: record_uniform(seed, i))
 
     def mapper(split: InputSplit) -> list[KeyValue]:
         first, last = split.origin_range
-        return [KeyValue(f64_key(draw(i)) + u64_key(i), b"") for i in range(first, last + 1)]
+        keys = record_uniforms(seed, first, last - first + 1).tolist()
+        return [KeyValue(f64_key(u) + u64_key(i), b"") for i, u in enumerate(keys, start=first)]
 
     def reducer(key, values):
         return [KeyValue(key, v) for v in values]
@@ -206,18 +204,9 @@ def scan_srs(dataset: Sequence, n: int, delta: float, seed: int) -> tuple[ScanRe
     result = scan_srs_indices(N, n, delta, seed)
     stats = RunStats(
         records_read=N,
+        bytes_read=dataset_nbytes(dataset),
         records_shuffled=result.accepted_count + result.waitlist_count,
         records_written=len(result.sample),
         iterations=1,
     )
-    return (
-        ScanResult(
-            success=result.success,
-            sample=[dataset[i] for i in result.sample],
-            accepted_count=result.accepted_count,
-            waitlist_count=result.waitlist_count,
-            q1=result.q1,
-            q2=result.q2,
-        ),
-        stats,
-    )
+    return replace(result, sample=[dataset[i] for i in result.sample]), stats

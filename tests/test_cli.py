@@ -329,6 +329,21 @@ def test_input_that_is_not_utf8_exits_two_naming_the_line(tmp_path, capsys, argv
     assert f"mrlab: {argv[0]}: row 2: not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["calls-count"], 'date,caller,callee,duration\n2024-01-01,"a\nb",c,3\n2024-01-01,a,b,x\n',
+     "bad duration 'x'"),
+    (["linreg", "--label", "label"], 'x,label\n"1\n",0\n1,nan\n', "non-finite label"),
+    (["logreg", "--label", "label"], 'x,label\n"1\n",0\n1,abc\n', "bad numeric label 'abc'"),
+], ids=["calls-count", "linreg", "logreg"])
+def test_row_after_a_multiline_record_is_named_by_its_file_line(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "multiline.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"mrlab: {argv[0]}: row 4: {message}" in err  # data row 2 starts on line 4
+
+
 def test_bad_sample_size_exits_two(numbers_csv, capsys):
     path = numbers_csv("rows.csv", ["v"], [[1], [2]])
     code, _, err = run_cli(["sample", path, "--n", "0"], capsys)

@@ -24,3 +24,12 @@ def test_numeric_readers_name_the_row(tmp_path, body, read, message):
         else:
             dataio.read_table(path, "b")
     assert str(exc.value) == message
+
+
+def test_csv_rows_carry_the_line_each_record_starts_on(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('a,b\n"x\ny",1\n\n2,"3\n\n4"\n5,6\n', encoding="utf-8")
+    header, rows, lines = dataio.read_csv_rows(path)
+    assert header == ["a", "b"]
+    assert rows == [["x\ny", "1"], [], ["2", "3\n\n4"], ["5", "6"]]
+    assert lines == [2, 4, 5, 8]

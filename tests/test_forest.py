@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import itertools
 import json
 import math
 
@@ -21,7 +24,7 @@ from mrlab.forest import (
     predict_forest,
     train_tree_reduce,
 )
-from mrlab.rng import substream
+from mrlab.rng import record_uniforms
 
 
 def blobs(seed=0, n_per=1000, spread=0.6):
@@ -119,14 +122,26 @@ def test_never_sampled_fraction_tracks_poisson_zero_mass():
     assert never / n == pytest.approx(math.exp(-1.0), abs=0.02)
 
 
-def test_fit_forest_calls_substream_once_per_tree(monkeypatch):
-    # Resampling counts are counter-based; substream seeds only tree growth.
-    calls = []
-    real = forest.substream
-    monkeypatch.setattr(forest, "substream", lambda *key: calls.append(key) or real(*key))
+def test_fit_forest_grows_each_tree_from_its_growth_key(monkeypatch):
+    # Tree j grows from its own key, which is not its Poisson stream's key.
+    keys = []
+    real = forest.train_tree_reduce
+    monkeypatch.setattr(
+        forest, "train_tree_reduce",
+        lambda x, y, params, key, *rest: keys.append(key) or real(x, y, params, key, *rest),
+    )
     x, y = blobs(seed=2, n_per=50)
     fit_forest(x, y, ForestParams(trees=6, sample_size=100, mtry=2, seed=4))
-    assert len(calls) <= 6
+    assert sorted(keys) == sorted(forest._growth_key(4, j) for j in range(6))
+    assert not set(keys) & {forest._tree_seed(4, j) for j in range(6)}
+
+
+def test_growth_draws_do_not_reuse_the_poisson_stream():
+    for seed in (0, 4, 2**64 - 1):
+        for tree in range(8):
+            root = record_uniforms(forest._growth_key(seed, tree), 0, 16)
+            poisson = record_uniforms(forest._tree_seed(seed, tree), 0, 16)  # records 0..15
+            assert not np.any(root == poisson)
 
 
 # ------------------------------------------------------------ tree training
@@ -136,7 +151,7 @@ def test_pure_sample_gives_single_leaf():
     x = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1.0, 1.0, 1.0])
     params = ForestParams(trees=1, sample_size=3, mtry=1)
-    tree = train_tree_reduce(x, y, params, substream(0, 0), CLASSIFICATION, n_classes=2)
+    tree = train_tree_reduce(x, y, params, 0, CLASSIFICATION, n_classes=2)
     assert tree.nodes == [{"class": 1}]
 
 
@@ -144,7 +159,7 @@ def test_two_point_split_lands_at_midpoint():
     x = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     params = ForestParams(trees=1, sample_size=2, mtry=1)
-    tree = train_tree_reduce(x, y, params, substream(0, 0), CLASSIFICATION, n_classes=2)
+    tree = train_tree_reduce(x, y, params, 0, CLASSIFICATION, n_classes=2)
     root = tree.nodes[0]
     assert root["feature"] == 0
     assert root["threshold"] == 0.5
@@ -184,7 +199,7 @@ def test_root_split_matches_exhaustive_oracle_classification(seed):
     x = rng.integers(0, 6, size=(40, 3)).astype(float)  # discrete grid: plenty of ties
     y = rng.integers(0, 3, size=40).astype(float)
     params = ForestParams(trees=1, sample_size=40, mtry=3, max_depth=1, seed=seed)
-    tree = train_tree_reduce(x, y, params, substream(seed, 0), CLASSIFICATION, n_classes=3)
+    tree = train_tree_reduce(x, y, params, seed, CLASSIFICATION, n_classes=3)
     expected = oracle_best_split(x, y, 1, CLASSIFICATION, 3)
     root = tree.nodes[0]
     assert (root["feature"], root["threshold"]) == (expected[1], expected[2])
@@ -198,7 +213,7 @@ def test_root_split_matches_exhaustive_oracle_regression(seed):
     if np.all(y == y[0]):
         y[0] += 1.0
     params = ForestParams(trees=1, sample_size=30, mtry=2, max_depth=1, seed=seed)
-    tree = train_tree_reduce(x, y, params, substream(seed, 1), REGRESSION)
+    tree = train_tree_reduce(x, y, params, seed, REGRESSION)
     expected = oracle_best_split(x, y, 1, REGRESSION, 0)
     root = tree.nodes[0]
     if expected is None:
@@ -212,7 +227,7 @@ def test_max_depth_bounds_tree():
     x = rng.normal(size=(200, 3))
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
     params = ForestParams(trees=1, sample_size=200, mtry=3, max_depth=2)
-    tree = train_tree_reduce(x, y, params, substream(1, 0), CLASSIFICATION, n_classes=2)
+    tree = train_tree_reduce(x, y, params, 1, CLASSIFICATION, n_classes=2)
     assert tree.depth() <= 2
 
 
@@ -221,7 +236,7 @@ def test_min_leaf_respected_by_every_split():
     x = rng.normal(size=(80, 2))
     y = (x[:, 0] > 0).astype(float)
     params = ForestParams(trees=1, sample_size=80, mtry=2, min_leaf=7)
-    tree = train_tree_reduce(x, y, params, substream(2, 0), CLASSIFICATION, n_classes=2)
+    tree = train_tree_reduce(x, y, params, 2, CLASSIFICATION, n_classes=2)
 
     def leaf_sizes(node_id, rows):
         node = tree.nodes[node_id]
@@ -233,10 +248,67 @@ def test_min_leaf_respected_by_every_split():
     assert min(leaf_sizes(0, np.arange(80))) >= 7
 
 
+def subtree(tree, node_id):
+    """The subtree under node_id as nested dicts, free of node numbering."""
+    node = dict(tree.nodes[node_id])
+    if "feature" in node:
+        node["left"] = subtree(tree, node["left"])
+        node["right"] = subtree(tree, node["right"])
+    return node
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_regrowing_from_a_node_reproduces_its_subtree(task):
+    # A node's draws depend on its key alone, not on the order nodes grow in.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(300, 4))
+    if task == CLASSIFICATION:
+        y, n_classes = (x[:, 0] + x[:, 1] > 0) + (x[:, 2] > 0.5).astype(float), 3
+    else:
+        y, n_classes = 2.0 * x[:, 0] + rng.normal(size=300), 0
+    params = ForestParams(trees=1, sample_size=300, mtry=2, max_depth=8)
+    tree = train_tree_reduce(x, y, params, 77, task, n_classes)
+    internal = 0
+    work = [(0, np.arange(300), 0, 77)]  # node, rows, depth, node key
+    while work:
+        node_id, rows, depth, key = work.pop(0)  # breadth-first
+        node = tree.nodes[node_id]
+        if "feature" not in node:
+            continue
+        internal += 1
+        rest = dataclasses.replace(params, max_depth=params.max_depth - depth)
+        regrown = train_tree_reduce(x[rows], y[rows], rest, key, task, n_classes)
+        assert subtree(regrown, 0) == subtree(tree, node_id)
+        mask = x[rows, node["feature"]] <= node["threshold"]
+        left_key, right_key = forest._child_keys(key)
+        work.append((node["left"], rows[mask], depth + 1, left_key))
+        work.append((node["right"], rows[~mask], depth + 1, right_key))
+    assert internal >= 10
+
+
+@pytest.mark.parametrize("p, mtry", [(4, 2), (5, 3), (3, 1)])
+def test_node_feature_subsets_are_uniform(p, mtry):
+    trials = 10_000
+    keys = [forest._growth_key(0, 0)]  # the keys of a tree's first 10^4 nodes
+    for key in keys:
+        if len(keys) >= trials:
+            break
+        keys.extend(forest._child_keys(key))
+    counts = collections.Counter(
+        tuple(sorted(forest._node_features(key, p, mtry).tolist())) for key in keys[:trials]
+    )
+    subsets = list(itertools.combinations(range(p), mtry))
+    assert set(counts) == set(subsets)
+    share = 1.0 / len(subsets)
+    sigma = math.sqrt(trials * share * (1.0 - share))
+    for subset in subsets:
+        assert abs(counts[subset] - trials * share) <= 5 * sigma, subset
+
+
 def test_empty_sample_rejected():
     params = ForestParams(trees=1, sample_size=1, mtry=1)
     with pytest.raises(ParameterError):
-        train_tree_reduce(np.zeros((0, 1)), np.zeros(0), params, substream(0, 0), REGRESSION)
+        train_tree_reduce(np.zeros((0, 1)), np.zeros(0), params, 0, REGRESSION)
 
 
 # ------------------------------------------------------------------- forest

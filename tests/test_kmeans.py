@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mrlab.engine import ClusterConfig
 from mrlab.errors import ParameterError
-from mrlab.kmeans import CenterSet, assign, fit_kmeans, recompute
+from mrlab.kmeans import CenterSet, assign, fit_kmeans
 
 
 def lloyd_oracle(points, init, iters):
@@ -39,13 +39,6 @@ def test_assign_tie_goes_to_smallest_index():
     assert assign(np.array([0.0]), centers) == 0
 
 
-def test_assign_respects_custom_metric():
-    centers = np.array([[0.0], [10.0]])
-    # metric that inverts preference picks the far center
-    backwards = lambda x, c: -abs(float(x[0] - c[0]))
-    assert assign(np.array([1.0]), centers, metric=backwards) == 1
-
-
 def test_assign_dimension_mismatch():
     with pytest.raises(ParameterError):
         assign(np.array([1.0, 2.0]), np.array([[0.0], [1.0]]))
@@ -59,37 +52,6 @@ def test_assign_matches_brute_force(seed):
     x = rng.normal(size=3)
     expected = int(np.argmin([np.sum((x - c) ** 2) for c in centers]))
     assert assign(x, centers) == expected
-
-
-# ---------------------------------------------------------------- recompute
-
-
-def test_recompute_hand_example():
-    prev = np.array([[5.0]])
-    out = recompute([(0, [np.array([0.0]), np.array([2.0])])], prev)
-    assert out.tolist() == [[1.0]]
-
-
-def test_recompute_keeps_center_for_empty_cluster():
-    prev = np.array([[1.0], [9.0]])
-    out = recompute([(0, [np.array([3.0])])], prev)
-    assert out.tolist() == [[3.0], [9.0]]
-
-
-def test_recompute_matches_group_mean_oracle():
-    rng = np.random.default_rng(11)
-    points = rng.normal(size=(60, 2))
-    labels = rng.integers(0, 3, size=60)
-    prev = rng.normal(size=(3, 2))
-    groups = [(c, [points[i] for i in np.flatnonzero(labels == c)]) for c in range(3)]
-    out = recompute(groups, prev)
-    for c in range(3):
-        np.testing.assert_allclose(out[c], points[labels == c].mean(axis=0), rtol=1e-12)
-
-
-def test_recompute_rejects_out_of_range_cluster():
-    with pytest.raises(ParameterError):
-        recompute([(5, [np.array([1.0])])], np.array([[0.0]]))
 
 
 # --------------------------------------------------------------- fit_kmeans
@@ -107,6 +69,14 @@ def test_hand_computed_step():
     pts = np.array([[0.0], [2.0], [10.0], [12.0]])
     centers, assignments, _ = fit_kmeans(pts, 2, init=np.array([[0.0], [10.0]]))
     assert centers.centers.tolist() == [[1.0], [11.0]]
+    assert assignments.tolist() == [0, 0, 1, 1]
+
+
+def test_empty_cluster_keeps_its_center():
+    pts = np.array([[0.0], [2.0], [10.0], [12.0]])
+    far = 100.0  # attracts no point
+    centers, assignments, _ = fit_kmeans(pts, 3, init=np.array([[0.0], [10.0], [far]]))
+    assert centers.centers.tolist() == [[1.0], [11.0], [far]]
     assert assignments.tolist() == [0, 0, 1, 1]
 
 

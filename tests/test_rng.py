@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,9 +40,13 @@ def test_record_uniforms_are_roughly_uniform():
     assert abs(np.mean(u < 0.25) - 0.25) < 0.005
 
 
-def test_substream_reproducible_and_distinct():
-    a = rng.substream(9, 1, 2).random(4)
-    b = rng.substream(9, 1, 2).random(4)
-    c = rng.substream(9, 2, 1).random(4)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_only_the_reservoir_sampler_draws_from_numpy_random():
+    # Every other draw is a counter-based uniform keyed by its coordinates.
+    package = Path(rng.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py")) if path.name != "sampling.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "np.random" in line or "default_rng" in line
+    ]
+    assert offenders == []

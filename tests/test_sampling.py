@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlab import sampling
 from mrlab.engine import ClusterConfig
 from mrlab.errors import ParameterError
 from mrlab.sampling import (
@@ -65,9 +66,15 @@ def test_reservoir_inclusion_is_roughly_uniform():
 # --------------------------------------------------------------- sort-based
 
 
-def test_sort_sample_fixed_keys_pick_smallest():
+def fixed_uniforms(keys):
+    """A stand-in for ``record_uniforms`` that draws keys[start:start+count]."""
+    return lambda seed, start, count: np.array(keys[start : start + count])
+
+
+def test_sort_sample_fixed_keys_pick_smallest(monkeypatch):
     keys = [0.9, 0.1, 0.5]
-    sample, _ = sort_sample(["r0", "r1", "r2"], 2, seed=0, key_fn=lambda i: keys[i])
+    monkeypatch.setattr(sampling, "record_uniforms", fixed_uniforms(keys))
+    sample, _ = sort_sample(["r0", "r1", "r2"], 2, seed=0)
     assert sample == ["r1", "r2"]
 
 
@@ -106,7 +113,9 @@ def test_sort_sample_matches_brute_force_oracle(size, seed, data):
     )
     records = [f"r{i}" for i in range(size)]
     oracle = [records[i] for i in sorted(range(size), key=lambda i: (keys[i], i))[:n]]
-    sample, _ = sort_sample(records, n, seed=seed, key_fn=lambda i: keys[i])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "record_uniforms", fixed_uniforms(keys))
+        sample, _ = sort_sample(records, n, seed=seed)
     assert sample == oracle
 
 
@@ -189,6 +198,7 @@ def test_scan_over_records_maps_indices_back():
     assert len(result.sample) == 5
     assert all(r in data for r in result.sample)
     assert stats.records_read == 500
+    assert stats.bytes_read == sum(len(r) for r in data)
     again, _ = scan_srs(data, 5, 0.01, seed=8)
     assert again.sample == result.sample
 
