@@ -3,8 +3,8 @@
 These are the smallest real jobs the engine runs and double as its
 integration tests: group durations by date, count calls per (date,
 caller), count token occurrences. Each mapper folds its split into one
-partial per distinct key, a count or an (fsum, count) pair: in-mapper
-combining, so the jobs need no combiner.
+partial per distinct key, a count or a ``numerics.partial_sum`` of
+(duration, 1) rows: in-mapper combining, so the jobs need no combiner.
 """
 
 from __future__ import annotations
@@ -16,18 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dataio import read_csv_rows
-from .encoding import (
-    count_value,
-    f64s_value,
-    parse_count,
-    parse_f64s,
-    parse_f64s_rows,
-    split_text_key,
-    text_key,
-)
+from .encoding import count_value, f64s_value, parse_count, parse_f64s, split_text_key, text_key
 from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import RowParseError
-from .numerics import fsum_vectors
+from .numerics import partial_sum, sum_partials
 
 CALL_HEADER = ("date", "caller", "callee", "duration")
 
@@ -78,17 +70,16 @@ def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
 
 def avg_duration_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[KeyValue]:
-        durations: dict[datetime.date, list[float]] = {}
+        rows: dict[datetime.date, list[tuple[float, float]]] = {}  # (duration, 1) per call
         for record in split.records:
-            durations.setdefault(record.date, []).append(record.duration)
-        return [KeyValue(text_key(date.isoformat()), f64s_value((math.fsum(ds), len(ds))))
-                for date, ds in durations.items()]
+            rows.setdefault(record.date, []).append((record.duration, 1.0))
+        return [partial_sum(text_key(date.isoformat()), r) for date, r in rows.items()]
 
     def reducer(key, values):
-        total, count = fsum_vectors(parse_f64s_rows(values))
+        total, count = sum_partials(values)
         return [KeyValue(key, f64s_value((total / count, count)))]
 
-    return JobSpec(mapper, reducer, name="avg-duration")
+    return JobSpec(mapper, reducer)
 
 
 def avg_duration_by_date(
@@ -107,7 +98,7 @@ def calls_per_caller_job() -> JobSpec:
         counts = Counter((record.date, record.caller) for record in split.records)
         return [KeyValue(text_key(d.isoformat(), c), count_value(n)) for (d, c), n in counts.items()]
 
-    return JobSpec(mapper, _count_reduce, name="calls-count")
+    return JobSpec(mapper, _count_reduce)
 
 
 def calls_per_date_number(
@@ -125,7 +116,7 @@ def word_count_job() -> JobSpec:
         counts = Counter(token for document in split.records for token in document.split())
         return [KeyValue(token.encode("utf-8"), count_value(n)) for token, n in counts.items()]
 
-    return JobSpec(mapper, _count_reduce, name="word-count")
+    return JobSpec(mapper, _count_reduce)
 
 
 def word_count(

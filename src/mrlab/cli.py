@@ -276,7 +276,7 @@ def _cmd_rf(args, config):
 
 
 def _identity_factory(t: int, state):
-    return JobSpec(lambda split: [], lambda key, values: [], name="bench-io")
+    return JobSpec(lambda split: [], lambda key, values: [])
 
 
 def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
@@ -300,10 +300,7 @@ def _cmd_bench_io(args, config):
         raise EmptyInputError(f"{args.input}: no data rows")
     modes = ["disk", "memory"] if args.mode == "both" else [args.mode]
     result = bench_io(rows, args.iters, modes, config)
-    totals = RunStats()
-    for mode_stats in result["modes"].values():
-        for field_name, value in mode_stats.items():
-            setattr(totals, field_name, getattr(totals, field_name) + value)
+    totals = sum((RunStats(**mode_stats) for mode_stats in result["modes"].values()), RunStats())
     return result, totals, 0
 
 

@@ -18,7 +18,7 @@ round, memory-resident rounds read once and keep state live.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,7 +71,6 @@ class JobSpec:
     mapper: Mapper
     reducer: Reducer
     combiner: Optional[Reducer] = None
-    name: str = "job"
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,10 @@ class ClusterConfig:
 
 @dataclass
 class RunStats:
-    """Counters of simulated cluster I/O, exported as a flat JSON object."""
+    """Counters of simulated cluster I/O, exported as a flat JSON object.
+
+    Ledgers add field by field: a job of several rounds reports their sum.
+    """
 
     records_read: int = 0
     records_written: int = 0
@@ -102,6 +104,9 @@ class RunStats:
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
+
+    def __add__(self, other: "RunStats") -> "RunStats":
+        return RunStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 def record_nbytes(record: Any) -> int:
@@ -127,9 +132,12 @@ def record_nbytes(record: Any) -> int:
 
 def dataset_nbytes(dataset: Sequence) -> int:
     """Bytes charged for reading a dataset: the sum of ``record_nbytes``
-    over its records, taken as ``.nbytes`` for a 2-D array of rows."""
+    over its records, taken as ``.nbytes`` for a 2-D array of rows and as
+    8 a record when every record is exactly an int or a float."""
     if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
         return dataset.nbytes
+    if set(map(type, dataset)) <= {int, float}:
+        return 8 * len(dataset)
     return sum(map(record_nbytes, dataset))
 
 
@@ -202,45 +210,11 @@ def per_record(fn: Callable[[Any], Iterable[KeyValue]]) -> Mapper:
     return mapper
 
 
-def _map_split(job: JobSpec, split: InputSplit) -> list[KeyValue]:
-    try:
-        return list(job.mapper(split))
-    except JobExecutionError:
-        raise
-    except Exception as exc:
-        raise JobExecutionError("map", str(exc), split_id=split.split_id) from exc
-
-
-def _combine_split(job: JobSpec, split_id: int, pairs: list[KeyValue]) -> list[KeyValue]:
-    grouped: dict[bytes, list[bytes]] = {}
-    for key, value in pairs:
-        grouped.setdefault(key, []).append(value)
-    out: list[KeyValue] = []
-    for key, values in grouped.items():
-        try:
-            out.extend(job.combiner(key, values))
-        except JobExecutionError:
-            raise
-        except Exception as exc:
-            raise JobExecutionError("combine", str(exc), split_id=split_id, key=key) from exc
-    return out
-
-
-def _reduce_group(job: JobSpec, key: bytes, values: list[bytes]) -> list[KeyValue]:
-    try:
-        return list(job.reducer(key, values))
-    except JobExecutionError:
-        raise
-    except Exception as exc:
-        raise JobExecutionError("reduce", str(exc), key=key) from exc
-
-
 def run_job(
     job: JobSpec,
     dataset: Sequence,
     config: ClusterConfig,
     *,
-    stats: Optional[RunStats] = None,
     _resident: bool = False,
 ) -> tuple[list[KeyValue], RunStats]:
     """Run one MR round: map over splits, shuffle, reduce.
@@ -249,30 +223,58 @@ def run_job(
     mode the raw map output is materialized, charging one write per
     emitted pair; the reduce output is written. ``_resident`` is set
     only by run_iterative, which charges the dataset read and the state
-    writes itself. ``iterations`` counts completed MR rounds.
+    writes itself. ``iterations`` counts completed MR rounds. A failing
+    mapper, combiner or reducer raises JobExecutionError naming its
+    stage and the split or key it was working on.
     """
-    if stats is None:
-        stats = RunStats()
+    stats = RunStats()
     splits = partition(dataset, config.num_splits)
     if not _resident:
         stats.records_read += len(dataset)
         stats.bytes_read += dataset_nbytes(dataset)
 
-    per_split = [_map_split(job, s) for s in splits]
+    per_split: list[list[KeyValue]] = []
+    try:
+        for split in splits:
+            per_split.append(list(job.mapper(split)))
+    except JobExecutionError:
+        raise
+    except Exception as exc:
+        raise JobExecutionError("map", str(exc), split_id=split.split_id) from exc
 
     if config.iteration_mode == DISK:
         for pairs in per_split:
             _charge_write(stats, pairs)
 
     if job.combiner is not None:
-        per_split = [_combine_split(job, s.split_id, p) for s, p in zip(splits, per_split)]
+        combined: list[list[KeyValue]] = []
+        key = None
+        try:
+            for split, pairs in zip(splits, per_split):
+                grouped: dict[bytes, list[bytes]] = {}
+                for key, value in pairs:
+                    grouped.setdefault(key, []).append(value)
+                out: list[KeyValue] = []
+                for key, values in grouped.items():
+                    out.extend(job.combiner(key, values))
+                combined.append(out)
+        except JobExecutionError:
+            raise
+        except Exception as exc:
+            raise JobExecutionError("combine", str(exc), split_id=split.split_id, key=key) from exc
+        per_split = combined
 
     groups = shuffle(per_split)
     stats.records_shuffled += sum(len(vs) for _, vs in groups)
 
     output: list[KeyValue] = []
-    for key, values in groups:
-        output.extend(_reduce_group(job, key, values))
+    try:
+        for key, values in groups:
+            output.extend(job.reducer(key, values))
+    except JobExecutionError:
+        raise
+    except Exception as exc:
+        raise JobExecutionError("reduce", str(exc), key=key) from exc
 
     if not _resident:
         _charge_write(stats, output)
@@ -307,10 +309,11 @@ def run_iterative(
             stats.bytes_read += nbytes
         job = job_factory(t, state)
         try:
-            new_state, _ = run_job(job, dataset, config, stats=stats, _resident=True)
+            new_state, round_stats = run_job(job, dataset, config, _resident=True)
         except JobExecutionError as err:
             err.iteration = t
             raise
+        stats += round_stats
         if disk:
             _charge_write(stats, new_state)
         old_state, state = state, new_state

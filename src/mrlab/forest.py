@@ -373,7 +373,7 @@ def fit_forest(
         )
         return [KeyValue(key, tree_to_bytes(tree))]
 
-    job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer, name="forest")
+    job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer)
     output, stats = run_job(job, np.column_stack([x, y]), config or ClusterConfig())
 
     trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}

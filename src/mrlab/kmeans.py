@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s, parse_f64s_rows, u32_key, u64_key
+from .encoding import f64s_value, parse_f64s, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative
 from .errors import ParameterError
-from .numerics import fsum_vectors, sum_vectors_reduce
+from .numerics import partial_sum, sum_partials, sum_vectors_reduce
 from .sampling import reservoir_sample
 
 _ASSIGN = b"A"
@@ -90,14 +90,10 @@ def _objective_from_state(state: Sequence[KeyValue]) -> float:
 
 def _split_mapper(centers: np.ndarray):
     def mapper(split):
-        block = split.records
-        nearest, d2 = _nearest(block, centers)
-        out = []
-        for c in np.unique(nearest).tolist():
-            members = block[nearest == c]
-            partial = np.append(fsum_vectors(members), len(members))  # coordinate sums, then count
-            out.append(KeyValue(_CENTER + u32_key(c), f64s_value(partial)))
-        out.append(KeyValue(_OBJECTIVE, f64s_value(fsum_vectors(d2[:, None]))))
+        nearest, d2 = _nearest(split.records, centers)
+        counted = np.column_stack([split.records, np.ones(len(nearest))])  # coordinates, then count
+        out = [partial_sum(_CENTER + u32_key(c), counted[nearest == c]) for c in np.unique(nearest).tolist()]
+        out.append(partial_sum(_OBJECTIVE, d2[:, None]))
         out.append(KeyValue(_ASSIGN + u64_key(split.origin_range[0]), f64s_value(nearest)))
         return out
 
@@ -109,7 +105,7 @@ def _reducer(key: bytes, values: list) -> list[KeyValue]:
         return [KeyValue(key, v) for v in values]
     if key[:1] == _OBJECTIVE:
         return sum_vectors_reduce(key, values)
-    merged = fsum_vectors(parse_f64s_rows(values))  # coordinate sums, then count
+    merged = sum_partials(values)  # coordinate sums, then count
     return [KeyValue(key, f64s_value(merged[:-1] / merged[-1]))]
 
 
@@ -149,7 +145,7 @@ def fit_kmeans(
     def job_factory(t: int, state: list[KeyValue]) -> JobSpec:
         centers = _centers_from_state(state, current["centers"])
         current["centers"] = centers
-        return JobSpec(_split_mapper(centers), _reducer, name="kmeans")
+        return JobSpec(_split_mapper(centers), _reducer)
 
     def converged(old_state, new_state) -> bool:
         old = _centers_from_state(old_state, current["centers"])

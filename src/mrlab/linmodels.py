@@ -1,14 +1,15 @@
 """Linear and logistic regression expressed as MapReduce jobs.
 
-Linear regression runs one MR round that sums per-record outer products
-into the Gram products X'X and X'y, then solves the normal equations
-X'X b = X'y in memory (the cross-products matrix is small even when n
-is huge). Logistic regression runs gradient descent where every
-iteration is one MR round summing per-record gradient contributions.
+Linear regression runs two MR rounds: one sums per-record outer products
+into the Gram products X'X and X'y, whose normal equations X'X b = X'y
+are solved in memory (the cross-products matrix is small even when n is
+huge), and one sums the squared residuals of the fit. Logistic
+regression runs gradient descent where every iteration is one MR round
+summing per-record gradient contributions.
 
 Every job splits the (n, d+1) block [X | y] and its mapper folds a whole
 split at once: one vectorized pass over the split's rows, then one
-column-wise ``fsum`` to a single partial per split (in-mapper
+``numerics.partial_sum`` to a single partial per split (in-mapper
 combining). Row values are computed row by row, never by a BLAS
 matrix-vector product, whose rounding depends on the rows around it.
 """
@@ -21,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s, parse_f64s_rows
+from .encoding import f64s_value, parse_f64s
 from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
-from .numerics import fsum_vectors, sigmoid, softplus, sum_vectors_reduce
+from .numerics import partial_sum, sigmoid, softplus, sum_partials, sum_vectors_reduce
 
 _PIVOT_RTOL = 1e-12
 
@@ -96,10 +97,7 @@ class LinearModel:
 
 
 def gram_job(
-    data: DataMatrix,
-    config: Optional[ClusterConfig] = None,
-    *,
-    stats: Optional[RunStats] = None,
+    data: DataMatrix, config: Optional[ClusterConfig] = None,
 ) -> tuple[GramPair, RunStats]:
     """One MR round computing X'X and X'y.
 
@@ -109,15 +107,12 @@ def gram_job(
     """
     d = data.width
 
-    def mapper(split):
-        x, y = _xy(split)
+    def rows(x, y):
         outer = (x[:, :, None] * x[:, None, :]).reshape(len(x), d * d)
-        return [KeyValue(b"G", f64s_value(fsum_vectors(np.hstack([outer, x * y[:, None]]))))]
+        return np.hstack([outer, x * y[:, None]])
 
-    job = JobSpec(mapper, sum_vectors_reduce, name="gram")
-    output, stats = run_job(job, data.block(), config or ClusterConfig(), stats=stats)
-    flat = parse_f64s(output[0].value)
-    return GramPair(flat[: d * d].reshape(d, d).copy(), flat[d * d :].copy()), stats
+    flat, stats = _sum_round(data.block(), rows, config, b"G")
+    return GramPair(flat[: d * d].reshape(d, d), flat[d * d :]), stats
 
 
 def solve_normal_equations(gram: GramPair) -> np.ndarray:
@@ -154,20 +149,16 @@ def fit_linear(
     data: DataMatrix, config: Optional[ClusterConfig] = None,
 ) -> tuple[LinearModel, RunStats]:
     """Least squares: one Gram round, an in-memory solve, one residual round."""
-    config = config or ClusterConfig()
-    stats = RunStats()
-    gram, _ = gram_job(data, config, stats=stats)
+    gram, gram_stats = gram_job(data, config)
     beta = solve_normal_equations(gram)
 
-    def mapper(split):
-        x, y = _xy(split)
+    def rows(x, y):
         r = y - _rowdot(x, beta)
-        return [KeyValue(b"R", f64s_value(fsum_vectors((r * r)[:, None])))]
+        return (r * r)[:, None]
 
-    job = JobSpec(mapper, sum_vectors_reduce, name="residual")
-    output, _ = run_job(job, data.block(), config, stats=stats)
-    rss = float(parse_f64s(output[0].value)[0])
-    return LinearModel(beta, stats.iterations, math.sqrt(max(rss, 0.0))), stats
+    (rss,), residual_stats = _sum_round(data.block(), rows, config, b"R")
+    stats = gram_stats + residual_stats
+    return LinearModel(beta, stats.iterations, math.sqrt(max(float(rss), 0.0))), stats
 
 
 def _xy(split: InputSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +171,18 @@ def _rowdot(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, beta)
 
 
+def _sum_mapper(rows, key: bytes):
+    """A mapper emitting one partial: the column sums of rows(x, y) over its split."""
+    return lambda split: [partial_sum(key, rows(*_xy(split)))]
+
+
+def _sum_round(block, rows, config, key: bytes) -> tuple[np.ndarray, RunStats]:
+    """One MR round summing rows(x, y) over the whole block, with its ledger."""
+    job = JobSpec(_sum_mapper(rows, key), sum_vectors_reduce)
+    output, stats = run_job(job, block, config or ClusterConfig())
+    return parse_f64s(output[0].value).copy(), stats
+
+
 def _binary_block(data: DataMatrix) -> np.ndarray:
     """``data.block()``, once every label is checked to be 0 or 1."""
     bad = np.flatnonzero((data.y != 0.0) & (data.y != 1.0))
@@ -188,21 +191,13 @@ def _binary_block(data: DataMatrix) -> np.ndarray:
     return data.block()
 
 
-def _gradient_mapper(beta: np.ndarray):
-    def mapper(split):
-        x, y = _xy(split)
-        resid = sigmoid(_rowdot(x, beta)) - y
-        return [KeyValue(b"g", f64s_value(fsum_vectors(resid[:, None] * x)))]
-
-    return mapper
+def _gradient_rows(beta: np.ndarray):
+    """Per-record gradient contributions (sigma(x'b) - y) x."""
+    return lambda x, y: (sigmoid(_rowdot(x, beta)) - y)[:, None] * x
 
 
 def logistic_gradient_job(
-    data: DataMatrix,
-    beta: np.ndarray,
-    config: Optional[ClusterConfig] = None,
-    *,
-    stats: Optional[RunStats] = None,
+    data: DataMatrix, beta: np.ndarray, config: Optional[ClusterConfig] = None,
 ) -> tuple[np.ndarray, RunStats]:
     """One MR round summing per-record contributions (sigma(x'b) - y) x.
 
@@ -210,9 +205,7 @@ def logistic_gradient_job(
     log-likelihood at beta.
     """
     beta = np.asarray(beta, dtype=float)
-    job = JobSpec(_gradient_mapper(beta), sum_vectors_reduce, name="logistic-gradient")
-    output, stats = run_job(job, _binary_block(data), config or ClusterConfig(), stats=stats)
-    return parse_f64s(output[0].value).copy(), stats
+    return _sum_round(_binary_block(data), _gradient_rows(beta), config, b"g")
 
 
 def negative_log_likelihood(data: DataMatrix, beta: np.ndarray) -> float:
@@ -249,13 +242,13 @@ def fit_logistic(
         beta = parse_f64s(state[0].value)[:d].copy()
 
         def reducer(key, values):
-            grad = fsum_vectors(parse_f64s_rows(values))
+            grad = sum_partials(values)
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow to inf is caught by the divergence check
                 new_beta = beta - step * grad
             return [KeyValue(b"B", f64s_value(np.concatenate([new_beta, grad])))]
 
-        return JobSpec(_gradient_mapper(beta), reducer, name="logistic-step")
+        return JobSpec(_sum_mapper(_gradient_rows(beta), b"g"), reducer)
 
     rounds = 0
 

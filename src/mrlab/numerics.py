@@ -1,8 +1,16 @@
-"""Small numeric helpers shared by the model jobs."""
+"""Small numeric helpers shared by the model jobs.
+
+The summing jobs (Gram products, residuals, logistic gradients, k-means
+centres and objective, call-log means) exchange split partials in one
+format, kept here: a mapper encodes the column sums of its block with
+``partial_sum``, and a reducer totals a group's partials with
+``sum_partials``. Both sum with ``fsum_vectors``.
+"""
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +32,19 @@ def fsum_vectors(block) -> np.ndarray:
     return np.array([math.fsum(column) for column in block.T.tolist()])
 
 
+def partial_sum(key: bytes, block) -> KeyValue:
+    """A split's partial under ``key``: the column sums of ``block``, encoded."""
+    return KeyValue(key, f64s_value(fsum_vectors(block)))
+
+
+def sum_partials(values: Sequence[bytes]) -> np.ndarray:
+    """The column sums of a group's ``partial_sum`` values."""
+    return fsum_vectors(parse_f64s_rows(values))
+
+
 def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
-    """Reducer: one pair holding the fsum of float-vector values."""
-    return [KeyValue(key, f64s_value(fsum_vectors(parse_f64s_rows(values))))]
+    """Reducer: one pair holding the total of a group's partials."""
+    return [KeyValue(key, f64s_value(sum_partials(values)))]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

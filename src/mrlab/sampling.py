@@ -79,7 +79,7 @@ def sort_sample(
     def reducer(key, values):
         return [KeyValue(key, v) for v in values]
 
-    job = JobSpec(mapper, reducer, name="sort-sample")
+    job = JobSpec(mapper, reducer)
     output, stats = run_job(job, dataset, config or ClusterConfig(seed=seed))
     winners = [parse_u64_key(key[-8:]) for key, _ in output[:n]]
     return [dataset[i] for i in winners], stats
@@ -114,7 +114,6 @@ class ScanState:
     """
 
     n: int
-    delta: float
     q1: float
     q2: float
     accepted: list = field(default_factory=list)
@@ -164,7 +163,7 @@ def _finish_scan(state: ScanState) -> ScanResult:
 def scan_srs_stream(stream, N: int, n: int, delta: float, seed: int) -> ScanResult:
     """Reference single-record-at-a-time scan; sample holds record indices."""
     q1, q2 = bernstein_thresholds(n, N, delta)
-    state = ScanState(n=n, delta=delta, q1=q1, q2=q2)
+    state = ScanState(n=n, q1=q1, q2=q2)
     for i, record in enumerate(stream):
         state.offer(record_uniform(seed, i), record)
     return _finish_scan(state)

@@ -23,7 +23,7 @@ def count_job():
     def reducer(key, values):
         return [KeyValue(key, count_value(sum(parse_count(v) for v in values)))]
 
-    return JobSpec(per_record(mapper), reducer, name="count")
+    return JobSpec(per_record(mapper), reducer)
 
 
 # ---------------------------------------------------------------- partition
@@ -259,6 +259,22 @@ def test_reducer_error_names_key():
     assert err.value.key == b"k1"
 
 
+def test_combiner_error_names_stage_split_and_key():
+    def combiner(key, values):
+        if key == b"bad":
+            raise RuntimeError("combine failed")
+        return [KeyValue(key, values[0])]
+
+    mapper = per_record(lambda record: [KeyValue(record.encode(), b"1")])
+    data = ["ok", "ok", "bad", "ok"]
+    with pytest.raises(JobExecutionError) as err:
+        run_job(JobSpec(mapper, lambda key, values: [], combiner), data, ClusterConfig(num_splits=2))
+    assert err.value.stage == "combine"
+    assert err.value.split_id == 1
+    assert err.value.key == b"bad"
+    assert "combine failed" in str(err.value) and "split=1" in str(err.value)
+
+
 def test_iterative_error_carries_iteration_index():
     def factory(t, state):
         def mapper(record):
@@ -307,15 +323,11 @@ def test_memory_mode_reads_once():
 @pytest.mark.parametrize("mode, rounds_read", [("disk", 5), ("memory", 1)])
 def test_run_iterative_sizes_its_input_once(monkeypatch, mode, rounds_read):
     calls = []
-
-    def counting_nbytes(record):
-        calls.append(record)
-        return 8
-
-    monkeypatch.setattr(engine, "record_nbytes", counting_nbytes)
+    real = engine.dataset_nbytes
+    monkeypatch.setattr(engine, "dataset_nbytes", lambda d: calls.append(d) or real(d))
     data = list(range(100))
     _, stats = run_iterative(_noop_factory, [], 5, None, data, ClusterConfig(iteration_mode=mode))
-    assert len(calls) == 100
+    assert len(calls) == 1
     assert stats.bytes_read == rounds_read * 800
     assert stats.iterations == 5
 
@@ -375,6 +387,16 @@ def test_record_nbytes():
         engine.record_nbytes(object())
 
 
+def test_runstats_add_field_by_field():
+    a = engine.RunStats(1, 2, 3, 4, 5, 6)
+    b = engine.RunStats(records_read=10, iterations=1)
+    assert (a + b).as_dict() == {
+        "records_read": 11, "records_written": 2, "records_shuffled": 3,
+        "bytes_read": 4, "bytes_written": 5, "iterations": 7,
+    }
+    assert a.records_read == 1  # the operands are left as they were
+
+
 def test_runstats_as_dict_is_flat():
     stats = engine.RunStats(records_read=2)
     d = stats.as_dict()
@@ -389,7 +411,13 @@ def test_runstats_as_dict_is_flat():
     (("a", 1.0), ("bc", 2), ("déf", (3.0, b"xy"))),
     ((0, np.ones(2)), (1, np.ones(2))),
     np.arange(5.0),  # 1-D: 8 bytes a scalar, by the walk
-], ids=["2d", "2d-view", "2d-empty-rows", "tuples", "indexed-rows", "1d"])
+    list(range(7)),
+    [0.5, -1.0, 2e300],
+    [True, False, True],  # bool is an int subclass: sized by the walk
+    [1, 2.5, "ab", b"c", (3, 4.0)],
+    [],
+], ids=["2d", "2d-view", "2d-empty-rows", "tuples", "indexed-rows", "1d",
+        "ints", "floats", "bools", "mixed", "empty"])
 def test_dataset_nbytes_equals_the_record_walk(dataset):
     assert engine.dataset_nbytes(dataset) == sum(engine.record_nbytes(r) for r in dataset)
 

@@ -142,6 +142,16 @@ def test_fit_linear_exact_line():
     assert stats.iterations == 2  # gram round + residual round
 
 
+def test_fit_linear_ledger_adds_its_two_rounds():
+    x, beta, _ = random_matrix(3, n=40)
+    data = DataMatrix.from_features(x, beta[0] + x @ beta[1:])
+    _, stats = fit_linear(data, ClusterConfig(num_splits=4, iteration_mode="disk"))
+    assert stats.records_read == 2 * 40
+    assert stats.iterations == 2
+    assert stats.records_shuffled == 8  # one partial per split, each round
+    assert stats.records_written == 2 * (4 + 1)  # map partials and the round's output
+
+
 def test_fit_linear_constant_intercept_only():
     data = DataMatrix(np.ones((4, 1)), np.full(4, 7.5))
     model, _ = fit_linear(data)

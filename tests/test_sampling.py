@@ -158,7 +158,7 @@ def test_thresholds_domain_errors(n, N, delta):
 
 
 def test_scan_state_routing():
-    state = ScanState(n=2, delta=0.1, q1=0.3, q2=0.6)
+    state = ScanState(n=2, q1=0.3, q2=0.6)
     state.offer(0.1, "a")
     state.offer(0.4, "b")
     state.offer(0.9, "c")
