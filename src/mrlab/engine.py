@@ -18,6 +18,7 @@ round, memory-resident rounds read once and keep state live.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -109,6 +110,10 @@ class RunStats:
         return RunStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
+# The record types that record_nbytes sizes by a rule of its own.
+_SIZED_BY_RULE = (bytes, bytearray, str, tuple, list, numbers.Number)
+
+
 def record_nbytes(record: Any) -> int:
     """Bytes charged for reading a record; other types give their own ``nbytes``.
 
@@ -132,12 +137,19 @@ def record_nbytes(record: Any) -> int:
 
 def dataset_nbytes(dataset: Sequence) -> int:
     """Bytes charged for reading a dataset: the sum of ``record_nbytes``
-    over its records, taken as ``.nbytes`` for a 2-D array of rows and as
-    8 a record when every record is exactly an int or a float."""
+    over its records, taken as ``.nbytes`` for a 2-D array of rows, as 8 a
+    record when every record is exactly an int or a float, and as the sum
+    of ``.nbytes`` when every record is of one class that defines it and
+    that ``record_nbytes`` does not size by another rule."""
     if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
         return dataset.nbytes
-    if set(map(type, dataset)) <= {int, float}:
+    kinds = set(map(type, dataset))
+    if kinds <= {int, float}:
         return 8 * len(dataset)
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if hasattr(kind, "nbytes") and not issubclass(kind, _SIZED_BY_RULE):
+            return sum(map(operator.attrgetter("nbytes"), dataset))
     return sum(map(record_nbytes, dataset))
 
 

@@ -17,6 +17,17 @@ across splits, and a map task draws its whole split in one block. Tree
 growth draws the same way: each node's features come from uniforms keyed
 by the node's key, which is fixed by the tree's growth key and the
 node's left/right path from the root, not by the order nodes are grown.
+
+A reducer grows its tree one level at a time over presorted feature
+lists, as PLANET (Panda et al., VLDB 2009) expands one level per
+MapReduce pass and SLIQ (Mehta, Agrawal and Rissanen, EDBT 1996) keeps
+each attribute's rows presorted: the rows are argsorted once per feature,
+each level finds the best split of all its nodes in one vectorized pass,
+and one stable sort by child node regroups the lists for the next level.
+The trees are those a depth-first grower builds, numbered as it numbers
+them: the root is 0, and the i-th node to split in a depth-first walk
+that visits each left subtree before its right one (counting from 0)
+takes ids 2i+1 for its left child and 2i+2 for its right child.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import numpy as np
 from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
 from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
 from .errors import ParameterError
-from .rng import record_uniform, record_uniforms, splitmix64
+from .rng import record_uniform, record_uniforms, splitmix64, splitmix64_array
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -81,13 +92,14 @@ class TreeModel:
         return node["class"] if "class" in node else node["value"]
 
     def depth(self) -> int:
-        def walk(i: int) -> int:
-            node = self.nodes[i]
-            if "feature" not in node:
-                return 0
-            return 1 + max(walk(node["left"]), walk(node["right"]))
-
-        return walk(0)
+        """Edges on the longest root-to-leaf path, counted level by level."""
+        depth, level = 0, [self.nodes[0]]
+        while True:
+            level = [self.nodes[node[side]] for node in level if "feature" in node
+                     for side in ("left", "right")]
+            if not level:
+                return depth
+            depth += 1
 
     def as_dict(self) -> dict:
         """The serialized form shared by model files and shuffle values."""
@@ -163,15 +175,19 @@ def _growth_key(seed: int, tree: int) -> int:
     return _tree_seed(seed, ~tree)
 
 
-def _child_keys(key: int) -> tuple[int, int]:
-    """The keys of a node's left and right children, from its key alone."""
-    return splitmix64(key ^ 1), splitmix64(key ^ 2)
+def _child_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys of each node's children, from its key alone: row k holds
+    splitmix64(keys[k] ^ 1) (left) and splitmix64(keys[k] ^ 2) (right)."""
+    return splitmix64_array(keys[:, None] ^ np.array([1, 2], dtype=np.uint64))
 
 
-def _node_features(key: int, p: int, mtry: int) -> np.ndarray:
-    """A node's features: the mtry smallest of p uniforms keyed by the
-    node, ties to the smaller index."""
-    return np.argsort(record_uniforms(key, 0, p), kind="stable")[:mtry]
+def _node_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """Each node's features, one row per key of a uint64 array: the mtry
+    smallest of the p uniforms ``record_uniforms(key, 0, p)``, ties to the
+    smaller index."""
+    draws = splitmix64_array(splitmix64_array(keys)[:, None] ^ np.arange(p, dtype=np.uint64))
+    # draws >> 11 are the uniforms before their exact scaling by 2**-53
+    return np.argsort(draws >> np.uint64(11), axis=1, kind="stable")[:, :mtry]
 
 
 def poisson_counts(seed: int, record_index: int, trees: int, rate: float) -> np.ndarray:
@@ -213,64 +229,80 @@ def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> l
     return out
 
 
-def _class_counts(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.bincount(y_idx, minlength=n_classes)
+def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
+    """The best split of each node of one level, found for all of them at once.
 
+    Node k's rows are ``order[f, starts[k]:starts[k] + sizes[k]]`` for every
+    feature f, sorted by that feature; ``feats[k]`` are its drawn features in
+    ascending order. Candidates are the midpoints of sorted distinct values
+    that leave ``min_leaf`` rows on each side, scored by weighted Gini
+    impurity (classification) or variance (regression). A node takes its
+    first minimum over (feature, threshold) ascending, so ties go to the
+    smallest feature, then the smallest threshold.
 
-def _split_scores(cut: np.ndarray, ys: np.ndarray, n: int, task: str, n_classes: int) -> np.ndarray:
-    """Weighted impurity of splitting sorted labels ys at each left size in cut."""
-    sizes_l = cut.astype(float)
-    sizes_r = n - sizes_l
-    if task == CLASSIFICATION:
-        onehot = (ys[:, None] == np.arange(n_classes)).astype(np.int64)
-        left = np.cumsum(onehot, axis=0)[cut - 1]
-        right = _class_counts(ys.astype(np.int64), n_classes) - left
-        gini_l = 1.0 - np.sum((left / sizes_l[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / sizes_r[:, None]) ** 2, axis=1)
-        return sizes_l / n * gini_l + sizes_r / n * gini_r
-    csum = np.cumsum(ys)
-    csum2 = np.cumsum(ys * ys)
-    sl, sl2 = csum[cut - 1], csum2[cut - 1]
-    sr, sr2 = csum[-1] - sl, csum2[-1] - sl2
-    var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
-    var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
-    return sizes_l / n * var_l + sizes_r / n * var_r
-
-
-def _best_split(x: np.ndarray, y: np.ndarray, feature_ids, min_leaf: int, task: str, n_classes: int):
-    """Best (feature, threshold) over midpoints of sorted distinct values.
-
-    Returns (score, feature, threshold) or None when no candidate
-    satisfies min_leaf. Features are scanned in ascending index order
-    and only strictly better scores replace the incumbent, so ties go
-    to the smallest feature index, then the smallest threshold.
+    Returns (nodes, features, thresholds) for the nodes with a candidate;
+    a threshold t keeps its left part exactly, as x <= t.
     """
-    n = x.shape[0]
-    best = None
-    for f in sorted(int(f) for f in feature_ids):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left sizes at distinct-value boundaries
-        cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
-        if cut.size == 0:
-            continue
-        scores = _split_scores(cut, y[order], n, task, n_classes)
-        row = int(np.argmin(scores))  # first minimum = smallest threshold
-        if best is None or float(scores[row]) < best[0]:
-            threshold = (xs[cut[row] - 1] + xs[cut[row]]) / 2.0
-            best = (float(scores[row]), f, float(threshold))
-    return best
+    mtry = feats.shape[1]
+    # One segment per (node, drawn feature): node-major, features ascending.
+    lens = np.repeat(sizes, mtry)
+    seg_start = np.cumsum(lens) - lens
+    src = (feats * order.shape[1] + starts[:, None]).ravel()
+    rows = order.ravel()[np.arange(int(lens.sum())) + np.repeat(src - seg_start, lens)]
+    xs = x[rows, np.repeat(feats.ravel(), lens)]
+    ys = y[rows]
 
-
-def _leaf_payload(y: np.ndarray, task: str, n_classes: int) -> dict:
+    cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # flat index of each right part's first row
+    seg = np.searchsorted(seg_start, cut, side="right") - 1
+    left = cut - seg_start[seg]  # 0 where a segment starts: min_leaf drops it
+    size = lens[seg]
+    keep = (left >= min_leaf) & (size - left >= min_leaf)
+    cut, seg, left, size = cut[keep], seg[keep], left[keep], size[keep]
+    if cut.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    base = seg_start[seg]
+    end = base + size
+    sizes_l = left.astype(float)
+    sizes_r = size - sizes_l
     if task == CLASSIFICATION:
-        counts = _class_counts(y.astype(np.int64), n_classes)
-        return {"class": int(np.argmax(counts))}
-    return {"value": float(np.mean(y))}
+        # Per class: its count left of each cut, from one running count.
+        squares_l, squares_r = [], []
+        running = np.zeros(ys.size + 1, dtype=np.int64)
+        for c in range(classes):
+            np.cumsum(ys == c, out=running[1:])
+            at_cut = running[cut]
+            squares_l.append(((at_cut - running[base]) / sizes_l) ** 2)
+            squares_r.append(((running[end] - at_cut) / sizes_r) ** 2)
+        gini_l = 1.0 - np.sum(np.column_stack(squares_l), axis=1)
+        gini_r = 1.0 - np.sum(np.column_stack(squares_r), axis=1)
+        score = sizes_l / size * gini_l + sizes_r / size * gini_r
+    else:
+        # Prefix sums restart at each segment: a running sum minus an offset
+        # would round differently.
+        terms = np.column_stack([ys, ys * ys])
+        sums = np.concatenate([
+            np.cumsum(terms[a:b], axis=0)
+            for a, b in zip(seg_start.tolist(), (seg_start + lens).tolist())
+        ])
+        sl, sl2 = sums[cut - 1].T
+        sr, sr2 = (sums[end - 1] - sums[cut - 1]).T
+        var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
+        var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
+        score = sizes_l / size * var_l + sizes_r / size * var_r
 
-
-def _is_pure(y: np.ndarray) -> bool:
-    return bool(np.all(y == y[0]))
+    score[np.isnan(score)] = np.inf  # from labels whose squares overflow: never the best
+    bounds = np.searchsorted(seg // mtry, np.arange(len(feats) + 1))  # each node's candidates
+    nodes = np.flatnonzero(bounds[1:] > bounds[:-1])
+    runs = bounds[nodes]
+    low = np.repeat(np.minimum.reduceat(score, runs), bounds[nodes + 1] - runs)
+    first = np.minimum.reduceat(np.where(score == low, np.arange(score.size), score.size), runs)
+    lo, hi = xs[cut[first] - 1], xs[cut[first]]
+    # Between adjacent doubles the midpoint can round up to hi, and near the
+    # largest double it overflows; either would send every row left, so
+    # those nodes keep lo.
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return nodes, feats.ravel()[seg[first]], np.where(mid < hi, mid, lo)
 
 
 def train_tree_reduce(
@@ -281,51 +313,140 @@ def train_tree_reduce(
     task: str,
     n_classes: int = 0,
 ) -> TreeModel:
-    """Grow one CART tree from a tree's resampled records.
+    """Grow one CART tree from a tree's resampled records, one level at a time.
 
     At each node, mtry features are drawn without replacement and the
     impurity-minimizing midpoint split is taken (Gini for
     classification, variance for regression); growth stops on purity,
-    max_depth, min_leaf, or when no feature varies. ``key`` is the
+    max_depth, min_leaf, or when no drawn feature varies. ``key`` is the
     root's key; a node's draw depends on its key alone, so regrowing
     from a node's rows with its key and the depth left reproduces its
-    subtree. Nodes are numbered depth-first, left child first.
+    subtree.
+
+    The rows are argsorted once per feature (stably, so ties keep row
+    order). Each level searches all its nodes in one pass over these
+    lists, then regroups every list by child node with one stable sort on
+    the child's slot, which keeps each child's rows sorted. Node ids
+    follow a depth-first walk that visits each left subtree before its
+    right one: the root is 0, and the i-th node to split in that walk
+    (counting from 0) takes ids 2i+1 (left child) and 2i+2 (right child).
+    Features and labels must be finite.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
         raise ParameterError("cannot train a tree on an empty sample")
-    p = x.shape[1]
+    if x.shape[1] == 0:
+        raise ParameterError("cannot train a tree without features")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ParameterError("cannot train a tree on non-finite features or labels")
+    n, p = x.shape
     mtry = min(params.mtry, p)
-    tree = TreeModel(nodes=[{}])
-    # work items: (node index, row subset, depth, node key); right child pushed first
-    stack = [(0, np.arange(x.shape[0]), 0, key)]
-    while stack:
-        node_id, rows, depth, node_key = stack.pop()
-        sub_y = y[rows]
-        can_split = (
-            rows.size >= 2 * params.min_leaf
-            and not _is_pure(sub_y)
-            and (params.max_depth is None or depth < params.max_depth)
+    classes = max(n_classes, int(y.max()) + 1) if task == CLASSIFICATION else 0
+
+    def may_split(sizes, depth):  # min_leaf rows fit on each side, max_depth not reached
+        return (sizes >= 2 * params.min_leaf) & (params.max_depth is None or depth < params.max_depth)
+
+    # The open nodes of a level are those that may split: their indices in
+    # the level, sizes and keys. order[f] holds their rows grouped by node,
+    # each group sorted by feature f.
+    open_ids = np.flatnonzero(may_split(np.array([n]), 0))
+    sizes, keys = np.full(open_ids.size, n), np.full(open_ids.size, key % 2**64, dtype=np.uint64)
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+    node_of_row = np.zeros(n, dtype=np.intp)  # breadth-first index of each row's node
+    levels = []  # per level: (width, split node indices, features, thresholds)
+    internal = []  # breadth-first indices of the split nodes
+    width, first, depth = 1, 0, 0
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        ys = y[order[0]]
+        impure = np.flatnonzero(np.minimum.reduceat(ys, starts) < np.maximum.reduceat(ys, starts))
+        feats = np.sort(_node_features(keys[impure], p, mtry), axis=1)
+        found, feat, threshold = _level_splits(
+            order, starts[impure], sizes[impure], feats, x, y, params.min_leaf, task, classes,
         )
-        split = None
-        if can_split:
-            feature_ids = _node_features(node_key, p, mtry)
-            split = _best_split(x[rows], sub_y, feature_ids, params.min_leaf, task, n_classes)
-        if split is None:
-            tree.nodes[node_id] = _leaf_payload(sub_y, task, n_classes)
-            continue
-        _score, feat, threshold = split
-        mask = x[rows, feat] <= threshold
-        left_id, right_id = len(tree.nodes), len(tree.nodes) + 1
-        tree.nodes += [{}, {}]
-        tree.nodes[node_id] = {
-            "feature": int(feat), "threshold": float(threshold), "left": left_id, "right": right_id,
-        }
-        left_key, right_key = _child_keys(node_key)
-        stack.append((right_id, rows[~mask], depth + 1, right_key))
-        stack.append((left_id, rows[mask], depth + 1, left_key))
-    return tree
+        split = impure[found]  # indices into the open nodes
+        levels.append((width, open_ids[split], feat, threshold))
+        internal.extend((first + open_ids[split]).tolist())
+        if split.size == 0:
+            break
+
+        # Route the split nodes' rows to their children.
+        rank = np.full(open_ids.size, -1)
+        rank[split] = np.arange(split.size)
+        row_rank = np.repeat(rank, sizes)
+        moved = row_rank >= 0
+        rows, r = order[0][moved], row_rank[moved]
+        child = 2 * r + (x[rows, feat[r]] > threshold[r])
+        node_of_row[rows] = first + width + child
+        first, width, depth = first + width, 2 * split.size, depth + 1
+
+        # Children that may split are the next open nodes; regroup the lists by child.
+        child_sizes = np.bincount(child, minlength=width)
+        can_split = may_split(child_sizes, depth)
+        open_ids = np.flatnonzero(can_split)
+        sizes, keys = child_sizes[open_ids], _child_keys(keys[split]).ravel()[open_ids]
+        stays = np.zeros(n, dtype=bool)
+        stays[rows] = can_split[child]
+        slot = np.zeros(n, dtype=np.min_scalar_type(max(open_ids.size - 1, 0)))
+        slot[rows] = (np.cumsum(can_split) - 1)[child]
+        kept = order[stays[order]].reshape(p, -1)
+        regrouped = np.argsort(slot[kept], axis=1, kind="stable")  # radix sort: 8 or 16 bit keys
+        regrouped += np.arange(p)[:, None] * kept.shape[1]
+        order = kept.ravel()[regrouped]
+    is_leaf = np.ones(first + width, dtype=bool)
+    is_leaf[internal] = False
+    return _tree_from_levels(levels, _leaf_payloads(node_of_row, y, np.flatnonzero(is_leaf), task, classes))
+
+
+def _leaf_payloads(node_of_row, y, leaves, task, classes) -> list:
+    """The payloads of the nodes ``leaves`` (ascending breadth-first
+    indices), given the node each row ends in: the majority class, ties to
+    the smallest, or the mean label over the node's rows in row order."""
+    count = int(leaves[-1]) + 1
+    if task == CLASSIFICATION:
+        counts = np.bincount(node_of_row * classes + y.astype(np.intp), minlength=count * classes)
+        return [{"class": c} for c in counts.reshape(count, classes)[leaves].argmax(axis=1).tolist()]
+    bounds = np.cumsum(np.bincount(node_of_row, minlength=count)).tolist()
+    ys = y[np.argsort(node_of_row, kind="stable")]
+    return [
+        {"value": float(np.mean(ys[(bounds[i - 1] if i else 0):bounds[i]]))} for i in leaves.tolist()
+    ]
+
+
+def _tree_from_levels(levels, payloads) -> TreeModel:
+    """Lay out a tree grown level by level in depth-first numbering.
+
+    ``levels`` holds, per level, its width and the indices, features and
+    thresholds of its split nodes; the children of a level's s-th split
+    are nodes 2s and 2s+1 of the next level. ``payloads`` are the leaves'
+    payloads in breadth-first order.
+    """
+    # Bottom up: the splits inside each node's subtree.
+    inside, below = [], np.zeros(0, dtype=np.intp)
+    for width, split, _feat, _threshold in reversed(levels):
+        count = np.zeros(width, dtype=np.intp)
+        count[split] = 1 + below[0::2] + below[1::2]
+        inside.append(count)
+        below = count
+    inside.reverse()
+    # Top down: the splits before each node in depth-first order, and its id.
+    nodes: list = [None] * (1 + 2 * int(inside[0][0]))
+    payloads = iter(payloads)
+    before, ids = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for depth, (width, split, feat, threshold) in enumerate(levels):
+        r = before[split]
+        for i, f, t, left in zip(ids[split].tolist(), feat.tolist(), threshold.tolist(),
+                                 (2 * r + 1).tolist()):
+            nodes[i] = {"feature": f, "threshold": t, "left": left, "right": left + 1}
+        leaves = np.ones(width, dtype=bool)
+        leaves[split] = False
+        for i in ids[leaves].tolist():
+            nodes[i] = next(payloads)
+        if split.size:
+            before = np.column_stack([r + 1, r + 1 + inside[depth + 1][0::2]]).ravel()
+            ids = np.column_stack([2 * r + 1, 2 * r + 2]).ravel()
+    return TreeModel(nodes=nodes)
 
 
 def fit_forest(
@@ -377,7 +498,7 @@ def fit_forest(
     output, stats = run_job(job, np.column_stack([x, y]), config or ClusterConfig())
 
     trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}
-    fallback = _leaf_payload(y, task, n_classes)
+    fallback = _leaf_payloads(np.zeros(n, dtype=np.intp), y, np.zeros(1, dtype=np.intp), task, n_classes)[0]
     trees = [
         trained.get(j, TreeModel(nodes=[dict(fallback)], degenerate=True))
         for j in range(params.trees)

@@ -15,7 +15,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# As numpy scalars, built once: record_uniforms runs once per tree node.
+# As numpy scalars, built once: the array kernel runs once per tree level.
 _U64 = {c: np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, 11)}
 
 
@@ -36,18 +36,24 @@ def record_uniform(seed: int, index: int) -> float:
     return (h >> 11) * 2.0**-53
 
 
-def record_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized ``record_uniform`` for indices start..start+count-1.
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """``splitmix64`` of every element of a uint64 array, as a new array.
 
-    Bit-identical to the scalar version. Array arithmetic on uint64
-    wraps silently, as the mask does in the scalar version.
+    Bit-identical to the scalar version: array arithmetic on uint64 wraps
+    silently, as the mask does there.
     """
-    x = np.arange(start, start + count, dtype=np.uint64)
-    x ^= np.uint64(splitmix64(seed & _MASK64))
-    x += _U64[_GAMMA]
+    x = x + _U64[_GAMMA]
     x ^= x >> _U64[30]
     x *= _U64[_MIX1]
     x ^= x >> _U64[27]
     x *= _U64[_MIX2]
     x ^= x >> _U64[31]
-    return (x >> _U64[11]) * 2.0**-53
+    return x
+
+
+def record_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Vectorized ``record_uniform`` for indices start..start+count-1,
+    bit-identical to the scalar version."""
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x ^= np.uint64(splitmix64(seed & _MASK64))
+    return (splitmix64_array(x) >> _U64[11]) * 2.0**-53

@@ -416,10 +416,24 @@ def test_runstats_as_dict_is_flat():
     [True, False, True],  # bool is an int subclass: sized by the walk
     [1, 2.5, "ab", b"c", (3, 4.0)],
     [],
+    [CallRecord(datetime.date(2024, 1, d), f"06{d:08d}", "07é", 1.5) for d in range(1, 4)],
+    [CallRecord(datetime.date(2024, 1, 1), "06", "07", 2.0), ("a", 1.0), np.ones(3)],
+    [np.ones(2), np.zeros(3)],  # one class with .nbytes
+    [np.float64(1.5), np.float64(2.0)],  # has .nbytes, but sized as a number
 ], ids=["2d", "2d-view", "2d-empty-rows", "tuples", "indexed-rows", "1d",
-        "ints", "floats", "bools", "mixed", "empty"])
+        "ints", "floats", "bools", "mixed", "empty", "calls", "calls-mixed", "arrays",
+        "numpy-floats"])
 def test_dataset_nbytes_equals_the_record_walk(dataset):
     assert engine.dataset_nbytes(dataset) == sum(engine.record_nbytes(r) for r in dataset)
+
+
+def test_call_log_is_sized_without_a_record_walk(monkeypatch):
+    calls = []
+    real = engine.record_nbytes
+    monkeypatch.setattr(engine, "record_nbytes", lambda r: calls.append(r) or real(r))
+    log = [CallRecord(datetime.date(2024, 1, 1), "0612", "0734", 60.0)] * 5
+    assert engine.dataset_nbytes(log) == 5 * (18 + 4 + 4)
+    assert calls == []
 
 
 def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from mrlab.forest import (
     predict_forest,
     train_tree_reduce,
 )
-from mrlab.rng import record_uniforms
+from mrlab.rng import record_uniforms, splitmix64
 
 
 def blobs(seed=0, n_per=1000, spread=0.6):
@@ -280,22 +281,40 @@ def test_regrowing_from_a_node_reproduces_its_subtree(task):
         regrown = train_tree_reduce(x[rows], y[rows], rest, key, task, n_classes)
         assert subtree(regrown, 0) == subtree(tree, node_id)
         mask = x[rows, node["feature"]] <= node["threshold"]
-        left_key, right_key = forest._child_keys(key)
+        left_key, right_key = forest._child_keys(np.array([key], dtype=np.uint64))[0].tolist()
         work.append((node["left"], rows[mask], depth + 1, left_key))
         work.append((node["right"], rows[~mask], depth + 1, right_key))
     assert internal >= 10
 
 
+def first_node_keys(root: int, count: int) -> np.ndarray:
+    """The keys of a tree's first ``count`` nodes, breadth-first, left child first."""
+    keys = np.array([root], dtype=np.uint64)
+    level = keys
+    while keys.size < count:
+        level = forest._child_keys(level).ravel()
+        keys = np.concatenate([keys, level])
+    return keys[:count]
+
+
+def test_array_draws_equal_their_scalar_definition():
+    keys = first_node_keys(forest._growth_key(3, 1), 10_000)
+    children = forest._child_keys(keys)
+    assert children.dtype == np.uint64 and children.shape == (keys.size, 2)
+    for p, mtry in [(1, 1), (4, 2), (7, 7)]:
+        features = forest._node_features(keys, p, mtry)
+        assert features.shape == (keys.size, mtry)
+        for key, (left, right), drawn in zip(keys.tolist(), children.tolist(), features.tolist()):
+            assert (left, right) == (splitmix64(key ^ 1), splitmix64(key ^ 2))
+            assert drawn == np.argsort(record_uniforms(key, 0, p), kind="stable")[:mtry].tolist()
+
+
 @pytest.mark.parametrize("p, mtry", [(4, 2), (5, 3), (3, 1)])
 def test_node_feature_subsets_are_uniform(p, mtry):
     trials = 10_000
-    keys = [forest._growth_key(0, 0)]  # the keys of a tree's first 10^4 nodes
-    for key in keys:
-        if len(keys) >= trials:
-            break
-        keys.extend(forest._child_keys(key))
+    keys = first_node_keys(forest._growth_key(0, 0), trials)
     counts = collections.Counter(
-        tuple(sorted(forest._node_features(key, p, mtry).tolist())) for key in keys[:trials]
+        tuple(sorted(row)) for row in forest._node_features(keys, p, mtry).tolist()
     )
     subsets = list(itertools.combinations(range(p), mtry))
     assert set(counts) == set(subsets)
@@ -303,6 +322,180 @@ def test_node_feature_subsets_are_uniform(p, mtry):
     sigma = math.sqrt(trials * share * (1.0 - share))
     for subset in subsets:
         assert abs(counts[subset] - trials * share) <= 5 * sigma, subset
+
+
+def depth_first_reference(x, y, params, key, task, n_classes=0):
+    """The depth-first grower that level-by-level growth replaced, kept as an
+    oracle: one node at a time from a work stack, each drawn feature sorted
+    and scanned on its own."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = x.shape[1]
+    mtry = min(params.mtry, p)
+
+    def class_counts(labels):
+        return np.bincount(labels.astype(np.int64), minlength=n_classes)
+
+    def split_scores(cut, ys, n):
+        sizes_l = cut.astype(float)
+        sizes_r = n - sizes_l
+        if task == CLASSIFICATION:
+            onehot = (ys[:, None] == np.arange(n_classes)).astype(np.int64)
+            left = np.cumsum(onehot, axis=0)[cut - 1]
+            right = class_counts(ys) - left
+            gini_l = 1.0 - np.sum((left / sizes_l[:, None]) ** 2, axis=1)
+            gini_r = 1.0 - np.sum((right / sizes_r[:, None]) ** 2, axis=1)
+            return sizes_l / n * gini_l + sizes_r / n * gini_r
+        csum = np.cumsum(ys)
+        csum2 = np.cumsum(ys * ys)
+        sl, sl2 = csum[cut - 1], csum2[cut - 1]
+        sr, sr2 = csum[-1] - sl, csum2[-1] - sl2
+        var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
+        var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
+        return sizes_l / n * var_l + sizes_r / n * var_r
+
+    def best_split(xs_all, ys_all, feature_ids):
+        n = xs_all.shape[0]
+        best = None
+        for f in sorted(int(f) for f in feature_ids):
+            order = np.argsort(xs_all[:, f], kind="stable")
+            xs = xs_all[order, f]
+            cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1
+            cut = cut[(cut >= params.min_leaf) & (n - cut >= params.min_leaf)]
+            if cut.size == 0:
+                continue
+            scores = split_scores(cut, ys_all[order], n)
+            row = int(np.argmin(scores))
+            if best is None or float(scores[row]) < best[0]:
+                best = (float(scores[row]), f, float((xs[cut[row] - 1] + xs[cut[row]]) / 2.0))
+        return best
+
+    nodes = [{}]
+    stack = [(0, np.arange(x.shape[0]), 0, key)]
+    while stack:
+        node_id, rows, depth, node_key = stack.pop()
+        sub_y = y[rows]
+        split = None
+        if (rows.size >= 2 * params.min_leaf and not np.all(sub_y == sub_y[0])
+                and (params.max_depth is None or depth < params.max_depth)):
+            drawn = np.argsort(record_uniforms(node_key, 0, p), kind="stable")[:mtry]
+            split = best_split(x[rows], sub_y, drawn)
+        if split is None:
+            if task == CLASSIFICATION:
+                nodes[node_id] = {"class": int(np.argmax(class_counts(sub_y)))}
+            else:
+                nodes[node_id] = {"value": float(np.mean(sub_y))}
+            continue
+        _score, feat, threshold = split
+        mask = x[rows, feat] <= threshold
+        left_id, right_id = len(nodes), len(nodes) + 1
+        nodes += [{}, {}]
+        nodes[node_id] = {"feature": feat, "threshold": threshold, "left": left_id, "right": right_id}
+        stack.append((right_id, rows[~mask], depth + 1, splitmix64(node_key ^ 2)))
+        stack.append((left_id, rows[mask], depth + 1, splitmix64(node_key ^ 1)))
+    return TreeModel(nodes=nodes)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_level_growth_equals_the_depth_first_reference(task):
+    # Rounded features tie often; up to 10 classes sums Gini terms pairwise.
+    rng = np.random.default_rng(2024 if task == CLASSIFICATION else 2025)
+    for case in range(120):
+        n, p = int(rng.integers(1, 150)), int(rng.integers(1, 6))
+        x = np.round(rng.normal(size=(n, p)) * 3, int(rng.integers(0, 3)))
+        if task == CLASSIFICATION:
+            n_classes = int(rng.integers(1, 11))
+            y = rng.integers(0, n_classes, n).astype(float)
+        else:
+            n_classes = 0
+            y = np.round(rng.normal(size=n) * 5, int(rng.integers(0, 4)))
+        params = ForestParams(
+            trees=1, sample_size=n, mtry=int(rng.integers(1, p + 1)),
+            max_depth=[None, 0, 1, 3][case % 4], min_leaf=int(rng.integers(1, 5)),
+        )
+        key = int(rng.integers(0, 2**63))
+        grown = train_tree_reduce(x, y, params, key, task, n_classes)
+        reference = depth_first_reference(x, y, params, key, task, n_classes)
+        assert forest.tree_to_bytes(grown) == forest.tree_to_bytes(reference), case
+
+
+# SHA-256 of fit_forest(...).to_json(), recorded from the depth-first grower.
+FIT_DIGESTS = {
+    CLASSIFICATION: "5c0483089c78fe8ba93307d4b67b13b59cc0a8959078811ba09b8e2e89157dd4",
+    REGRESSION: "f071def1a011357404ed8282f2a616257ab2f8651ded6feab8ac35f247ddc140",
+}
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_fitted_forests_are_pinned(task):
+    if task == CLASSIFICATION:
+        x, y = blobs(seed=11, n_per=150)
+        model, _ = fit_forest(np.round(x, 2), y, ForestParams(trees=6, sample_size=300, mtry=1, seed=3))
+    else:
+        rng = np.random.default_rng(5)
+        x = np.round(rng.normal(size=(250, 3)), 2)
+        y = 2.0 * x[:, 0] - x[:, 1] ** 2 + np.round(rng.normal(scale=0.3, size=250), 3)
+        params = ForestParams(trees=6, sample_size=250, mtry=2, min_leaf=2, seed=8)
+        model, _ = fit_forest(x, y, params, REGRESSION)
+    assert hashlib.sha256(model.to_json().encode("utf-8")).hexdigest() == FIT_DIGESTS[task]
+
+
+def test_chain_tree_grows_and_reports_its_depth():
+    # Every split peels one row off the alternating half: 999 levels deep.
+    x = np.arange(2000.0)[:, None]
+    y = np.zeros(2000)
+    y[1000:] = np.arange(1000) % 2
+    params = ForestParams(trees=1, sample_size=2000, mtry=1)
+    tree = train_tree_reduce(x, y, params, 3, CLASSIFICATION, 2)
+    assert len(tree.nodes) == 1999
+    assert tree.depth() == 999
+
+
+def test_split_between_adjacent_doubles_separates_them():
+    # (b + c) / 2 rounds to c: a threshold of c would send every row left
+    # and the same split would repeat below it without end.
+    a = 1.0
+    b = float(np.nextafter(a, 2.0))
+    c = float(np.nextafter(b, 2.0))
+    x = np.array([[a], [b], [c], [c]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    tree = train_tree_reduce(x, y, ForestParams(trees=1, sample_size=4, mtry=1), 5, CLASSIFICATION, 2)
+    thresholds = sorted(node["threshold"] for node in tree.nodes if "feature" in node)
+    assert thresholds == [a, b]
+
+
+def test_midpoint_overflow_keeps_the_lower_value():
+    x = np.array([[1.0e308], [1.7e308]])
+    tree = train_tree_reduce(x, np.array([0.0, 1.0]), ForestParams(trees=1, sample_size=2, mtry=1),
+                             5, CLASSIFICATION, 2)
+    assert tree.nodes[0]["threshold"] == 1.0e308
+    assert [tree.predict(row) for row in x] == [0, 1]
+
+
+def test_labels_whose_squares_overflow_still_train():
+    x = np.arange(6.0)[:, None]
+    y = np.array([1e200, -1e200, 3e200, 0.0, 2e200, 1.0])
+    params = ForestParams(trees=1, sample_size=6, mtry=1, max_depth=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the variances overflow
+        tree = train_tree_reduce(x, y, params, 5, REGRESSION)
+    assert tree.depth() <= 2 and "feature" in tree.nodes[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sample_rejected(bad):
+    params = ForestParams(trees=1, sample_size=3, mtry=1)
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ParameterError):
+        train_tree_reduce(np.where(x == 1.0, bad, x), y, params, 0, REGRESSION)
+    with pytest.raises(ParameterError):
+        train_tree_reduce(x, np.where(y == 1.0, bad, y), params, 0, REGRESSION)
+
+
+def test_featureless_sample_rejected():
+    params = ForestParams(trees=1, sample_size=3, mtry=1)
+    with pytest.raises(ParameterError):
+        train_tree_reduce(np.zeros((3, 0)), np.array([0.0, 1.0, 1.0]), params, 0, CLASSIFICATION, 2)
 
 
 def test_empty_sample_rejected():
