@@ -2,9 +2,11 @@
 
 These are the smallest real jobs the engine runs and double as its
 integration tests: group durations by date, count calls per (date,
-caller), count token occurrences. Each mapper folds its split into one
-partial per distinct key, a count or a ``numerics.partial_sum`` of
-(duration, 1) rows: in-mapper combining, so the jobs need no combiner.
+caller), count token occurrences. The call jobs read a ``CallLog``, the
+log held as columns, and their mappers fold a split's columns. Each
+mapper emits one partial per distinct key in its split, a count or a
+``numerics.partial_sum`` of (duration, 1) rows: in-mapper combining, so
+the jobs need no combiner.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import datetime
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dataio import read_csv_rows
 from .encoding import count_value, f64s_value, parse_count, parse_f64s, split_text_key, text_key
@@ -37,6 +40,38 @@ class CallRecord:
         return 18 + len(self.caller.encode("utf-8")) + len(self.callee.encode("utf-8"))
 
 
+@dataclass(frozen=True)
+class CallLog(Sequence):
+    """A call log as columns, one entry per call in log order.
+
+    ``dates`` hold ISO date strings (YYYY-MM-DD). A slice is a CallLog of
+    the sliced rows; an index gives that row as a CallRecord.
+    """
+
+    dates: tuple[str, ...] = ()
+    callers: tuple[str, ...] = ()
+    callees: tuple[str, ...] = ()
+    durations: tuple[float, ...] = ()
+
+    @classmethod
+    def from_records(cls, records: Iterable[CallRecord]) -> "CallLog":
+        return cls(*zip(*((r.date.isoformat(), r.caller, r.callee, r.duration) for r in records)))
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CallLog(self.dates[index], self.callers[index], self.callees[index], self.durations[index])
+        return CallRecord(datetime.date.fromisoformat(self.dates[index]), self.callers[index],
+                          self.callees[index], self.durations[index])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes read: the sum of its rows' ``CallRecord.nbytes``."""
+        return 18 * len(self) + len("".join(self.callers + self.callees).encode("utf-8"))
+
+
 def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
     if len(fields) != 4:
         raise RowParseError(line, f"expected 4 fields, got {len(fields)}")
@@ -56,24 +91,55 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
     return CallRecord(date, caller, callee, duration)
 
 
-def read_call_csv(path) -> list[CallRecord]:
-    """Load a call log: header date,caller,callee,duration, ISO dates."""
+def _call_columns(rows: list[list[str]]) -> Optional[CallLog]:
+    """The log of rows that ``parse_call_row`` accepts every one of, parsed
+    a column at a time and each distinct date string once; None if any row
+    is malformed or there are none."""
+    if set(map(len, rows)) != {4}:
+        return None
+    raw_dates, callers, callees, raw_durations = zip(*rows)
+    try:
+        iso = {s: datetime.date.fromisoformat(s.strip()).isoformat() for s in set(raw_dates)}
+        durations = tuple(map(float, map(str.strip, raw_durations)))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, durations)) or min(durations) < 0:
+        return None
+    return CallLog(tuple(map(iso.__getitem__, raw_dates)), tuple(map(str.strip, callers)),
+                   tuple(map(str.strip, callees)), durations)
+
+
+def read_call_csv(path) -> CallLog:
+    """Load a call log: header date,caller,callee,duration, ISO dates.
+
+    Dates are kept in canonical form, so ``20240101`` reads as
+    ``2024-01-01``. A malformed file raises the RowParseError that
+    ``parse_call_row`` gives its first bad row.
+    """
     header, rows, lines = read_csv_rows(path)
     if tuple(h.strip().lower() for h in header) != CALL_HEADER:
         raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
-    return [parse_call_row(row, line) for row, line in zip(rows, lines)]
+    log = _call_columns(rows)
+    if log is None:  # parse row by row, to name the first bad row
+        log = CallLog.from_records(parse_call_row(row, line) for row, line in zip(rows, lines))
+    return log
+
+
+def _as_log(records: Sequence[CallRecord] | CallLog) -> CallLog:
+    return records if isinstance(records, CallLog) else CallLog.from_records(records)
 
 
 def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
-    return [KeyValue(key, count_value(sum(parse_count(v) for v in values)))]
+    return [KeyValue(key, count_value(sum(map(parse_count, values))))]
 
 
 def avg_duration_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[KeyValue]:
-        rows: dict[datetime.date, list[tuple[float, float]]] = {}  # (duration, 1) per call
-        for record in split.records:
-            rows.setdefault(record.date, []).append((record.duration, 1.0))
-        return [partial_sum(text_key(date.isoformat()), r) for date, r in rows.items()]
+        log = split.records
+        rows: dict[str, list[tuple[float, float]]] = {}  # (duration, 1) per call
+        for date, duration in zip(log.dates, log.durations):
+            rows.setdefault(date, []).append((duration, 1.0))
+        return [partial_sum(text_key(date), r) for date, r in rows.items()]
 
     def reducer(key, values):
         total, count = sum_partials(values)
@@ -83,31 +149,33 @@ def avg_duration_job() -> JobSpec:
 
 
 def avg_duration_by_date(
-    records: Sequence[CallRecord], config: Optional[ClusterConfig] = None,
+    records: Sequence[CallRecord] | CallLog, config: Optional[ClusterConfig] = None,
 ) -> tuple[list[tuple[str, tuple[float, int]]], RunStats]:
     """Mean call duration per date, with the call count alongside."""
-    if not records:
+    log = _as_log(records)
+    if not log:
         return [], RunStats()
-    output, stats = run_job(avg_duration_job(), records, config or ClusterConfig())
+    output, stats = run_job(avg_duration_job(), log, config or ClusterConfig())
     means = [(split_text_key(key)[0], parse_f64s(value)) for key, value in output]
     return [(date, (float(mean), int(count))) for date, (mean, count) in means], stats
 
 
 def calls_per_caller_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[KeyValue]:
-        counts = Counter((record.date, record.caller) for record in split.records)
-        return [KeyValue(text_key(d.isoformat(), c), count_value(n)) for (d, c), n in counts.items()]
+        counts = Counter(zip(split.records.dates, split.records.callers))
+        return [KeyValue(text_key(d, c), count_value(n)) for (d, c), n in counts.items()]
 
     return JobSpec(mapper, _count_reduce)
 
 
 def calls_per_date_number(
-    records: Sequence[CallRecord], config: Optional[ClusterConfig] = None,
+    records: Sequence[CallRecord] | CallLog, config: Optional[ClusterConfig] = None,
 ) -> tuple[list[tuple[tuple[str, str], int]], RunStats]:
     """Number of calls placed per (date, caller number)."""
-    if not records:
+    log = _as_log(records)
+    if not log:
         return [], RunStats()
-    output, stats = run_job(calls_per_caller_job(), records, config or ClusterConfig())
+    output, stats = run_job(calls_per_caller_job(), log, config or ClusterConfig())
     return [(split_text_key(k), parse_count(v)) for k, v in output], stats
 
 

@@ -134,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calls_avg(args, config):
-    records = read_call_csv(args.input)
-    result, stats = avg_duration_by_date(records, config)
+    log = read_call_csv(args.input)
+    result, stats = avg_duration_by_date(log, config)
     return {"means": [[date, mean, count] for date, (mean, count) in result]}, stats, 0
 
 
 def _cmd_calls_count(args, config):
-    records = read_call_csv(args.input)
-    result, stats = calls_per_date_number(records, config)
+    log = read_call_csv(args.input)
+    result, stats = calls_per_date_number(log, config)
     return {"counts": [[date, caller, n] for (date, caller), n in result]}, stats, 0
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FIELD_SEP = b"\x1f"
+_TEXT_SEP = FIELD_SEP.decode()
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -31,12 +32,15 @@ def text_key(*fields: str) -> bytes:
 
     A lone surrogate, which strict UTF-8 cannot encode, passes through as
     its three-byte form, so every str round-trips through split_text_key.
+    UTF-8 encodes each code point alone, so the joined text is encoded in
+    one call.
     """
-    return FIELD_SEP.join(f.encode("utf-8", "surrogatepass") for f in fields)
+    return _TEXT_SEP.join(fields).encode("utf-8", "surrogatepass")
 
 
 def split_text_key(key: bytes) -> tuple[str, ...]:
-    return tuple(f.decode("utf-8", "surrogatepass") for f in key.split(FIELD_SEP))
+    # The byte 0x1F occurs in UTF-8 only as the code point U+001F.
+    return tuple(key.decode("utf-8", "surrogatepass").split(_TEXT_SEP))
 
 
 def u32_key(value: int) -> bytes:

@@ -17,6 +17,7 @@ round, memory-resident rounds read once and keep state live.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
@@ -41,12 +42,12 @@ class KeyValue(NamedTuple):
 class InputSplit:
     """A contiguous slice of the source dataset assigned to one mapper.
 
-    ``records`` is a view of the rows when the dataset is a numpy array,
-    else a tuple of the records.
+    ``records`` is the dataset's own slice (a view of the rows of a numpy
+    array, a columnar log's sub-log), or a tuple where the slice is a list.
     """
 
     split_id: int
-    records: tuple | np.ndarray
+    records: Sequence
     origin_range: tuple[int, int]  # (first, last) source indices, inclusive
 
 
@@ -137,11 +138,15 @@ def record_nbytes(record: Any) -> int:
 
 def dataset_nbytes(dataset: Sequence) -> int:
     """Bytes charged for reading a dataset: the sum of ``record_nbytes``
-    over its records, taken as ``.nbytes`` for a 2-D array of rows, as 8 a
-    record when every record is exactly an int or a float, and as the sum
-    of ``.nbytes`` when every record is of one class that defines it and
-    that ``record_nbytes`` does not size by another rule."""
-    if isinstance(dataset, np.ndarray) and dataset.ndim == 2:
+    over its records, taken as ``.nbytes`` for a 2-D array of rows and for
+    a dataset other than an array that defines it (a columnar log sizes
+    itself), as 8 a record when every record is exactly an int or a float,
+    and as the sum of ``.nbytes`` when every record is of one class that
+    defines it and that ``record_nbytes`` does not size by another rule."""
+    if isinstance(dataset, np.ndarray):
+        if dataset.ndim == 2:
+            return dataset.nbytes
+    elif hasattr(dataset, "nbytes"):
         return dataset.nbytes
     kinds = set(map(type, dataset))
     if kinds <= {int, float}:
@@ -157,9 +162,9 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     """Cut the dataset into contiguous splits of near-equal size.
 
     Sizes differ by at most one: the first (n mod s) splits take the
-    extra record. num_splits larger than the dataset is clamped. A numpy
-    dataset is split into views of its rows; any other sequence into
-    tuples.
+    extra record. num_splits larger than the dataset is clamped. Each
+    split holds the dataset's own slice (a numpy array's view of its rows,
+    a columnar log's sub-log), made a tuple where the slice is a list.
     """
     n = len(dataset)
     if n == 0:
@@ -174,7 +179,7 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
         size = base + (1 if sid < extra else 0)
         stop = start + size
         rows = dataset[start:stop]
-        if not isinstance(rows, np.ndarray):
+        if isinstance(rows, list):
             rows = tuple(rows)
         splits.append(InputSplit(sid, rows, (start, stop - 1)))
         start = stop
@@ -198,7 +203,7 @@ def shuffle(emitted: Sequence[Sequence[KeyValue]]) -> list[tuple[bytes, list[byt
 def _charge_write(stats: RunStats, pairs: Sequence[KeyValue]) -> None:
     """Charge writing these pairs: one record and key plus value bytes each."""
     stats.records_written += len(pairs)
-    stats.bytes_written += sum(len(k) + len(v) for k, v in pairs)
+    stats.bytes_written += sum(map(len, itertools.chain.from_iterable(pairs)))
 
 
 def per_record(fn: Callable[[Any], Iterable[KeyValue]]) -> Mapper:

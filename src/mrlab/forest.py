@@ -278,19 +278,21 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
         score = sizes_l / size * gini_l + sizes_r / size * gini_r
     else:
         # Prefix sums restart at each segment: a running sum minus an offset
-        # would round differently.
-        terms = np.column_stack([ys, ys * ys])
-        sums = np.concatenate([
-            np.cumsum(terms[a:b], axis=0)
-            for a, b in zip(seg_start.tolist(), (seg_start + lens).tolist())
-        ])
-        sl, sl2 = sums[cut - 1].T
-        sr, sr2 = (sums[end - 1] - sums[cut - 1]).T
-        var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
-        var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
-        score = sizes_l / size * var_l + sizes_r / size * var_r
+        # would round differently. Labels beyond about 1e154 overflow their
+        # squares; the nan scores that follow are dropped below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.column_stack([ys, ys * ys])
+            sums = np.concatenate([
+                np.cumsum(terms[a:b], axis=0)
+                for a, b in zip(seg_start.tolist(), (seg_start + lens).tolist())
+            ])
+            sl, sl2 = sums[cut - 1].T
+            sr, sr2 = (sums[end - 1] - sums[cut - 1]).T
+            var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
+            var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
+            score = sizes_l / size * var_l + sizes_r / size * var_r
 
-    score[np.isnan(score)] = np.inf  # from labels whose squares overflow: never the best
+    score[np.isnan(score)] = np.inf  # never the best
     bounds = np.searchsorted(seg // mtry, np.arange(len(feats) + 1))  # each node's candidates
     nodes = np.flatnonzero(bounds[1:] > bounds[:-1])
     runs = bounds[nodes]

@@ -1,15 +1,19 @@
 import collections
 import datetime
+import itertools
 
 import pytest
 
 from mrlab.aggregates import (
+    CallLog,
     CallRecord,
     avg_duration_by_date,
     calls_per_date_number,
+    parse_call_row,
     read_call_csv,
     word_count,
 )
+from mrlab.dataio import read_csv_rows
 from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
@@ -139,8 +143,9 @@ def test_read_call_csv_roundtrip(tmp_path):
         "2024-01-01,0601,0701,60\n"
         "2024-01-02,0602,0702,2.5\n"
     )
-    records = read_call_csv(p)
-    assert records == [
+    log = read_call_csv(p)
+    assert isinstance(log, CallLog)
+    assert list(log) == [
         CallRecord(D1, "0601", "0701", 60.0),
         CallRecord(D2, "0602", "0702", 2.5),
     ]
@@ -177,3 +182,54 @@ def test_duration_nan_rejected(tmp_path):
     p.write_text("date,caller,callee,duration\n2024-01-01,a,b,nan\n")
     with pytest.raises(RowParseError):
         read_call_csv(p)
+
+
+def test_non_canonical_iso_dates_key_as_their_canonical_form(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text(
+        "date,caller,callee,duration\n"
+        "2024-01-01,a,b,1\n"
+        "20240101,a,b,2\n"
+        " 2024-01-01 ,a,b,3\n"
+    )
+    log = read_call_csv(p)
+    assert log.dates == ("2024-01-01",) * 3
+    assert calls_per_date_number(log)[0] == [(("2024-01-01", "a"), 3)]
+    assert avg_duration_by_date(log)[0] == [("2024-01-01", (2.0, 3))]
+
+
+BAD_ROWS = {
+    "date": "2024-13-01,a,b,1",
+    "duration": "2024-01-01,a,b,ten",
+    "nan": "2024-01-01,a,b,nan",
+    "inf": "2024-01-01,a,b,inf",
+    "negative": "2024-01-01,a,b,-3",
+    "fields": "2024-01-01,a,b",
+}
+
+
+def row_by_row_error(path):
+    """The (line, message) of the first row that ``parse_call_row`` rejects."""
+    _, rows, lines = read_csv_rows(path)
+    for row, line in zip(rows, lines):
+        try:
+            parse_call_row(row, line)
+        except RowParseError as err:
+            return err.row, str(err)
+    return None
+
+
+@pytest.mark.parametrize("kinds", list(itertools.permutations(BAD_ROWS, 3))[::7])
+def test_read_call_csv_names_the_first_bad_row_in_file_order(tmp_path, kinds):
+    # Good rows before, between and after the bad ones, and a quoted field
+    # spanning two lines, so rows and file lines differ.
+    good = ['2024-01-02,"x\ny",b,5', "2024-01-03,a,b,6"]
+    rows = good + [row for kind in kinds for row in (BAD_ROWS[kind], good[1])]
+    p = tmp_path / "calls.csv"
+    p.write_text("date,caller,callee,duration\n" + "\n".join(rows) + "\n")
+    expected = row_by_row_error(p)
+    assert expected is not None
+    with pytest.raises(RowParseError) as err:
+        read_call_csv(p)
+    assert (err.value.row, str(err.value)) == expected
+    assert expected[0] == 5  # the header, two lines of the quoted row, a good row

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -394,6 +395,37 @@ def test_report_bytes_stable_across_runs(calls_csv, capsys):
     _, first, _ = run_cli(["calls-avg", calls_csv, "--splits", "4"], capsys)
     _, second, _ = run_cli(["calls-avg", calls_csv, "--splits", "4"], capsys)
     assert first == second
+
+
+def write_seeded_calls(path, seed=10, rows=400):
+    """A call file with fractional durations, a non-ASCII caller, and
+    dates in canonical and non-canonical ISO forms."""
+    rng = np.random.default_rng(seed)
+    dates = ["2024-02-01", "2024-02-02", "20240202", " 2024-02-03", "2024-02-04 ", "2024-02-05"]
+    callers = ["0601", "0602", "06é3", "0604", "0605", "0606"]
+    lines = ["date,caller,callee,duration"] + [
+        f"{dates[d]},{callers[a]},07{b:02d},{s / 1000!r}"
+        for d, a, b, s in zip(*(rng.integers(0, top, rows).tolist()
+                                for top in (len(dates), len(callers), 30, 3_600_000)))
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# SHA-256 of the call reports on write_seeded_calls's file, recorded before
+# the call log was read into columns.
+CALL_REPORT_DIGESTS = {
+    "calls-avg": "75054be773e76b00a36b3909328b528e105b8da36fc9999f5c7a36b6568559e7",
+    "calls-count": "81c391e65aa998b62c2ed48a26680fa911eb33e6d27d698f9685174c8c0d0454",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CALL_REPORT_DIGESTS))
+def test_call_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    write_seeded_calls(tmp_path / "calls.csv")
+    code, out, _ = run_cli([command, "calls.csv", "--splits", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CALL_REPORT_DIGESTS[command]
 
 
 def test_sequential_env_matches_parallel(numbers_csv, capsys, monkeypatch):

@@ -26,6 +26,18 @@ def test_text_key_roundtrips_any_fields(fields):
     assert encoding.split_text_key(encoding.text_key(*fields)) == tuple(fields)
 
 
+_WITH_SURROGATES = st.one_of(st.characters(exclude_characters="\x1f"),
+                             st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+
+
+@given(st.lists(st.text(alphabet=_WITH_SURROGATES, max_size=8), min_size=1, max_size=4))
+def test_text_key_equals_the_field_by_field_encoding(fields):
+    # each field's bytes, joined by the separator, lone surrogates included
+    key = encoding.text_key(*fields)
+    assert key == b"\x1f".join(f.encode("utf-8", "surrogatepass") for f in fields)
+    assert encoding.split_text_key(key) == tuple(fields)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_u32_key_order_matches_numeric_order(a, b):
     assert (encoding.u32_key(a) < encoding.u32_key(b)) == (a < b)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mrlab import engine
-from mrlab.aggregates import CallRecord
+from mrlab.aggregates import CallLog, CallRecord, avg_duration_by_date, calls_per_date_number
 from mrlab.encoding import count_value, f64s_value, parse_count, parse_f64s
 from mrlab.engine import (
     ClusterConfig, InputSplit, JobSpec, KeyValue, partition, per_record, run_iterative, run_job, shuffle,
@@ -418,11 +418,14 @@ def test_runstats_as_dict_is_flat():
     [],
     [CallRecord(datetime.date(2024, 1, d), f"06{d:08d}", "07é", 1.5) for d in range(1, 4)],
     [CallRecord(datetime.date(2024, 1, 1), "06", "07", 2.0), ("a", 1.0), np.ones(3)],
+    CallLog.from_records(
+        CallRecord(datetime.date(2024, 1, d), f"06é{d}", "07é", 1.5) for d in range(1, 5)
+    ),
     [np.ones(2), np.zeros(3)],  # one class with .nbytes
     [np.float64(1.5), np.float64(2.0)],  # has .nbytes, but sized as a number
 ], ids=["2d", "2d-view", "2d-empty-rows", "tuples", "indexed-rows", "1d",
-        "ints", "floats", "bools", "mixed", "empty", "calls", "calls-mixed", "arrays",
-        "numpy-floats"])
+        "ints", "floats", "bools", "mixed", "empty", "calls", "calls-mixed", "call-log",
+        "arrays", "numpy-floats"])
 def test_dataset_nbytes_equals_the_record_walk(dataset):
     assert engine.dataset_nbytes(dataset) == sum(engine.record_nbytes(r) for r in dataset)
 
@@ -431,9 +434,29 @@ def test_call_log_is_sized_without_a_record_walk(monkeypatch):
     calls = []
     real = engine.record_nbytes
     monkeypatch.setattr(engine, "record_nbytes", lambda r: calls.append(r) or real(r))
-    log = [CallRecord(datetime.date(2024, 1, 1), "0612", "0734", 60.0)] * 5
-    assert engine.dataset_nbytes(log) == 5 * (18 + 4 + 4)
+    records = [CallRecord(datetime.date(2024, 1, 1), "0612", "0734", 60.0)] * 5
+    assert engine.dataset_nbytes(records) == 5 * (18 + 4 + 4)
+    assert engine.dataset_nbytes(CallLog.from_records(records)) == 5 * (18 + 4 + 4)
     assert calls == []
+
+
+def test_partition_keeps_a_call_log_columnar(call_corpus):
+    log = CallLog.from_records(call_corpus)
+    splits = partition(log, 3)
+    assert all(type(s.records) is CallLog for s in splits)
+    assert [r for s in splits for r in s.records] == call_corpus
+    assert sum(s.records.nbytes for s in splits) == log.nbytes
+
+
+@pytest.mark.parametrize("splits", [1, 2, 3, 8])
+@pytest.mark.parametrize("job", [avg_duration_by_date, calls_per_date_number])
+def test_call_jobs_agree_on_records_and_their_log(call_corpus, job, splits):
+    config = ClusterConfig(num_splits=splits)
+    from_records = job(call_corpus, config)
+    from_log = job(CallLog.from_records(call_corpus), config)
+    assert from_records[0] == from_log[0]
+    assert from_records[1].as_dict() == from_log[1].as_dict()
+    assert from_log[1].bytes_read == sum(r.nbytes for r in call_corpus)
 
 
 def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):

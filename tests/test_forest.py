@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,9 +477,20 @@ def test_labels_whose_squares_overflow_still_train():
     x = np.arange(6.0)[:, None]
     y = np.array([1e200, -1e200, 3e200, 0.0, 2e200, 1.0])
     params = ForestParams(trees=1, sample_size=6, mtry=1, max_depth=2)
-    with np.errstate(over="ignore", invalid="ignore"):  # the variances overflow
-        tree = train_tree_reduce(x, y, params, 5, REGRESSION)
+    tree = train_tree_reduce(x, y, params, 5, REGRESSION)
     assert tree.depth() <= 2 and "feature" in tree.nodes[0]
+
+
+def test_labels_whose_squares_overflow_train_without_warnings():
+    # The variances overflow; that must not reach a caller that turns
+    # warnings into errors. The digest was recorded with the warnings suppressed.
+    x = np.arange(6.0)[:, None]
+    y = np.array([1e200, -1e200, 3e200, 0.0, 2e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, _ = fit_forest(x, y, ForestParams(trees=3, sample_size=6, mtry=1, seed=4), REGRESSION)
+    digest = hashlib.sha256(model.to_json().encode("utf-8")).hexdigest()
+    assert digest == "15837a213ff94fd8c5de67b3b8d41a2c740f41d0601c6b66d23ead9f41ecf6dd"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
