@@ -7,7 +7,9 @@ reports double as reproduction artifacts.
 
 Exit codes: 0 success; 1 algorithmic failure (singular system,
 divergence, failed scan sample, job crash); 2 usage errors, missing
-files and malformed input.
+files, an unwritable --out path and malformed input. The report is
+written to --out before stdout, so a report that cannot be saved is not
+printed either.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _cmd_sample(args, config):
     elif args.method == "sort":
         sample, stats = sort_sample(rows, args.n, args.seed, config)
     else:
-        scan, stats = scan_srs(rows, args.n, args.delta, args.seed)
+        scan, stats = scan_srs(rows, args.n, args.delta, args.seed, config)
         sample = scan.sample
         result.update(
             success=scan.success,
@@ -323,30 +325,27 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         result, stats, exit_code = _HANDLERS[args.command](args, _config(args))
-    except (RowParseError, ParameterError, EmptyInputError) as err:
-        print(f"mrlab: {args.command}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        report = {
+            "schema": SCHEMA_VERSION,
+            "command": list(argv),
+            "config": {
+                "splits": args.splits,
+                "mode": args.mode,
+                "seed": args.seed,
+            },
+            "stats": stats.as_dict(),
+            "result": result,
+        }
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+    except (RowParseError, ParameterError, EmptyInputError, OSError) as err:
         print(f"mrlab: {args.command}: {err}", file=sys.stderr)
         return 2
     except (SingularMatrixError, DivergenceError, JobExecutionError) as err:
         print(f"mrlab: {args.command}: {err}", file=sys.stderr)
         return 1
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": list(argv),
-        "config": {
-            "splits": args.splits,
-            "mode": args.mode,
-            "seed": args.seed,
-        },
-        "stats": stats.as_dict(),
-        "result": result,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
     return exit_code
 
 

@@ -129,6 +129,24 @@ def test_sample_scan_failure_exits_one(numbers_csv, capsys):
     assert "fewer than n=20" in err
 
 
+def test_sample_scan_ledger_comes_from_its_job(numbers_csv, capsys):
+    path = numbers_csv("rows.csv", ["v"], [[i] for i in range(500)])
+    reports = {}
+    for splits in (1, 2, 3, 7):
+        for mode in ("disk", "memory"):
+            argv = ["sample", path, "--method", "scan", "--n", "10", "--splits", str(splits), "--mode", mode]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            reports[splits, mode] = report_of(out)
+    rows = reports[1, "disk"]["result"]["rows"]
+    for (_splits, mode), report in reports.items():
+        result, stats = report["result"], report["stats"]
+        assert result["rows"] == rows
+        assert stats["records_shuffled"] == result["candidates"]
+        # a disk-mode job also writes its map output
+        assert stats["records_written"] == result["candidates"] * (2 if mode == "disk" else 1)
+
+
 def test_kmeans_report_and_artifacts(numbers_csv, tmp_path, capsys):
     path = numbers_csv("points.csv", ["x", "y"], [[0, 0], [0, 2], [10, 0], [10, 2]])
     centers_out = tmp_path / "centers.csv"
@@ -442,6 +460,17 @@ def test_out_file_matches_stdout(calls_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     _, out, _ = run_cli(["calls-avg", calls_csv, "--out", str(out_path)], capsys)
     assert out_path.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_path_exits_two_and_prints_no_report(numbers_csv, tmp_path, capsys):
+    path = numbers_csv("n.csv", ["v"], [[1], [2], [3]])
+    out_path = tmp_path / "no" / "such" / "dir" / "r.json"
+    code, out, err = run_cli(["sample", path, "--n", "2", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mrlab: sample: ")
+    assert str(out_path) in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("module", ["mrlab", "mrlab.cli"])

@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import strategies as st
 from mrlab import sampling
 from mrlab.engine import ClusterConfig
 from mrlab.errors import ParameterError
+from mrlab.rng import record_uniform
 from mrlab.sampling import (
-    ScanState,
+    ScanResult,
     bernstein_thresholds,
     reservoir_sample,
     scan_srs,
-    scan_srs_indices,
-    scan_srs_stream,
     sort_sample,
 )
 
@@ -97,6 +98,11 @@ def test_sort_sample_split_layout_invariant():
     for splits in (2, 4, 8):
         got, _ = sort_sample(data, 6, seed=11, config=ClusterConfig(num_splits=splits))
         assert got == expected
+    expected_scan, _ = scan_srs(data, 6, 0.5, seed=11, config=ClusterConfig(num_splits=1))
+    assert expected_scan.success
+    for splits in (2, 3, 7, 8, 13):
+        got, _ = scan_srs(data, 6, 0.5, seed=11, config=ClusterConfig(num_splits=splits))
+        assert got == expected_scan
 
 
 @given(
@@ -157,23 +163,56 @@ def test_thresholds_domain_errors(n, N, delta):
 # ------------------------------------------------------------------ ScanSRS
 
 
-def test_scan_state_routing():
-    state = ScanState(n=2, q1=0.3, q2=0.6)
-    state.offer(0.1, "a")
-    state.offer(0.4, "b")
-    state.offer(0.9, "c")
-    assert [r for _, r in state.accepted] == ["a"]
-    assert [r for _, r in state.waitlist] == ["b"]
-    assert state.candidate_count == 2
+def scan_srs_stream(stream, N: int, n: int, delta: float, seed: int) -> ScanResult:
+    """Reference scan, one record at a time, that scan_srs must equal.
+
+    Records with key < q1 are accepted outright, keys in [q1, q2) are
+    waitlisted with their key, keys >= q2 are dropped on the spot; the
+    sample is the n smallest candidate keys, or every candidate when
+    fewer than n survived.
+    """
+    q1, q2 = bernstein_thresholds(n, N, delta)
+    accepted, waitlist = [], []
+    for i, record in enumerate(stream):
+        key = record_uniform(seed, i)
+        if key < q1:
+            accepted.append((key, record))
+        elif key < q2:
+            waitlist.append((key, record))
+    candidates = sorted(accepted + waitlist, key=lambda kr: kr[0])
+    return ScanResult(
+        success=len(candidates) >= n,
+        sample=[record for _key, record in candidates[:n]],
+        accepted_count=len(accepted),
+        waitlist_count=len(waitlist),
+        q1=q1,
+        q2=q2,
+    )
 
 
-@given(st.integers(1, 120), st.integers(0, 2**32), st.floats(0.01, 0.99), st.data())
+@given(
+    st.integers(1, 120),
+    st.integers(0, 2**32),
+    st.floats(0.01, 0.99),
+    st.integers(1, 13),
+    st.data(),
+)
 @settings(max_examples=60)
-def test_stream_and_vectorized_scans_agree(N, seed, delta, data):
+def test_stream_and_vectorized_scans_agree(N, seed, delta, splits, data):
     n = data.draw(st.integers(1, N))
     a = scan_srs_stream(range(N), N, n, delta, seed)
-    b = scan_srs_indices(N, n, delta, seed)
+    b, _ = scan_srs(range(N), n, delta, seed, ClusterConfig(num_splits=splits))
     assert a == b
+
+
+def test_scan_results_are_pinned():
+    # sha256 of the JSON list of [sample, accepted_count, waitlist_count]
+    # for seeds 0..49, taken from the vectorized scan the MR job replaced
+    results = [scan_srs(range(100_000), 100, 0.01, seed)[0] for seed in range(50)]
+    text = json.dumps([[r.sample, r.accepted_count, r.waitlist_count] for r in results])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8c147954cb91242d19771319b507ad6059a596464c866e88db25ce83f4a5065c"
+    )
 
 
 def test_scan_full_sample_always_succeeds():
@@ -186,7 +225,7 @@ def test_scan_full_sample_always_succeeds():
 
 def test_scan_failure_is_a_result_not_an_exception():
     # seed found by search: 19 of the required 20 candidates survive
-    result = scan_srs_indices(40, 20, 0.95, 42)
+    result, _ = scan_srs(range(40), 20, 0.95, 42)
     assert not result.success
     assert len(result.sample) == 19
 
@@ -205,6 +244,6 @@ def test_scan_over_records_maps_indices_back():
 
 def test_scan_candidate_count_stays_near_n():
     # the waitlist construction promises O(n) retained candidates
-    result = scan_srs_indices(100_000, 100, 0.01, seed=3)
+    result, _ = scan_srs(range(100_000), 100, 0.01, seed=3)
     assert result.success
     assert result.accepted_count + result.waitlist_count < 600
