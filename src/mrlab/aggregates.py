@@ -20,7 +20,7 @@ from typing import Optional
 
 from .dataio import read_csv_rows
 from .encoding import count_value, f64s_value, parse_count, parse_f64s, split_text_key, text_key
-from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import RowParseError
 from .numerics import partial_sum, sum_partials
 
@@ -129,12 +129,12 @@ def _as_log(records: Sequence[CallRecord] | CallLog) -> CallLog:
     return records if isinstance(records, CallLog) else CallLog.from_records(records)
 
 
-def _count_reduce(key: bytes, values: list) -> list[KeyValue]:
-    return [KeyValue(key, count_value(sum(map(parse_count, values))))]
+def _count_reduce(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
+    return [(key, count_value(sum(map(parse_count, values))))]
 
 
 def avg_duration_job() -> JobSpec:
-    def mapper(split: InputSplit) -> list[KeyValue]:
+    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         log = split.records
         rows: dict[str, list[tuple[float, float]]] = {}  # (duration, 1) per call
         for date, duration in zip(log.dates, log.durations):
@@ -143,7 +143,7 @@ def avg_duration_job() -> JobSpec:
 
     def reducer(key, values):
         total, count = sum_partials(values)
-        return [KeyValue(key, f64s_value((total / count, count)))]
+        return [(key, f64s_value((total / count, count)))]
 
     return JobSpec(mapper, reducer)
 
@@ -161,9 +161,9 @@ def avg_duration_by_date(
 
 
 def calls_per_caller_job() -> JobSpec:
-    def mapper(split: InputSplit) -> list[KeyValue]:
+    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         counts = Counter(zip(split.records.dates, split.records.callers))
-        return [KeyValue(text_key(d, c), count_value(n)) for (d, c), n in counts.items()]
+        return [(text_key(d, c), count_value(n)) for (d, c), n in counts.items()]
 
     return JobSpec(mapper, _count_reduce)
 
@@ -180,9 +180,9 @@ def calls_per_date_number(
 
 
 def word_count_job() -> JobSpec:
-    def mapper(split: InputSplit) -> list[KeyValue]:
+    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         counts = Counter(token for document in split.records for token in document.split())
-        return [KeyValue(token.encode("utf-8"), count_value(n)) for token, n in counts.items()]
+        return [(token.encode("utf-8"), count_value(n)) for token, n in counts.items()]
 
     return JobSpec(mapper, _count_reduce)
 

@@ -1,9 +1,9 @@
 """Byte encodings for shuffle keys and values.
 
 Keys must compare bytewise in the same order as their decoded meaning:
-text fields are joined with the 0x1F unit separator, integer components
-are fixed-width big-endian, and floats use the usual sign-flip trick so
-that lexicographic byte order equals numeric order.
+text fields are joined with the 0x1F unit separator and integer
+components are fixed-width big-endian. A sampling key is two such
+integers: a uniform draw's exact 53-bit integer, then the record index.
 
 Values are opaque payloads: counts travel as UTF-8 decimals, numeric
 vectors/matrices as length-prefixed little-endian float64 arrays.
@@ -21,10 +21,7 @@ _TEXT_SEP = FIELD_SEP.decode()
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-_F64BE = struct.Struct(">d")
 _LEN = struct.Struct("<I")
-_SIGN = 1 << 63
-_MASK64 = (1 << 64) - 1
 
 
 def text_key(*fields: str) -> bytes:
@@ -57,25 +54,6 @@ def u64_key(value: int) -> bytes:
 
 def parse_u64_key(key: bytes) -> int:
     return _U64.unpack(key)[0]
-
-
-def f64_key(value: float) -> bytes:
-    """Order-preserving big-endian encoding of a finite float."""
-    (bits,) = _U64.unpack(_F64BE.pack(value))
-    if bits & _SIGN:
-        bits = ~bits & _MASK64
-    else:
-        bits |= _SIGN
-    return _U64.pack(bits)
-
-
-def parse_f64_key(key: bytes) -> float:
-    (bits,) = _U64.unpack(key)
-    if bits & _SIGN:
-        bits &= ~_SIGN & _MASK64
-    else:
-        bits = ~bits & _MASK64
-    return _F64BE.unpack(_U64.pack(bits))[0]
 
 
 def count_value(n: int) -> bytes:

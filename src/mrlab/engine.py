@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import operator
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,19 +30,12 @@ DISK = "disk"
 MEMORY = "memory"
 
 
-class KeyValue(NamedTuple):
-    """One shuffle record. Keys compare bytewise; values are opaque."""
-
-    key: bytes
-    value: bytes
-
-
 @dataclass(frozen=True)
 class InputSplit:
     """A contiguous slice of the source dataset assigned to one mapper.
 
-    ``records`` is the dataset's own slice (a view of the rows of a numpy
-    array, a columnar log's sub-log), or a tuple where the slice is a list.
+    ``records`` is the dataset's own slice: a view of the rows of a numpy
+    array, a columnar log's sub-log, a list's sublist.
     """
 
     split_id: int
@@ -51,8 +43,10 @@ class InputSplit:
     origin_range: tuple[int, int]  # (first, last) source indices, inclusive
 
 
-Mapper = Callable[[InputSplit], Iterable[KeyValue]]
-Reducer = Callable[[bytes, list], Iterable[KeyValue]]
+# A shuffle pair is a (key, value) tuple of bytes. Keys compare bytewise;
+# values are opaque.
+Mapper = Callable[[InputSplit], Iterable[tuple[bytes, bytes]]]
+Reducer = Callable[[bytes, list], Iterable[tuple[bytes, bytes]]]
 
 
 @dataclass(frozen=True)
@@ -111,10 +105,6 @@ class RunStats:
         return RunStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
-# The record types that record_nbytes sizes by a rule of its own.
-_SIZED_BY_RULE = (bytes, bytearray, str, tuple, list, numbers.Number)
-
-
 def record_nbytes(record: Any) -> int:
     """Bytes charged for reading a record; other types give their own ``nbytes``.
 
@@ -140,21 +130,15 @@ def dataset_nbytes(dataset: Sequence) -> int:
     """Bytes charged for reading a dataset: the sum of ``record_nbytes``
     over its records, taken as ``.nbytes`` for a 2-D array of rows and for
     a dataset other than an array that defines it (a columnar log sizes
-    itself), as 8 a record when every record is exactly an int or a float,
-    and as the sum of ``.nbytes`` when every record is of one class that
-    defines it and that ``record_nbytes`` does not size by another rule."""
+    itself), and as 8 a record when every record is exactly an int or a
+    float."""
     if isinstance(dataset, np.ndarray):
         if dataset.ndim == 2:
             return dataset.nbytes
     elif hasattr(dataset, "nbytes"):
         return dataset.nbytes
-    kinds = set(map(type, dataset))
-    if kinds <= {int, float}:
+    if set(map(type, dataset)) <= {int, float}:
         return 8 * len(dataset)
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if hasattr(kind, "nbytes") and not issubclass(kind, _SIZED_BY_RULE):
-            return sum(map(operator.attrgetter("nbytes"), dataset))
     return sum(map(record_nbytes, dataset))
 
 
@@ -164,7 +148,7 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     Sizes differ by at most one: the first (n mod s) splits take the
     extra record. num_splits larger than the dataset is clamped. Each
     split holds the dataset's own slice (a numpy array's view of its rows,
-    a columnar log's sub-log), made a tuple where the slice is a list.
+    a columnar log's sub-log, a list's sublist).
     """
     n = len(dataset)
     if n == 0:
@@ -178,15 +162,12 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     for sid in range(s):
         size = base + (1 if sid < extra else 0)
         stop = start + size
-        rows = dataset[start:stop]
-        if isinstance(rows, list):
-            rows = tuple(rows)
-        splits.append(InputSplit(sid, rows, (start, stop - 1)))
+        splits.append(InputSplit(sid, dataset[start:stop], (start, stop - 1)))
         start = stop
     return splits
 
 
-def shuffle(emitted: Sequence[Sequence[KeyValue]]) -> list[tuple[bytes, list[bytes]]]:
+def shuffle(emitted: Sequence[Sequence[tuple[bytes, bytes]]]) -> list[tuple[bytes, list[bytes]]]:
     """Group pairs by exact key bytes in canonical order.
 
     Groups come back sorted by key; values within a group keep
@@ -200,18 +181,18 @@ def shuffle(emitted: Sequence[Sequence[KeyValue]]) -> list[tuple[bytes, list[byt
     return sorted(groups.items())
 
 
-def _charge_write(stats: RunStats, pairs: Sequence[KeyValue]) -> None:
+def _charge_write(stats: RunStats, pairs: Sequence[tuple[bytes, bytes]]) -> None:
     """Charge writing these pairs: one record and key plus value bytes each."""
     stats.records_written += len(pairs)
     stats.bytes_written += sum(map(len, itertools.chain.from_iterable(pairs)))
 
 
-def per_record(fn: Callable[[Any], Iterable[KeyValue]]) -> Mapper:
+def per_record(fn: Callable[[Any], Iterable[tuple[bytes, bytes]]]) -> Mapper:
     """A mapper that calls fn on each record of its split in order and
     concatenates the pairs; a failure names the record's global index."""
 
-    def mapper(split: InputSplit) -> list[KeyValue]:
-        out: list[KeyValue] = []
+    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
+        out: list[tuple[bytes, bytes]] = []
         for offset, record in enumerate(split.records):
             try:
                 out.extend(fn(record))
@@ -233,7 +214,7 @@ def run_job(
     config: ClusterConfig,
     *,
     _resident: bool = False,
-) -> tuple[list[KeyValue], RunStats]:
+) -> tuple[list[tuple[bytes, bytes]], RunStats]:
     """Run one MR round: map over splits, shuffle, reduce.
 
     Accounting: reading the dataset charges records/bytes read; in disk
@@ -250,7 +231,7 @@ def run_job(
         stats.records_read += len(dataset)
         stats.bytes_read += dataset_nbytes(dataset)
 
-    per_split: list[list[KeyValue]] = []
+    per_split: list[list[tuple[bytes, bytes]]] = []
     try:
         for split in splits:
             per_split.append(list(job.mapper(split)))
@@ -264,14 +245,14 @@ def run_job(
             _charge_write(stats, pairs)
 
     if job.combiner is not None:
-        combined: list[list[KeyValue]] = []
+        combined: list[list[tuple[bytes, bytes]]] = []
         key = None
         try:
             for split, pairs in zip(splits, per_split):
                 grouped: dict[bytes, list[bytes]] = {}
                 for key, value in pairs:
                     grouped.setdefault(key, []).append(value)
-                out: list[KeyValue] = []
+                out: list[tuple[bytes, bytes]] = []
                 for key, values in grouped.items():
                     out.extend(job.combiner(key, values))
                 combined.append(out)
@@ -284,7 +265,7 @@ def run_job(
     groups = shuffle(per_split)
     stats.records_shuffled += sum(len(vs) for _, vs in groups)
 
-    output: list[KeyValue] = []
+    output: list[tuple[bytes, bytes]] = []
     try:
         for key, values in groups:
             output.extend(job.reducer(key, values))
@@ -300,13 +281,13 @@ def run_job(
 
 
 def run_iterative(
-    job_factory: Callable[[int, list[KeyValue]], JobSpec],
-    initial_state: Iterable[KeyValue],
+    job_factory: Callable[[int, list[tuple[bytes, bytes]]], JobSpec],
+    initial_state: Iterable[tuple[bytes, bytes]],
     max_iters: int,
-    converged: Optional[Callable[[list[KeyValue], list[KeyValue]], bool]],
+    converged: Optional[Callable[[list, list], bool]],
     dataset: Sequence,
     config: ClusterConfig,
-) -> tuple[list[KeyValue], RunStats]:
+) -> tuple[list[tuple[bytes, bytes]], RunStats]:
     """Drive repeated MR rounds over one dataset with carried state.
 
     job_factory(iteration, state) builds the round's JobSpec from the

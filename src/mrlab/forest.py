@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
-from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
 from .rng import record_uniform, record_uniforms, splitmix64, splitmix64_array
 
@@ -213,7 +213,7 @@ def poisson_count_block(seed: int, start: int, count: int, trees: int, rate: flo
     return out
 
 
-def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> list[KeyValue]:
+def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> list[tuple[bytes, bytes]]:
     """Map one split of (features..., label) rows: emit (tree j, row)
     p_ij ~ Poisson(k/n) times, record by record, trees ascending."""
     rows = split.records
@@ -222,10 +222,10 @@ def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> l
     )
     keys = [u32_key(j) for j in range(params.trees)]
     payloads = [f64s_value(row) for row in rows]
-    out: list[KeyValue] = []
+    out: list[tuple[bytes, bytes]] = []
     records, trees = np.nonzero(counts)  # row-major: record, then tree
     for r, j, c in zip(records.tolist(), trees.tolist(), counts[records, trees].tolist()):
-        out.extend([KeyValue(keys[j], payloads[r])] * c)
+        out.extend([(keys[j], payloads[r])] * c)
     return out
 
 
@@ -494,7 +494,7 @@ def fit_forest(
             rows[:, :-1], rows[:, -1], params,
             _growth_key(params.seed, tree_id), task, n_classes,
         )
-        return [KeyValue(key, tree_to_bytes(tree))]
+        return [(key, tree_to_bytes(tree))]
 
     job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer)
     output, stats = run_job(job, np.column_stack([x, y]), config or ClusterConfig())

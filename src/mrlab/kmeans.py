@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s, u32_key, u64_key
-from .engine import ClusterConfig, JobSpec, KeyValue, RunStats, run_iterative
+from .engine import ClusterConfig, JobSpec, RunStats, run_iterative
 from .errors import ParameterError
 from .numerics import partial_sum, sum_partials, sum_vectors_reduce
 from .sampling import reservoir_sample
@@ -63,7 +63,7 @@ def assign(record, centers) -> int:
     return int(_nearest(x[None, :], pts)[0][0])
 
 
-def _centers_from_state(state: Sequence[KeyValue], fallback: np.ndarray) -> np.ndarray:
+def _centers_from_state(state: Sequence[tuple[bytes, bytes]], fallback: np.ndarray) -> np.ndarray:
     centers = fallback.copy()
     for key, value in state:
         if key[:1] == _CENTER:
@@ -71,7 +71,7 @@ def _centers_from_state(state: Sequence[KeyValue], fallback: np.ndarray) -> np.n
     return centers
 
 
-def _assignments_from_state(state: Sequence[KeyValue], n: int) -> np.ndarray:
+def _assignments_from_state(state: Sequence[tuple[bytes, bytes]], n: int) -> np.ndarray:
     out = np.full(n, -1, dtype=np.int64)
     for key, value in state:
         if key[:1] == _ASSIGN:
@@ -81,7 +81,7 @@ def _assignments_from_state(state: Sequence[KeyValue], n: int) -> np.ndarray:
     return out
 
 
-def _objective_from_state(state: Sequence[KeyValue]) -> float:
+def _objective_from_state(state: Sequence[tuple[bytes, bytes]]) -> float:
     for key, value in state:
         if key[:1] == _OBJECTIVE:
             return float(parse_f64s(value)[0])
@@ -94,19 +94,19 @@ def _split_mapper(centers: np.ndarray):
         counted = np.column_stack([split.records, np.ones(len(nearest))])  # coordinates, then count
         out = [partial_sum(_CENTER + u32_key(c), counted[nearest == c]) for c in np.unique(nearest).tolist()]
         out.append(partial_sum(_OBJECTIVE, d2[:, None]))
-        out.append(KeyValue(_ASSIGN + u64_key(split.origin_range[0]), f64s_value(nearest)))
+        out.append((_ASSIGN + u64_key(split.origin_range[0]), f64s_value(nearest)))
         return out
 
     return mapper
 
 
-def _reducer(key: bytes, values: list) -> list[KeyValue]:
+def _reducer(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
     if key[:1] == _ASSIGN:  # one block per split, keyed by its first record
-        return [KeyValue(key, v) for v in values]
+        return [(key, v) for v in values]
     if key[:1] == _OBJECTIVE:
         return sum_vectors_reduce(key, values)
     merged = sum_partials(values)  # coordinate sums, then count
-    return [KeyValue(key, f64s_value(merged[:-1] / merged[-1]))]
+    return [(key, f64s_value(merged[:-1] / merged[-1]))]
 
 
 def fit_kmeans(
@@ -142,7 +142,7 @@ def fit_kmeans(
 
     current = {"centers": init.copy()}
 
-    def job_factory(t: int, state: list[KeyValue]) -> JobSpec:
+    def job_factory(t: int, state: list[tuple[bytes, bytes]]) -> JobSpec:
         centers = _centers_from_state(state, current["centers"])
         current["centers"] = centers
         return JobSpec(_split_mapper(centers), _reducer)
@@ -158,7 +158,7 @@ def fit_kmeans(
             ))
         return float(np.max(np.abs(new - old))) < tol
 
-    initial_state = [KeyValue(_CENTER + u32_key(c), f64s_value(init[c])) for c in range(k)]
+    initial_state = [(_CENTER + u32_key(c), f64s_value(init[c])) for c in range(k)]
     state, stats = run_iterative(job_factory, initial_state, max_iters, converged, points, config)
 
     final_centers = _centers_from_state(state, current["centers"])

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s
-from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_iterative, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
 from .numerics import partial_sum, sigmoid, softplus, sum_partials, sum_vectors_reduce
 
@@ -180,7 +180,7 @@ def _sum_round(block, rows, config, key: bytes) -> tuple[np.ndarray, RunStats]:
     """One MR round summing rows(x, y) over the whole block, with its ledger."""
     job = JobSpec(_sum_mapper(rows, key), sum_vectors_reduce)
     output, stats = run_job(job, block, config or ClusterConfig())
-    return parse_f64s(output[0].value).copy(), stats
+    return parse_f64s(output[0][1]).copy(), stats
 
 
 def _binary_block(data: DataMatrix) -> np.ndarray:
@@ -238,15 +238,15 @@ def fit_logistic(
     n = data.n
     step = step_size / n
 
-    def job_factory(t: int, state: list[KeyValue]) -> JobSpec:
-        beta = parse_f64s(state[0].value)[:d].copy()
+    def job_factory(t: int, state: list[tuple[bytes, bytes]]) -> JobSpec:
+        beta = parse_f64s(state[0][1])[:d].copy()
 
         def reducer(key, values):
             grad = sum_partials(values)
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow to inf is caught by the divergence check
                 new_beta = beta - step * grad
-            return [KeyValue(b"B", f64s_value(np.concatenate([new_beta, grad])))]
+            return [(b"B", f64s_value(np.concatenate([new_beta, grad])))]
 
         return JobSpec(_sum_mapper(_gradient_rows(beta), b"g"), reducer)
 
@@ -255,7 +255,7 @@ def fit_logistic(
     def converged(old_state, new_state) -> bool:
         nonlocal rounds
         rounds += 1
-        flat = parse_f64s(new_state[0].value)
+        flat = parse_f64s(new_state[0][1])
         if not np.all(np.isfinite(flat[:d])):
             raise DivergenceError(rounds)
         if history is not None:
@@ -263,8 +263,8 @@ def fit_logistic(
         grad = flat[d:]
         return tol is not None and float(np.max(np.abs(grad))) < tol
 
-    initial = [KeyValue(b"B", f64s_value(np.zeros(d)))]
+    initial = [(b"B", f64s_value(np.zeros(d)))]
     state, stats = run_iterative(job_factory, initial, max_iters, converged, _binary_block(data), config)
-    flat = parse_f64s(state[0].value)
+    flat = parse_f64s(state[0][1])
     model = LinearModel(flat[:d].copy(), stats.iterations, float(np.max(np.abs(flat[d:]))))
     return model, stats

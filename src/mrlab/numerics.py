@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import f64s_value, parse_f64s_rows
-from .engine import KeyValue
 
 
 def fsum_vectors(block) -> np.ndarray:
@@ -32,9 +31,9 @@ def fsum_vectors(block) -> np.ndarray:
     return np.array([math.fsum(column) for column in block.T.tolist()])
 
 
-def partial_sum(key: bytes, block) -> KeyValue:
+def partial_sum(key: bytes, block) -> tuple[bytes, bytes]:
     """A split's partial under ``key``: the column sums of ``block``, encoded."""
-    return KeyValue(key, f64s_value(fsum_vectors(block)))
+    return (key, f64s_value(fsum_vectors(block)))
 
 
 def sum_partials(values: Sequence[bytes]) -> np.ndarray:
@@ -42,9 +41,9 @@ def sum_partials(values: Sequence[bytes]) -> np.ndarray:
     return fsum_vectors(parse_f64s_rows(values))
 
 
-def sum_vectors_reduce(key: bytes, values: list) -> list[KeyValue]:
+def sum_vectors_reduce(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
     """Reducer: one pair holding the total of a group's partials."""
-    return [KeyValue(key, f64s_value(sum_partials(values)))]
+    return [(key, f64s_value(sum_partials(values)))]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@
   1 - delta; on success the sample is a uniform simple random sample.
 
 Uniform keys are derived from (seed, global record index), never from
-the split layout, so skewed record placement cannot bias the draw.
+the split layout, so skewed record placement cannot bias the draw. Each
+uniform is a multiple of 2**-53, so a shuffle key holds it exactly as the
+53-bit integer u * 2**53, followed by the index that breaks ties.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .encoding import f64_key, parse_f64_key, parse_u64_key, u64_key
-from .engine import ClusterConfig, InputSplit, JobSpec, KeyValue, RunStats, run_job
+from .encoding import parse_u64_key, u64_key
+from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
 from .rng import record_uniforms
 
@@ -59,26 +61,25 @@ def reservoir_sample(stream, n: int, seed: SeedLike) -> list:
 
 def _smallest_keys(
     dataset: Sequence, seed: int, cut: float, config: Optional[ClusterConfig],
-) -> tuple[list[KeyValue], RunStats]:
+) -> tuple[list[tuple[bytes, bytes]], RunStats]:
     """The MR job both samplers run: records keyed below cut, smallest first.
 
-    Each record's key is uniform on [0,1) keyed by its global index, and
-    a map task draws its split's keys as one block and emits
-    f64_key(u) + u64_key(i) for each key below cut; the shuffle's byte
-    order on (key, index) does the sort, index breaking ties.
+    Each record's draw u is uniform on [0,1) keyed by its global index
+    i. A map task draws its split's uniforms as one block and emits
+    u64_key(u * 2**53) + u64_key(i) for each u below cut, all of them
+    cut from one big-endian buffer; the shuffle's byte order on
+    (draw, index) does the sort, index breaking ties.
     """
 
-    def mapper(split: InputSplit) -> list[KeyValue]:
+    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         first, last = split.origin_range
-        keys = record_uniforms(seed, first, last - first + 1)
-        kept = np.flatnonzero(keys < cut)
-        return [
-            KeyValue(f64_key(u) + u64_key(i), b"")
-            for i, u in zip((kept + first).tolist(), keys[kept].tolist())
-        ]
+        u = record_uniforms(seed, first, last - first + 1)
+        kept = np.flatnonzero(u < cut)
+        keys = np.column_stack([u[kept] * 2**53, kept + first]).astype(">u8").tobytes()
+        return [(keys[j:j + 16], b"") for j in range(0, len(keys), 16)]
 
     def reducer(key, values):
-        return [KeyValue(key, v) for v in values]
+        return [(key, v) for v in values]
 
     return run_job(JobSpec(mapper, reducer), dataset, config or ClusterConfig(seed=seed))
 
@@ -147,8 +148,9 @@ def scan_srs(
     """
     q1, q2 = bernstein_thresholds(n, len(dataset), delta)
     output, stats = _smallest_keys(dataset, seed, q2, config)
-    # the output is sorted by key, so the accepted keys come first
-    accepted = bisect.bisect_left(output, q1, key=lambda kv: parse_f64_key(kv.key[:8]))
+    # the output is sorted by key, so the accepted keys (u < q1, that is
+    # u * 2**53 < ceil(q1 * 2**53)) come first
+    accepted = bisect.bisect_left(output, (u64_key(math.ceil(q1 * 2**53)),))
     result = ScanResult(
         success=len(output) >= n,
         sample=[dataset[parse_u64_key(key[-8:])] for key, _ in output[:n]],

@@ -446,6 +446,76 @@ def test_call_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CALL_REPORT_DIGESTS[command]
 
 
+def write_seeded_inputs(root, seed=11, rows=300):
+    """A numeric table (three features, a 0/1 label y) and a text file of
+    one document per line, both drawn from seed."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 3))
+    y = (x @ [1.5, -2.0, 0.5] + rng.normal(size=rows) > 0).astype(int)
+    (root / "table.csv").write_text(
+        "x0,x1,x2,y\n" + "".join(f"{a!r},{b!r},{c!r},{label}\n" for (a, b, c), label in zip(x.tolist(), y)),
+        encoding="utf-8",
+    )
+    words = ["map", "reduce", "shuffle", "key", "value", "split", "été"]
+    (root / "docs.txt").write_text(
+        "".join(" ".join(words[w] for w in rng.integers(0, len(words), rng.integers(1, 12))) + "\n"
+                for _ in range(rows)),
+        encoding="utf-8",
+    )
+
+
+# SHA-256 of the other subcommands' reports on write_seeded_inputs's files,
+# recorded before shuffle pairs became plain tuples.
+REPORT_DIGESTS = {
+    "sample-reservoir": (
+        ["sample", "table.csv", "--method", "reservoir", "--n", "20"],
+        "f6aa4a704b1bbbe095a3da03fcea650e34db13f5f5b8559f3ec1ce87b5f95ece",
+    ),
+    "sample-sort": (
+        ["sample", "table.csv", "--method", "sort", "--n", "20"],
+        "00e8743b402ecf23e9938ee05a718369ad8c16a1e1d8fea70b143d2904af03fb",
+    ),
+    "sample-scan": (
+        ["sample", "table.csv", "--method", "scan", "--n", "20"],
+        "dbe0211c87dc9611cf499324ed626946d023ee38e6a2b56e4492f6bc5831ca64",
+    ),
+    "wordcount": (
+        ["wordcount", "docs.txt"],
+        "57023a5bf195d16a92b4ff5b19d6a4f4c95749784b7f428d37ab15b05bbba31c",
+    ),
+    "kmeans": (
+        ["kmeans", "table.csv", "--k", "3", "--iters", "20"],
+        "e5d0c4c383727890ea63ff30afb2b80681693e452ca3b957f75d9607f51847a9",
+    ),
+    "linreg": (
+        ["linreg", "table.csv", "--label", "y"],
+        "085db0ec7b52cacb67bf24598702215335cc3f1f6e373042d21a0b31a5d7057a",
+    ),
+    "logreg": (
+        ["logreg", "table.csv", "--label", "y", "--iters", "20"],
+        "f632c674c2a40be5f4ed35dde1f4209d98c08056fd3245a597cbab0d115afd07",
+    ),
+    "rf": (
+        ["rf", "table.csv", "--label", "y", "--trees", "3"],
+        "8dc34a3c1ffa32187eb278c689fdf103938ef022b4541447e169f0f8ecfd37a9",
+    ),
+    "bench-io": (
+        ["bench-io", "table.csv", "--iters", "3"],
+        "857e8dec3fe98c4ee280e9e36d28d944954ab7420deb4334958b3a54a72687a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    write_seeded_inputs(tmp_path)
+    argv, digest = REPORT_DIGESTS[name]
+    code, out, _ = run_cli([*argv, "--splits", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_sequential_env_matches_parallel(numbers_csv, capsys, monkeypatch):
     rows = [[x, 3 * x + 1] for x in range(40)]
     path = numbers_csv("line.csv", ["x", "y"], rows)

@@ -49,28 +49,6 @@ def test_u64_key_roundtrip(n):
     assert encoding.parse_u64_key(encoding.u64_key(n)) == n
 
 
-@given(finite_floats, finite_floats)
-def test_f64_key_order_matches_numeric_order(a, b):
-    # byte order must agree with float order, including across sign
-    ka, kb = encoding.f64_key(a), encoding.f64_key(b)
-    if a < b:
-        assert ka < kb
-    elif a > b:
-        assert ka > kb
-
-
-@given(finite_floats)
-def test_f64_key_roundtrip(x):
-    back = encoding.parse_f64_key(encoding.f64_key(x))
-    assert back == x or (x == 0.0 and back == 0.0)
-
-
-def test_f64_key_handles_negative_zero_vs_zero():
-    # -0.0 == 0.0 numerically but the encodings may differ; order holds
-    assert encoding.f64_key(-0.0) <= encoding.f64_key(0.0)
-    assert encoding.f64_key(-0.0) > encoding.f64_key(-1e-300)
-
-
 def test_count_value_roundtrip():
     assert encoding.count_value(42) == b"42"
     assert encoding.parse_count(b"42") == 42

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrlab import engine
+import mrlab
+from mrlab import aggregates, engine, forest, kmeans, linmodels, sampling
 from mrlab.aggregates import CallLog, CallRecord, avg_duration_by_date, calls_per_date_number
 from mrlab.encoding import count_value, f64s_value, parse_count, parse_f64s
 from mrlab.engine import (
-    ClusterConfig, InputSplit, JobSpec, KeyValue, partition, per_record, run_iterative, run_job, shuffle,
+    ClusterConfig, InputSplit, JobSpec, partition, per_record, run_iterative, run_job, shuffle,
 )
 from mrlab.errors import EmptyInputError, JobExecutionError, ParameterError
 
 
 def count_job():
     def mapper(record):
-        return [KeyValue(record.encode(), count_value(1))]
+        return [(record.encode(), count_value(1))]
 
     def reducer(key, values):
-        return [KeyValue(key, count_value(sum(parse_count(v) for v in values)))]
+        return [(key, count_value(sum(parse_count(v) for v in values)))]
 
     return JobSpec(per_record(mapper), reducer)
 
@@ -37,7 +38,7 @@ def test_partition_five_records_two_splits():
 
 def test_partition_one_record_per_split():
     splits = partition(list("abcd"), 4)
-    assert [s.records for s in splits] == [("a",), ("b",), ("c",), ("d",)]
+    assert [s.records for s in splits] == [["a"], ["b"], ["c"], ["d"]]
 
 
 def test_partition_clamps_excess_splits():
@@ -70,14 +71,14 @@ def test_partition_reassembles_dataset(n, s):
 
 
 def test_shuffle_groups_by_key():
-    pairs = [[KeyValue(b"a", b"1"), KeyValue(b"b", b"2"), KeyValue(b"a", b"3")]]
+    pairs = [[(b"a", b"1"), (b"b", b"2"), (b"a", b"3")]]
     assert shuffle(pairs) == [(b"a", [b"1", b"3"]), (b"b", [b"2"])]
 
 
 def test_shuffle_orders_values_by_split_then_emission():
     # same key emitted from split 1 first must still list split 0's value first
-    split0 = [KeyValue(b"k", b"s0-first"), KeyValue(b"k", b"s0-second")]
-    split1 = [KeyValue(b"k", b"s1")]
+    split0 = [(b"k", b"s0-first"), (b"k", b"s0-second")]
+    split1 = [(b"k", b"s1")]
     assert shuffle([split0, split1]) == [(b"k", [b"s0-first", b"s0-second", b"s1"])]
     assert shuffle([split1, split0]) == [(b"k", [b"s1", b"s0-first", b"s0-second"])]
 
@@ -94,8 +95,7 @@ def test_shuffle_empty():
     )
 )
 def test_shuffle_delivers_exactly_once(emitted):
-    pairs = [[KeyValue(k, v) for k, v in split] for split in emitted]
-    grouped = shuffle(pairs)
+    grouped = shuffle(emitted)
     regrouped = collections.Counter(
         (key, value) for key, values in grouped for value in values
     )
@@ -109,21 +109,21 @@ def test_shuffle_delivers_exactly_once(emitted):
 
 def test_run_job_word_count_hand_example():
     out, stats = run_job(count_job(), ["a", "b", "a"], ClusterConfig())
-    assert out == [KeyValue(b"a", b"2"), KeyValue(b"b", b"1")]
+    assert out == [(b"a", b"2"), (b"b", b"1")]
     assert stats.records_read == 3
     assert stats.iterations == 1
 
 
 def test_run_job_identity_groups_input():
     def mapper(record):
-        return [KeyValue(*record)]
+        return [record]
 
     def reducer(key, values):
-        return [KeyValue(key, v) for v in values]
+        return [(key, v) for v in values]
 
     data = [(b"x", b"1"), (b"y", b"2"), (b"x", b"3")]
     out, _ = run_job(JobSpec(per_record(mapper), reducer), data, ClusterConfig(num_splits=1))
-    assert out == [KeyValue(b"x", b"1"), KeyValue(b"x", b"3"), KeyValue(b"y", b"2")]
+    assert out == [(b"x", b"1"), (b"x", b"3"), (b"y", b"2")]
 
 
 @pytest.mark.parametrize("num_splits", [1, 2, 4])
@@ -148,11 +148,11 @@ def test_float_sums_agree_across_split_counts():
     data = [float(x) for x in rng.normal(size=500)]
 
     def mapper(record):
-        return [KeyValue(b"s", f64s_value([record]))]
+        return [(b"s", f64s_value([record]))]
 
     def reducer(key, values):
         total = math.fsum(parse_f64s(v)[0] for v in values)
-        return [KeyValue(key, f64s_value([total]))]
+        return [(key, f64s_value([total]))]
 
     def combiner(key, values):
         return reducer(key, values)
@@ -160,7 +160,7 @@ def test_float_sums_agree_across_split_counts():
     results = []
     for s in (1, 2, 8):
         out, _ = run_job(JobSpec(per_record(mapper), reducer, combiner), data, ClusterConfig(num_splits=s))
-        results.append(float(parse_f64s(out[0].value)[0]))
+        results.append(float(parse_f64s(out[0][1])[0]))
     for r in results[1:]:
         assert r == pytest.approx(results[0], rel=1e-9)
 
@@ -248,7 +248,7 @@ def test_ndarray_splits_are_views_covering_every_row_once(n, splits):
 
 def test_reducer_error_names_key():
     def mapper(record):
-        return [KeyValue(record.encode(), b"1")]
+        return [(record.encode(), b"1")]
 
     def reducer(key, values):
         raise RuntimeError("reduce failed")
@@ -263,9 +263,9 @@ def test_combiner_error_names_stage_split_and_key():
     def combiner(key, values):
         if key == b"bad":
             raise RuntimeError("combine failed")
-        return [KeyValue(key, values[0])]
+        return [(key, values[0])]
 
-    mapper = per_record(lambda record: [KeyValue(record.encode(), b"1")])
+    mapper = per_record(lambda record: [(record.encode(), b"1")])
     data = ["ok", "ok", "bad", "ok"]
     with pytest.raises(JobExecutionError) as err:
         run_job(JobSpec(mapper, lambda key, values: [], combiner), data, ClusterConfig(num_splits=2))
@@ -350,10 +350,10 @@ def test_state_write_accounting_by_mode():
     # one state pair per round; disk re-writes it every round, memory once
     def factory(t, state):
         def mapper_emit(record):
-            return [KeyValue(b"s", b"x")] if record == 0 else []
+            return [(b"s", b"x")] if record == 0 else []
 
         def reducer_pass(key, values):
-            return [KeyValue(key, values[0])]
+            return [(key, values[0])]
 
         return JobSpec(per_record(mapper_emit), reducer_pass)
 
@@ -436,6 +436,7 @@ def test_call_log_is_sized_without_a_record_walk(monkeypatch):
     monkeypatch.setattr(engine, "record_nbytes", lambda r: calls.append(r) or real(r))
     records = [CallRecord(datetime.date(2024, 1, 1), "0612", "0734", 60.0)] * 5
     assert engine.dataset_nbytes(records) == 5 * (18 + 4 + 4)
+    calls.clear()
     assert engine.dataset_nbytes(CallLog.from_records(records)) == 5 * (18 + 4 + 4)
     assert calls == []
 
@@ -468,3 +469,66 @@ def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):
     _, one = run_job(_noop_factory(0, []), data, ClusterConfig(num_splits=4))
     assert calls == []
     assert stats.bytes_read == 3 * data.nbytes and one.bytes_read == data.nbytes
+
+
+# ------------------------------------------------------------------- pairs
+
+
+@pytest.fixture
+def pairs_seen(monkeypatch):
+    """Every pair that reaches a shuffle, leaves a run_job, or starts or
+    ends a run_iterative, in every module that imported those functions."""
+    seen = []
+    real_shuffle, real_run_job, real_run_iterative = shuffle, run_job, run_iterative
+
+    def seen_shuffle(emitted):
+        seen.extend(pair for split_pairs in emitted for pair in split_pairs)
+        return real_shuffle(emitted)
+
+    def seen_run_job(*args, **kwargs):
+        output, stats = real_run_job(*args, **kwargs)
+        seen.extend(output)
+        return output, stats
+
+    def seen_run_iterative(job_factory, initial_state, *args):
+        initial_state = list(initial_state)
+        seen.extend(initial_state)
+        state, stats = real_run_iterative(job_factory, initial_state, *args)
+        seen.extend(state)
+        return state, stats
+
+    wrappers = {"shuffle": seen_shuffle, "run_job": seen_run_job, "run_iterative": seen_run_iterative}
+    for module in (engine, aggregates, sampling, kmeans, linmodels, forest):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_every_library_pair_is_a_plain_tuple_of_bytes(pairs_seen, call_corpus):
+    config = ClusterConfig(num_splits=3)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(60, 2))
+    y = (x[:, 0] > 0).astype(float)
+    data = linmodels.DataMatrix.from_features(x, y)
+    aggregates.word_count(["a b a", "c b", "a"], config)
+    aggregates.avg_duration_by_date(call_corpus[:50], config)
+    aggregates.calls_per_date_number(call_corpus[:50], config)
+    sampling.sort_sample(range(40), 5, 1, config)
+    sampling.scan_srs(range(400), 5, 0.01, 1, config)
+    kmeans.fit_kmeans(x, 3, max_iters=3, config=config)
+    linmodels.fit_linear(data, config)
+    linmodels.fit_logistic(data, 1.0, 3, config=config)
+    params = forest.ForestParams(trees=2, sample_size=60, mtry=1)
+    forest.fit_forest(x, y.astype(int).tolist(), params, config=config)
+    assert pairs_seen
+    for pair in pairs_seen:
+        assert type(pair) is tuple and len(pair) == 2, pair
+        assert type(pair[0]) is bytes and type(pair[1]) is bytes, pair
+
+
+def test_package_names_all_resolve():
+    assert all(hasattr(mrlab, name) for name in mrlab.__all__)
+    namespace = {}
+    exec("from mrlab import *", namespace)
+    assert set(mrlab.__all__) <= set(namespace)

@@ -15,7 +15,7 @@ def test_partials_total_to_the_exact_column_sums():
     key, value = partial_sum(b"k", block)
     assert key == b"k"
     assert sum_partials([value]).tolist() == [math.fsum(column) for column in block.T.tolist()]
-    parts = [partial_sum(b"k", part).value for part in np.array_split(block, 5)]
+    parts = [partial_sum(b"k", part)[1] for part in np.array_split(block, 5)]
     [(key, total)] = sum_vectors_reduce(b"k", parts)
     assert key == b"k"
     assert parse_f64s(total).tolist() == sum_partials(parts).tolist()

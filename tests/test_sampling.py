@@ -247,3 +247,10 @@ def test_scan_candidate_count_stays_near_n():
     result, _ = scan_srs(range(100_000), 100, 0.01, seed=3)
     assert result.success
     assert result.accepted_count + result.waitlist_count < 600
+
+
+def test_sort_sample_keeps_every_index_whole():
+    # indices past 2**16 end in zero bytes, which a key that dropped
+    # trailing zeros would lose
+    sample, _ = sort_sample(range(70_000), 70_000, seed=4)
+    assert sorted(sample) == list(range(70_000))
