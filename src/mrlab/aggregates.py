@@ -36,8 +36,10 @@ class CallRecord:
 
     @property
     def nbytes(self) -> int:
-        """Bytes read: 10 for the ISO date, caller and callee in UTF-8, 8 for the duration."""
-        return 18 + len(self.caller.encode("utf-8")) + len(self.callee.encode("utf-8"))
+        """Bytes read: 10 for the ISO date, caller and callee in UTF-8 (a
+        lone surrogate as its three-byte form, as in ``text_key``), 8 for
+        the duration."""
+        return 18 + len((self.caller + self.callee).encode("utf-8", "surrogatepass"))
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class CallLog(Sequence):
     @property
     def nbytes(self) -> int:
         """Bytes read: the sum of its rows' ``CallRecord.nbytes``."""
-        return 18 * len(self) + len("".join(self.callers + self.callees).encode("utf-8"))
+        return 18 * len(self) + len("".join(self.callers + self.callees).encode("utf-8", "surrogatepass"))
 
 
 def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
@@ -155,7 +157,7 @@ def avg_duration_by_date(
     log = _as_log(records)
     if not log:
         return [], RunStats()
-    output, stats = run_job(avg_duration_job(), log, config or ClusterConfig())
+    output, stats = run_job(avg_duration_job(), log, config)
     means = [(split_text_key(key)[0], parse_f64s(value)) for key, value in output]
     return [(date, (float(mean), int(count))) for date, (mean, count) in means], stats
 
@@ -175,14 +177,15 @@ def calls_per_date_number(
     log = _as_log(records)
     if not log:
         return [], RunStats()
-    output, stats = run_job(calls_per_caller_job(), log, config or ClusterConfig())
+    output, stats = run_job(calls_per_caller_job(), log, config)
     return [(split_text_key(k), parse_count(v)) for k, v in output], stats
 
 
 def word_count_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         counts = Counter(token for document in split.records for token in document.split())
-        return [(token.encode("utf-8"), count_value(n)) for token, n in counts.items()]
+        # str.split() splits on U+001F too, so a token is one text_key field
+        return [(text_key(token), count_value(n)) for token, n in counts.items()]
 
     return JobSpec(mapper, _count_reduce)
 
@@ -193,5 +196,5 @@ def word_count(
     """Token occurrence counts; tokens split on whitespace."""
     if not documents:
         return [], RunStats()
-    output, stats = run_job(word_count_job(), documents, config or ClusterConfig())
-    return [(k.decode("utf-8"), parse_count(v)) for k, v in output], stats
+    output, stats = run_job(word_count_job(), documents, config)
+    return [(split_text_key(k)[0], parse_count(v)) for k, v in output], stats

@@ -48,7 +48,7 @@ SCHEMA_VERSION = 1
 
 def _config(args) -> ClusterConfig:
     mode = args.mode if args.mode in ("disk", "memory") else "disk"
-    return ClusterConfig(num_splits=args.splits, iteration_mode=mode, seed=args.seed)
+    return ClusterConfig(num_splits=args.splits, iteration_mode=mode)
 
 
 def _int_at_least(minimum: int):
@@ -195,7 +195,7 @@ def _cmd_sample(args, config):
 def _cmd_kmeans(args, config):
     names, matrix = dataio.read_matrix(args.input)
     centers, assignments, stats = fit_kmeans(
-        matrix, args.k, max_iters=args.iters, tol=args.tol, config=config,
+        matrix, args.k, max_iters=args.iters, tol=args.tol, config=config, seed=args.seed,
     )
     if args.centers_out:
         dataio.write_csv_rows(
@@ -277,7 +277,7 @@ def _cmd_rf(args, config):
     return result, stats, 0
 
 
-def _identity_factory(t: int, state):
+def _identity_factory(t: int):
     return JobSpec(lambda split: [], lambda key, values: [])
 
 
@@ -288,7 +288,7 @@ def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
     table = {}
     for mode in modes:
         config = dataclasses.replace(base_config, iteration_mode=mode)
-        _state, stats = run_iterative(_identity_factory, [], iters, None, dataset, config)
+        _output, stats = run_iterative(_identity_factory, iters, None, dataset, config)
         table[mode] = stats.as_dict()
     result = {"iters": iters, "modes": table}
     if "disk" in table and "memory" in table and table["memory"]["records_read"]:

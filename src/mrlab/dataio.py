@@ -26,7 +26,6 @@ class Table:
     labels: np.ndarray  # float labels, shape (n,)
     raw_labels: list  # original label strings, same order
     feature_names: list
-    label_name: str
     lines: list  # the file line on which each row starts
 
 
@@ -87,8 +86,8 @@ def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_l
     label column as floats, zeros unless numeric_labels).
 
     Each row must have one field per name; errors name the row's file
-    line. A row's label is parsed after its other fields; only the
-    matrix is checked for non-finite values.
+    line. A row's label is parsed after its other fields; the matrix is
+    checked for non-finite values before the labels are.
     """
     columns = [j for j in range(len(names)) if j != label_idx]
     matrix = np.empty((len(rows), len(columns)))
@@ -110,6 +109,9 @@ def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_l
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
         raise RowParseError(lines[r], nonfinite)
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        raise RowParseError(lines[bad[0]], "non-finite label")
     return matrix, labels
 
 
@@ -142,4 +144,4 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
         rows, lines, names, "non-finite feature value", label_idx, numeric_labels,
     )
     raw_labels = [row[label_idx].strip() for row in rows]
-    return Table(features, labels, raw_labels, feature_names, label, lines)
+    return Table(features, labels, raw_labels, feature_names, lines)

@@ -10,9 +10,11 @@ Outputs never depend on execution order because the shuffle applies a
 canonical ordering: groups sorted by key bytes, values within a group
 ordered by (split_id, emission index).
 
-run_iterative owns the per-round read and write policy that RunStats
-records: disk-backed rounds re-read the dataset and re-write state every
-round, memory-resident rounds read once and keep state live.
+run_iterative chains rounds over one dataset and owns the per-round read
+and write policy that RunStats records: disk-backed rounds re-read the
+dataset and re-write their output every round, memory-resident rounds
+read once and write the last output only. Its caller is the driver: it
+reads each round's output and builds the next round's job from it.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Split count, iteration mode and base seed of a simulated cluster."""
+    """Split count and iteration mode of a simulated cluster. Randomness
+    is not the cluster's: each job that draws takes its own seed."""
 
     num_splits: int = 1
     iteration_mode: str = DISK
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_splits < 1:
@@ -108,14 +110,15 @@ class RunStats:
 def record_nbytes(record: Any) -> int:
     """Bytes charged for reading a record; other types give their own ``nbytes``.
 
-    Builtin types are tested before the far slower ``numbers.Number`` check.
+    A str counts its UTF-8 bytes, lone surrogates as ``text_key`` encodes
+    them. Builtin types are tested before the slower ``Number`` check.
     """
     if isinstance(record, (int, float)):
         return 8
     if isinstance(record, (bytes, bytearray)):
         return len(record)
     if isinstance(record, str):
-        return len(record.encode("utf-8"))
+        return len(record.encode("utf-8", "surrogatepass"))
     if isinstance(record, (tuple, list)):
         return sum(map(record_nbytes, record))
     if isinstance(record, numbers.Number):
@@ -211,11 +214,12 @@ def per_record(fn: Callable[[Any], Iterable[tuple[bytes, bytes]]]) -> Mapper:
 def run_job(
     job: JobSpec,
     dataset: Sequence,
-    config: ClusterConfig,
+    config: Optional[ClusterConfig] = None,
     *,
     _resident: bool = False,
 ) -> tuple[list[tuple[bytes, bytes]], RunStats]:
-    """Run one MR round: map over splits, shuffle, reduce.
+    """Run one MR round: map over splits, shuffle, reduce, on config
+    (a one-split disk-mode ClusterConfig when omitted).
 
     Accounting: reading the dataset charges records/bytes read; in disk
     mode the raw map output is materialized, charging one write per
@@ -225,6 +229,7 @@ def run_job(
     mapper, combiner or reducer raises JobExecutionError naming its
     stage and the split or key it was working on.
     """
+    config = ClusterConfig() if config is None else config
     stats = RunStats()
     splits = partition(dataset, config.num_splits)
     if not _resident:
@@ -281,42 +286,41 @@ def run_job(
 
 
 def run_iterative(
-    job_factory: Callable[[int, list[tuple[bytes, bytes]]], JobSpec],
-    initial_state: Iterable[tuple[bytes, bytes]],
+    job_factory: Callable[[int], JobSpec],
     max_iters: int,
-    converged: Optional[Callable[[list, list], bool]],
+    converged: Optional[Callable[[list[tuple[bytes, bytes]]], bool]],
     dataset: Sequence,
-    config: ClusterConfig,
+    config: Optional[ClusterConfig] = None,
 ) -> tuple[list[tuple[bytes, bytes]], RunStats]:
-    """Drive repeated MR rounds over one dataset with carried state.
+    """Drive repeated MR rounds over one dataset.
 
-    job_factory(iteration, state) builds the round's JobSpec from the
-    current state. Disk mode re-reads the dataset and re-writes state
-    every round; memory mode reads once and writes the final state only.
-    Stops after max_iters rounds or as soon as converged(old, new) holds.
+    job_factory(t) builds round t's JobSpec; converged(output), when
+    given, reads round t's reducer output once and stops the chain by
+    returning true. The caller carries whatever the next round needs.
+    Disk mode re-reads the dataset and re-writes the output every round;
+    memory mode reads once and writes the last round's output only.
+    Returns that last output and the summed ledger.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    config = ClusterConfig() if config is None else config
     stats = RunStats()
-    state = list(initial_state)
     disk = config.iteration_mode == DISK
     nbytes = dataset_nbytes(dataset)
     for t in range(max_iters):
         if disk or t == 0:
             stats.records_read += len(dataset)
             stats.bytes_read += nbytes
-        job = job_factory(t, state)
         try:
-            new_state, round_stats = run_job(job, dataset, config, _resident=True)
+            output, round_stats = run_job(job_factory(t), dataset, config, _resident=True)
         except JobExecutionError as err:
             err.iteration = t
             raise
         stats += round_stats
         if disk:
-            _charge_write(stats, new_state)
-        old_state, state = state, new_state
-        if converged is not None and converged(old_state, state):
+            _charge_write(stats, output)
+        if converged is not None and converged(output):
             break
     if not disk:
-        _charge_write(stats, state)
-    return state, stats
+        _charge_write(stats, output)
+    return output, stats

@@ -497,7 +497,7 @@ def fit_forest(
         return [(key, tree_to_bytes(tree))]
 
     job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer)
-    output, stats = run_job(job, np.column_stack([x, y]), config or ClusterConfig())
+    output, stats = run_job(job, np.column_stack([x, y]), config)
 
     trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}
     fallback = _leaf_payloads(np.zeros(n, dtype=np.intp), y, np.zeros(1, dtype=np.intp), task, n_classes)[0]

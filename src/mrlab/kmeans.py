@@ -63,29 +63,24 @@ def assign(record, centers) -> int:
     return int(_nearest(x[None, :], pts)[0][0])
 
 
-def _centers_from_state(state: Sequence[tuple[bytes, bytes]], fallback: np.ndarray) -> np.ndarray:
-    centers = fallback.copy()
-    for key, value in state:
+def _read_round(
+    output: Sequence[tuple[bytes, bytes]], centers: np.ndarray, n: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """A round's output as (centers, assignments, objective); a cluster
+    that got no records keeps its center from ``centers``."""
+    centers = centers.copy()
+    assignments = np.full(n, -1, dtype=np.int64)
+    objective = float("inf")
+    for key, value in output:
         if key[:1] == _CENTER:
             centers[int.from_bytes(key[1:5], "big")] = parse_f64s(value)
-    return centers
-
-
-def _assignments_from_state(state: Sequence[tuple[bytes, bytes]], n: int) -> np.ndarray:
-    out = np.full(n, -1, dtype=np.int64)
-    for key, value in state:
-        if key[:1] == _ASSIGN:
+        elif key[:1] == _ASSIGN:
             block = parse_f64s(value)
             first = int.from_bytes(key[1:9], "big")
-            out[first : first + block.size] = block
-    return out
-
-
-def _objective_from_state(state: Sequence[tuple[bytes, bytes]]) -> float:
-    for key, value in state:
-        if key[:1] == _OBJECTIVE:
-            return float(parse_f64s(value)[0])
-    return float("inf")
+            assignments[first : first + block.size] = block
+        else:
+            objective = float(parse_f64s(value)[0])
+    return centers, assignments, objective
 
 
 def _split_mapper(centers: np.ndarray):
@@ -117,6 +112,7 @@ def fit_kmeans(
     tol: float = 1e-6,
     config: Optional[ClusterConfig] = None,
     *,
+    seed: int = 0,
     history: Optional[list] = None,
 ) -> tuple[CenterSet, np.ndarray, RunStats]:
     """Iterate assign/barycenter rounds until centers stop moving.
@@ -124,10 +120,10 @@ def fit_kmeans(
     Stops when the largest center displacement (infinity norm) drops
     below tol, or after max_iters rounds. init is a (k, p) array of
     starting centers; when omitted, k records are drawn by reservoir
-    sampling with the config seed. history, when given, receives
-    (centers, assignments, objective) per round.
+    sampling under seed. The driver reads each round's output once and
+    builds the next round from the centers it read. history, when
+    given, receives (centers, assignments, objective) per round.
     """
-    config = config or ClusterConfig()
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise ParameterError("data must be a non-empty (n, p) array")
@@ -135,32 +131,22 @@ def fit_kmeans(
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if init is None:
-        init = np.array(reservoir_sample(points, k, config.seed))
-    init = np.asarray(init, dtype=float)
-    if init.shape != (k, p):
-        raise ParameterError(f"init must have shape {(k, p)}, got {init.shape}")
+        init = np.array(reservoir_sample(points, k, seed))
+    centers = np.asarray(init, dtype=float)
+    if centers.shape != (k, p):
+        raise ParameterError(f"init must have shape {(k, p)}, got {centers.shape}")
+    assignments, objective = None, None  # every round sets them
 
-    current = {"centers": init.copy()}
-
-    def job_factory(t: int, state: list[tuple[bytes, bytes]]) -> JobSpec:
-        centers = _centers_from_state(state, current["centers"])
-        current["centers"] = centers
+    def job_factory(t: int) -> JobSpec:
         return JobSpec(_split_mapper(centers), _reducer)
 
-    def converged(old_state, new_state) -> bool:
-        old = _centers_from_state(old_state, current["centers"])
-        new = _centers_from_state(new_state, current["centers"])
+    def converged(output) -> bool:
+        nonlocal centers, assignments, objective
+        old = centers
+        centers, assignments, objective = _read_round(output, old, n)
         if history is not None:
-            history.append((
-                new.copy(),
-                _assignments_from_state(new_state, n),
-                _objective_from_state(new_state),
-            ))
-        return float(np.max(np.abs(new - old))) < tol
+            history.append((centers.copy(), assignments, objective))
+        return float(np.max(np.abs(centers - old))) < tol
 
-    initial_state = [(_CENTER + u32_key(c), f64s_value(init[c])) for c in range(k)]
-    state, stats = run_iterative(job_factory, initial_state, max_iters, converged, points, config)
-
-    final_centers = _centers_from_state(state, current["centers"])
-    result = CenterSet(final_centers, stats.iterations, _objective_from_state(state))
-    return result, _assignments_from_state(state, n), stats
+    _output, stats = run_iterative(job_factory, max_iters, converged, points, config)
+    return CenterSet(centers, stats.iterations, objective), assignments, stats

@@ -179,7 +179,7 @@ def _sum_mapper(rows, key: bytes):
 def _sum_round(block, rows, config, key: bytes) -> tuple[np.ndarray, RunStats]:
     """One MR round summing rows(x, y) over the whole block, with its ledger."""
     job = JobSpec(_sum_mapper(rows, key), sum_vectors_reduce)
-    output, stats = run_job(job, block, config or ClusterConfig())
+    output, stats = run_job(job, block, config)
     return parse_f64s(output[0][1]).copy(), stats
 
 
@@ -226,45 +226,42 @@ def fit_logistic(
     """Gradient descent, one MR round per iteration.
 
     Update: b <- b - step_size * grad / n. Runs a fixed max_iters unless
-    tol is given, which adds an early stop at ||grad||_inf < tol. In
-    disk mode each round re-reads all n records and re-writes state.
+    tol is given, which adds an early stop at ||grad||_inf < tol. The
+    driver reads each round's (beta, grad) once and builds the next
+    round from that beta. In disk mode each round re-reads all n
+    records and re-writes its output.
     """
     if not step_size > 0:
         raise ParameterError(f"step_size must be positive, got {step_size}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    config = config or ClusterConfig()
     d = data.width
-    n = data.n
-    step = step_size / n
+    step = step_size / data.n
+    beta, grad = np.zeros(d), None  # every round sets grad
+    rounds = 0
 
-    def job_factory(t: int, state: list[tuple[bytes, bytes]]) -> JobSpec:
-        beta = parse_f64s(state[0][1])[:d].copy()
+    def job_factory(t: int) -> JobSpec:
+        start = beta  # this round's model: converged rebinds beta
 
         def reducer(key, values):
             grad = sum_partials(values)
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow to inf is caught by the divergence check
-                new_beta = beta - step * grad
+                new_beta = start - step * grad
             return [(b"B", f64s_value(np.concatenate([new_beta, grad])))]
 
-        return JobSpec(_sum_mapper(_gradient_rows(beta), b"g"), reducer)
+        return JobSpec(_sum_mapper(_gradient_rows(start), b"g"), reducer)
 
-    rounds = 0
-
-    def converged(old_state, new_state) -> bool:
-        nonlocal rounds
+    def converged(output) -> bool:
+        nonlocal beta, grad, rounds
         rounds += 1
-        flat = parse_f64s(new_state[0][1])
-        if not np.all(np.isfinite(flat[:d])):
+        flat = parse_f64s(output[0][1])
+        beta, grad = flat[:d], flat[d:]
+        if not np.all(np.isfinite(beta)):
             raise DivergenceError(rounds)
         if history is not None:
-            history.append(flat[:d].copy())
-        grad = flat[d:]
+            history.append(beta.copy())
         return tol is not None and float(np.max(np.abs(grad))) < tol
 
-    initial = [(b"B", f64s_value(np.zeros(d)))]
-    state, stats = run_iterative(job_factory, initial, max_iters, converged, _binary_block(data), config)
-    flat = parse_f64s(state[0][1])
-    model = LinearModel(flat[:d].copy(), stats.iterations, float(np.max(np.abs(flat[d:]))))
-    return model, stats
+    _output, stats = run_iterative(job_factory, max_iters, converged, _binary_block(data), config)
+    return LinearModel(beta.copy(), stats.iterations, float(np.max(np.abs(grad)))), stats

@@ -67,21 +67,23 @@ def _smallest_keys(
     Each record's draw u is uniform on [0,1) keyed by its global index
     i. A map task draws its split's uniforms as one block and emits
     u64_key(u * 2**53) + u64_key(i) for each u below cut, all of them
-    cut from one big-endian buffer; the shuffle's byte order on
-    (draw, index) does the sort, index breaking ties.
+    cut from one big-endian buffer and in key order, as a map-side sort
+    leaves them; the shuffle's byte order on (draw, index) then merges
+    the splits' sorted runs, index breaking ties.
     """
 
     def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         first, last = split.origin_range
         u = record_uniforms(seed, first, last - first + 1)
         kept = np.flatnonzero(u < cut)
+        kept = kept[np.argsort(u[kept], kind="stable")]
         keys = np.column_stack([u[kept] * 2**53, kept + first]).astype(">u8").tobytes()
         return [(keys[j:j + 16], b"") for j in range(0, len(keys), 16)]
 
     def reducer(key, values):
         return [(key, v) for v in values]
 
-    return run_job(JobSpec(mapper, reducer), dataset, config or ClusterConfig(seed=seed))
+    return run_job(JobSpec(mapper, reducer), dataset, config)
 
 
 def sort_sample(

@@ -117,6 +117,17 @@ def test_word_count_matches_counter_oracle():
         assert [t for t, _ in out] == sorted(oracle)
 
 
+def test_lone_surrogates_are_keyed_and_sized_as_text_keys():
+    # text_key passes a lone surrogate through as its three-byte form, and
+    # the ledger sizes it the same way instead of failing to encode it
+    out, stats = word_count(["a \udc80", "\udc80"])
+    assert out == [("a", 1), ("\udc80", 2)]
+    assert stats.bytes_read == 5 + 3
+    counts, stats = calls_per_date_number([call(D1, 5, caller="06\udc80")])
+    assert counts == [(("2024-01-01", "06\udc80"), 1)]
+    assert stats.bytes_read == 18 + 5 + 10
+
+
 # ------------------------------------------------------- in-mapper combining
 
 

@@ -238,6 +238,18 @@ def test_label_errors_name_the_file_line(numbers_csv, capsys, command, cell, mes
     assert f"row 3: {message}" in err  # the header is line 1
 
 
+@pytest.mark.parametrize("trees", [2, 6])
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+def test_rf_regression_rejects_non_finite_labels(numbers_csv, capsys, trees, cell):
+    path = numbers_csv("labels.csv", ["x", "label"], [[-1, 0], [1, cell]])
+    code, out, err = run_cli(
+        ["rf", path, "--label", "label", "--task", "regression", "--trees", str(trees)], capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "row 3: non-finite label" in err  # the header is line 1
+
+
 def test_rf_trains_and_saves_model(numbers_csv, tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = []

@@ -114,6 +114,11 @@ def test_run_job_word_count_hand_example():
     assert stats.iterations == 1
 
 
+def test_run_job_defaults_to_one_split_on_disk():
+    data = ["a", "b", "a"]
+    assert run_job(count_job(), data) == run_job(count_job(), data, ClusterConfig(1, "disk"))
+
+
 def test_run_job_identity_groups_input():
     def mapper(record):
         return [record]
@@ -136,7 +141,7 @@ def test_run_job_split_count_invariant_for_counts(num_splits):
 
 def test_run_job_byte_identical_across_runs():
     data = [f"w{i % 5}" for i in range(40)]
-    config = ClusterConfig(num_splits=3, seed=11)
+    config = ClusterConfig(num_splits=3)
     out1, stats1 = run_job(count_job(), data, config)
     out2, stats2 = run_job(count_job(), data, config)
     assert out1 == out2
@@ -276,7 +281,7 @@ def test_combiner_error_names_stage_split_and_key():
 
 
 def test_iterative_error_carries_iteration_index():
-    def factory(t, state):
+    def factory(t):
         def mapper(record):
             if t == 2:
                 raise ValueError("dies at round 2")
@@ -288,7 +293,7 @@ def test_iterative_error_carries_iteration_index():
         return JobSpec(per_record(mapper), reducer)
 
     with pytest.raises(JobExecutionError) as err:
-        run_iterative(factory, [], 5, None, [1, 2, 3], ClusterConfig())
+        run_iterative(factory, 5, None, [1, 2, 3], ClusterConfig())
     assert err.value.iteration == 2
     assert "iteration=2" in str(err.value)
 
@@ -296,7 +301,7 @@ def test_iterative_error_carries_iteration_index():
 # ------------------------------------------------------------ run_iterative
 
 
-def _noop_factory(t, state):
+def _noop_factory(t):
     def mapper(record):
         return []
 
@@ -308,14 +313,14 @@ def _noop_factory(t, state):
 
 def test_disk_mode_rereads_each_round():
     data = list(range(100))
-    _, stats = run_iterative(_noop_factory, [], 5, None, data, ClusterConfig(iteration_mode="disk"))
+    _, stats = run_iterative(_noop_factory, 5, None, data, ClusterConfig(iteration_mode="disk"))
     assert stats.records_read == 500
     assert stats.iterations == 5
 
 
 def test_memory_mode_reads_once():
     data = list(range(100))
-    _, stats = run_iterative(_noop_factory, [], 5, None, data, ClusterConfig(iteration_mode="memory"))
+    _, stats = run_iterative(_noop_factory, 5, None, data, ClusterConfig(iteration_mode="memory"))
     assert stats.records_read == 100
     assert stats.iterations == 5
 
@@ -326,29 +331,46 @@ def test_run_iterative_sizes_its_input_once(monkeypatch, mode, rounds_read):
     real = engine.dataset_nbytes
     monkeypatch.setattr(engine, "dataset_nbytes", lambda d: calls.append(d) or real(d))
     data = list(range(100))
-    _, stats = run_iterative(_noop_factory, [], 5, None, data, ClusterConfig(iteration_mode=mode))
+    _, stats = run_iterative(_noop_factory, 5, None, data, ClusterConfig(iteration_mode=mode))
     assert len(calls) == 1
     assert stats.bytes_read == rounds_read * 800
     assert stats.iterations == 5
 
 
 def test_convergence_stops_early():
-    def converged(old, new):
+    def converged(output):
         return converged.calls.append(0) or len(converged.calls) >= 2
 
     converged.calls = []
-    _, stats = run_iterative(_noop_factory, [], 10, converged, [1, 2], ClusterConfig())
+    _, stats = run_iterative(_noop_factory, 10, converged, [1, 2], ClusterConfig())
     assert stats.iterations == 2
+
+
+def test_converged_reads_each_rounds_output_once():
+    # round t's mapper emits t per record; its reducer sums them
+    def factory(t):
+        return JobSpec(per_record(lambda record: [(b"t", count_value(t))]), count_job().reducer)
+
+    seen = []
+
+    def converged(output):
+        seen.append(output)
+        return len(seen) == 3
+
+    output, stats = run_iterative(factory, 5, converged, [1, 2])
+    assert seen == [[(b"t", b"0")], [(b"t", b"2")], [(b"t", b"4")]]
+    assert output is seen[-1]
+    assert stats.iterations == 3
 
 
 def test_run_iterative_rejects_zero_iterations():
     with pytest.raises(ParameterError):
-        run_iterative(_noop_factory, [], 0, None, [1], ClusterConfig())
+        run_iterative(_noop_factory, 0, None, [1], ClusterConfig())
 
 
 def test_state_write_accounting_by_mode():
     # one state pair per round; disk re-writes it every round, memory once
-    def factory(t, state):
+    def factory(t):
         def mapper_emit(record):
             return [(b"s", b"x")] if record == 0 else []
 
@@ -358,8 +380,8 @@ def test_state_write_accounting_by_mode():
         return JobSpec(per_record(mapper_emit), reducer_pass)
 
     data = list(range(10))
-    _, disk = run_iterative(factory, [], 3, None, data, ClusterConfig(iteration_mode="disk"))
-    _, mem = run_iterative(factory, [], 3, None, data, ClusterConfig(iteration_mode="memory"))
+    _, disk = run_iterative(factory, 3, None, data, ClusterConfig(iteration_mode="disk"))
+    _, mem = run_iterative(factory, 3, None, data, ClusterConfig(iteration_mode="memory"))
     assert disk.records_written == 3 * (1 + 1)  # map materialization + state
     assert mem.records_written == 1
 
@@ -465,8 +487,8 @@ def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):
     real = engine.record_nbytes
     monkeypatch.setattr(engine, "record_nbytes", lambda r: calls.append(r) or real(r))
     data = np.ones((50, 3))
-    _, stats = run_iterative(_noop_factory, [], 3, None, data, ClusterConfig(iteration_mode="disk"))
-    _, one = run_job(_noop_factory(0, []), data, ClusterConfig(num_splits=4))
+    _, stats = run_iterative(_noop_factory, 3, None, data, ClusterConfig(iteration_mode="disk"))
+    _, one = run_job(_noop_factory(0), data, ClusterConfig(num_splits=4))
     assert calls == []
     assert stats.bytes_read == 3 * data.nbytes and one.bytes_read == data.nbytes
 
@@ -476,8 +498,8 @@ def test_numpy_dataset_is_sized_without_a_record_walk(monkeypatch):
 
 @pytest.fixture
 def pairs_seen(monkeypatch):
-    """Every pair that reaches a shuffle, leaves a run_job, or starts or
-    ends a run_iterative, in every module that imported those functions."""
+    """Every pair that reaches a shuffle, leaves a run_job, or ends a
+    run_iterative, in every module that imported those functions."""
     seen = []
     real_shuffle, real_run_job, real_run_iterative = shuffle, run_job, run_iterative
 
@@ -490,12 +512,10 @@ def pairs_seen(monkeypatch):
         seen.extend(output)
         return output, stats
 
-    def seen_run_iterative(job_factory, initial_state, *args):
-        initial_state = list(initial_state)
-        seen.extend(initial_state)
-        state, stats = real_run_iterative(job_factory, initial_state, *args)
-        seen.extend(state)
-        return state, stats
+    def seen_run_iterative(*args):
+        output, stats = real_run_iterative(*args)
+        seen.extend(output)
+        return output, stats
 
     wrappers = {"shuffle": seen_shuffle, "run_job": seen_run_job, "run_iterative": seen_run_iterative}
     for module in (engine, aggregates, sampling, kmeans, linmodels, forest):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mrlab.engine import ClusterConfig
 from mrlab.errors import ParameterError
 from mrlab.kmeans import CenterSet, assign, fit_kmeans
+from mrlab.sampling import reservoir_sample
 
 
 def lloyd_oracle(points, init, iters):
@@ -115,7 +116,7 @@ def test_objective_monotone_non_increasing():
     rng = np.random.default_rng(33)
     pts = rng.normal(size=(150, 3))
     history = []
-    fit_kmeans(pts, 4, max_iters=30, config=ClusterConfig(seed=5), history=history)
+    fit_kmeans(pts, 4, max_iters=30, seed=5, history=history)
     sses = [h[2] for h in history]
     assert all(b <= a + 1e-12 for a, b in zip(sses, sses[1:]))
 
@@ -153,8 +154,19 @@ def test_records_shuffled_per_round_does_not_grow_with_n():
 def test_default_init_samples_k_rows():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 2))
-    centers, _, _ = fit_kmeans(pts, 5, max_iters=1, config=ClusterConfig(seed=9))
+    centers, _, _ = fit_kmeans(pts, 5, max_iters=1, seed=9)
     assert centers.centers.shape == (5, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_seed_draws_the_reservoir_init(seed):
+    pts = np.random.default_rng(8).normal(size=(40, 2))
+    drawn, drawn_a, drawn_stats = fit_kmeans(pts, 4, max_iters=1, seed=seed)
+    given, given_a, given_stats = fit_kmeans(pts, 4, init=reservoir_sample(pts, 4, seed), max_iters=1)
+    np.testing.assert_array_equal(drawn.centers, given.centers)
+    np.testing.assert_array_equal(drawn_a, given_a)
+    assert drawn.objective == given.objective
+    assert drawn_stats == given_stats
 
 
 def test_split_layout_does_not_change_result():

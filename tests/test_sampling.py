@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlab import sampling
-from mrlab.engine import ClusterConfig
+from mrlab.engine import ClusterConfig, JobSpec
 from mrlab.errors import ParameterError
 from mrlab.rng import record_uniform
 from mrlab.sampling import (
@@ -90,6 +90,27 @@ def test_sort_sample_rejects_bad_sizes():
         sort_sample([1, 2], 3, seed=0)
     with pytest.raises(ParameterError):
         sort_sample([1, 2], 0, seed=0)
+
+
+def test_map_tasks_emit_their_keys_in_order(monkeypatch):
+    emitted = []
+    real = sampling.run_job
+
+    def run_job(job, dataset, config=None):
+        def mapper(split):
+            pairs = job.mapper(split)
+            emitted.append([key for key, _ in pairs])
+            return pairs
+
+        return real(JobSpec(mapper, job.reducer), dataset, config)
+
+    monkeypatch.setattr(sampling, "run_job", run_job)
+    config = ClusterConfig(num_splits=4)
+    sort_sample(range(500), 5, 7, config)
+    scan_srs(range(500), 5, 0.01, 7, config)
+    assert len(emitted) == 8
+    for keys in emitted:
+        assert keys and keys == sorted(keys)
 
 
 def test_sort_sample_split_layout_invariant():
