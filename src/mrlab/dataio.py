@@ -2,14 +2,20 @@
 
 All readers raise RowParseError with the 1-based file line number on
 malformed content, so failures point at the offending line. Every reader
-decodes its file through ``open_text``, which also names the line of the
-first byte that is not UTF-8.
+decodes its file through ``open_text``, which drops a leading byte-order
+mark and names the line of the first byte that is not UTF-8.
+
+Numeric tables are parsed in bulk: one pass of Python's ``float`` over
+every cell into a single array. Only when that pass fails does the row
+loop ``_parse_rows`` run, as the error path, so that the error names the
+first bad row exactly as a row-by-row parse would.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,18 +37,19 @@ class Table:
 
 @contextlib.contextmanager
 def open_text(path):
-    """Open a UTF-8 text file for reading, untranslated (newline="").
+    """Open a UTF-8 text file for reading, untranslated (newline=""),
+    without its byte-order mark if it has one.
 
     Bytes that are not UTF-8, met anywhere in the ``with`` body, raise
     RowParseError naming the file line that holds the first of them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
             data = Path(path).read_bytes()
             try:
-                data.decode("utf-8")
+                data.decode("utf-8")  # not utf-8-sig, whose offsets skip the mark
             except UnicodeDecodeError as err:
                 raise RowParseError(data.count(b"\n", 0, err.start) + 1, "not valid UTF-8") from None
             raise
@@ -89,6 +96,45 @@ def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_l
     line. A row's label is parsed after its other fields; the matrix is
     checked for non-finite values before the labels are.
     """
+    parsed = _parse_bulk(rows, len(names), label_idx, numeric_labels)
+    if parsed is None:  # parse row by row, to name the first bad row
+        parsed = _parse_rows(rows, lines, names, label_idx, numeric_labels)
+    matrix, labels = parsed
+    if not np.all(np.isfinite(matrix)):
+        r = int(np.argwhere(~np.isfinite(matrix))[0][0])
+        raise RowParseError(lines[r], nonfinite)
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        raise RowParseError(lines[bad[0]], "non-finite label")
+    return matrix, labels
+
+
+def _parse_bulk(rows, width: int, label_idx, numeric_labels):
+    """``_parse_rows``'s arrays from one ``float`` pass over every cell, or
+    None if a row has the wrong field count or a cell does not parse.
+
+    Labels go through ``float`` unstripped: ``str.strip`` also removes
+    U+001C-U+001F, which ``float`` rejects, so a label wrapped in those
+    returns None here and parses in ``_parse_rows``.
+    """
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = itertools.chain.from_iterable(rows)
+    if label_idx is not None and not numeric_labels:  # leave the label cell out
+        cells = itertools.compress(cells, itertools.cycle([j != label_idx for j in range(width)]))
+        width, label_idx = width - 1, None
+    try:
+        parsed = np.fromiter(map(float, cells), float, len(rows) * width).reshape(len(rows), width)
+    except ValueError:
+        return None
+    if label_idx is None:
+        return parsed, np.zeros(len(rows))
+    return np.delete(parsed, label_idx, axis=1), np.ascontiguousarray(parsed[:, label_idx])
+
+
+def _parse_rows(rows, lines, names, label_idx, numeric_labels):
+    """The row-by-row parse: raises RowParseError at the first row with
+    the wrong field count or a cell that does not parse."""
     columns = [j for j in range(len(names)) if j != label_idx]
     matrix = np.empty((len(rows), len(columns)))
     labels = np.zeros(len(rows))
@@ -106,12 +152,6 @@ def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_l
                 labels[r] = float(raw)
             except ValueError:
                 raise RowParseError(line, f"bad numeric label {raw!r}") from None
-    if not np.all(np.isfinite(matrix)):
-        r = int(np.argwhere(~np.isfinite(matrix))[0][0])
-        raise RowParseError(lines[r], nonfinite)
-    bad = np.flatnonzero(~np.isfinite(labels))
-    if bad.size:
-        raise RowParseError(lines[bad[0]], "non-finite label")
     return matrix, labels
 
 

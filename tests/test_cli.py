@@ -528,14 +528,33 @@ def test_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_sequential_env_matches_parallel(numbers_csv, capsys, monkeypatch):
+def test_linreg_result_is_equal_at_every_split_count(numbers_csv, capsys):
+    # Integer-valued input: every partial sum is exact, so the split layout
+    # cannot change a bit of the result.
     rows = [[x, 3 * x + 1] for x in range(40)]
     path = numbers_csv("line.csv", ["x", "y"], rows)
-    argv = ["linreg", path, "--label", "y", "--splits", "8"]
-    _, parallel_out, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("MRLAB_SEQUENTIAL", "1")
-    _, sequential_out, _ = run_cli(argv, capsys)
-    assert parallel_out == sequential_out
+    results = [report_of(run_cli(["linreg", path, "--label", "y", "--splits", str(splits)], capsys)[1])["result"]
+               for splits in (1, 2, 3, 8)]
+    assert results == [results[0]] * 4
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["linreg", "--label", "x0"], "table.csv"),
+    (["kmeans", "--k", "3"], "table.csv"),
+    (["calls-count"], "calls.csv"),
+    (["wordcount"], "docs.txt"),
+], ids=["linreg", "kmeans", "calls-count", "wordcount"])
+def test_a_byte_order_mark_changes_no_result(tmp_path, capsys, argv, source):
+    write_seeded_inputs(tmp_path)
+    write_seeded_calls(tmp_path / "calls.csv")
+    marked = tmp_path / f"marked-{source}"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / source).read_bytes())
+    reports = []
+    for path in (tmp_path / source, marked):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+        assert code == 0, err
+        reports.append({key: report_of(out)[key] for key in ("result", "stats")})
+    assert reports[1] == reports[0]
 
 
 def test_out_file_matches_stdout(calls_csv, tmp_path, capsys):
