@@ -4,9 +4,10 @@ These are the smallest real jobs the engine runs and double as its
 integration tests: group durations by date, count calls per (date,
 caller), count token occurrences. The call jobs read a ``CallLog``, the
 log held as columns, and their mappers fold a split's columns. Each
-mapper emits one partial per distinct key in its split, a count or a
-``numerics.partial_sum`` of (duration, 1) rows: in-mapper combining, so
-the jobs need no combiner.
+mapper emits one partial per distinct key in its split, a count or the
+exact sums of (duration, 1) rows from one grouped
+``numerics.exact_sums`` keyed by date: in-mapper combining, so the jobs
+need no combiner.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .dataio import read_csv_rows
-from .encoding import count_value, f64s_value, parse_count, parse_f64s, split_text_key, text_key
+from .encoding import count_value, f64s_row_blocks, f64s_value, parse_count, parse_f64s, split_text_key, text_key
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import RowParseError
-from .numerics import partial_sum, sum_partials
+from .numerics import exact_sums, sum_partials
 
 CALL_HEADER = ("date", "caller", "callee", "duration")
 
@@ -138,10 +141,9 @@ def _count_reduce(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
 def avg_duration_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         log = split.records
-        rows: dict[str, list[tuple[float, float]]] = {}  # (duration, 1) per call
-        for date, duration in zip(log.dates, log.durations):
-            rows.setdefault(date, []).append((duration, 1.0))
-        return [partial_sum(text_key(date), r) for date, r in rows.items()]
+        dates, date_ids = np.unique(log.dates, return_inverse=True)
+        _ids, sums = exact_sums(np.column_stack([log.durations, np.ones(len(log))]), date_ids)
+        return [(text_key(date), v) for date, v in zip(dates.tolist(), f64s_row_blocks(sums))]
 
     def reducer(key, values):
         total, count = sum_partials(values)

@@ -79,25 +79,40 @@ def parse_f64s(value: bytes) -> np.ndarray:
     return arr
 
 
+def f64s_row_blocks(blocks: np.ndarray) -> list[bytes]:
+    """Each (K, w) block of a (G, K, w) array as one payload: its rows'
+    ``f64s_value`` payloads back to back. One pack for all the blocks."""
+    blocks = np.asarray(blocks, dtype=float)
+    g, k, w = blocks.shape
+    packed = np.empty((g, k), dtype=[("n", "<u4"), ("v", "<f8", (w,))])
+    packed["n"] = w
+    packed["v"] = blocks
+    data, size = packed.tobytes(), packed.itemsize * k
+    return [data[i : i + size] for i in range(0, g * size, size)]
+
+
 def parse_f64s_rows(values: Sequence[bytes]) -> np.ndarray:
-    """Decode equal-width ``f64s_value`` payloads as the rows of one array.
+    """Decode payloads of one or more equal-width ``f64s_value`` records
+    (``f64s_value`` or ``f64s_row_blocks``) as the rows of one array.
 
     One ``frombuffer`` over the joined bytes, read as packed
-    ``(<u4 length, <f8[width])`` records. Every payload must have the
-    first one's byte length and every length prefix must declare that
-    width, so a payload is accepted here exactly when ``parse_f64s``
-    accepts it at the common width.
+    ``(<u4 length, <f8[width])`` records, where the first record's prefix
+    sets the width. Every payload must be a whole, non-zero number of
+    records and every length prefix must declare that width, so a record
+    is accepted here exactly when ``parse_f64s`` accepts it at the common
+    width.
     """
     if not values:
         raise ValueError("parse_f64s_rows needs at least one value")
-    size = len(values[0])
-    width, rest = divmod(size - _LEN.size, 8)
-    if width < 0 or rest:
-        raise ValueError(f"corrupt float64 array: {size} bytes is no length prefix plus float64s")
-    if any(len(v) != size for v in values):
-        raise ValueError(f"float64 arrays of unequal width: expected {size} bytes each")
+    first = values[0]
+    width = _LEN.unpack_from(first)[0] if len(first) >= _LEN.size else -1
+    size = _LEN.size + 8 * width
+    if width < 0 or len(first) % size:
+        raise ValueError(f"corrupt float64 array: {len(first)} bytes is no whole number of records")
+    if any(not v or len(v) % size for v in values):
+        raise ValueError(f"float64 arrays of unequal width: expected records of {size} bytes")
     packed = np.frombuffer(b"".join(values), dtype=[("n", "<u4"), ("v", "<f8", (width,))])
     declared = packed["n"]
     if np.any(declared != width):
         raise ValueError(f"corrupt float64 array: declared {int(declared[declared != width][0])}, got {width}")
-    return np.ascontiguousarray(packed["v"]).reshape(len(values), width)
+    return np.ascontiguousarray(packed["v"]).reshape(len(packed), width)

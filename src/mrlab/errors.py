@@ -64,7 +64,8 @@ class SingularMatrixError(MRLabError):
 
 
 class DivergenceError(MRLabError):
-    """Gradient descent produced non-finite coefficients."""
+    """An iterative fit produced non-finite values: logistic coefficients
+    or the k-means objective."""
 
     def __init__(self, iteration: int, message: str | None = None):
         super().__init__(message or f"diverged at iteration {iteration}")

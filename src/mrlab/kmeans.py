@@ -3,10 +3,14 @@
 Each round assigns every record to its nearest center (centers are
 broadcast driver state, read-only during the round) and reduces
 per-cluster coordinate sums into new barycenters. A map task folds its
-whole split at once: it emits one (coordinate sums, count) partial per
-cluster present in the split, one partial of the within-cluster squared
-error, and the split's assignments as one block keyed by the index of
-its first record. The round's output carries the assignment blocks and
+whole split at once: one grouped ``numerics.exact_sums`` over the rows
+(coordinates, 1, squared distance) keyed by nearest center gives one
+exact (coordinate sums, count) partial per cluster present in the split
+and, from the rows of every cluster's squared-distance column, one
+exact partial of the within-cluster squared error; it also emits the
+split's assignments as one block keyed by the index of its first record.
+Exact partials make the centers and the objective the same bits at any
+split count. The round's output carries the assignment blocks and
 the total objective, so fit_kmeans can report assignments and track the
 objective without extra passes, and the assignment vector it decodes is
 the same whatever the split layout.
@@ -14,15 +18,16 @@ the same whatever the split layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s, u32_key, u64_key
+from .encoding import f64s_row_blocks, f64s_value, parse_f64s, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, RunStats, run_iterative
-from .errors import ParameterError
-from .numerics import partial_sum, sum_partials, sum_vectors_reduce
+from .errors import DivergenceError, ParameterError
+from .numerics import exact_sums, sum_partials, sum_vectors_reduce
 from .sampling import reservoir_sample
 
 _ASSIGN = b"A"
@@ -43,11 +48,13 @@ class CenterSet:
 
 def _nearest(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (m, p) block: the index of the nearest center and
-    the squared distance to it; ties go to the smallest index. One
-    center at a time, so the scratch space is (m, p), not (m, k, p)."""
+    the squared distance to it, inf if it overflows; ties go to the
+    smallest index. One center at a time, so the scratch space is (m, p),
+    not (m, k, p)."""
     d2 = np.empty((block.shape[0], centers.shape[0]))
-    for c, center in enumerate(centers):
-        d2[:, c] = ((block - center) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # fit_kmeans rejects the infinite objective
+        for c, center in enumerate(centers):
+            d2[:, c] = ((block - center) ** 2).sum(axis=1)
     nearest = np.argmin(d2, axis=1)
     return nearest, d2[np.arange(block.shape[0]), nearest]
 
@@ -86,9 +93,10 @@ def _read_round(
 def _split_mapper(centers: np.ndarray):
     def mapper(split):
         nearest, d2 = _nearest(split.records, centers)
-        counted = np.column_stack([split.records, np.ones(len(nearest))])  # coordinates, then count
-        out = [partial_sum(_CENTER + u32_key(c), counted[nearest == c]) for c in np.unique(nearest).tolist()]
-        out.append(partial_sum(_OBJECTIVE, d2[:, None]))
+        # per cluster: coordinates, then count, then squared error
+        ids, sums = exact_sums(np.column_stack([split.records, np.ones(len(nearest)), d2]), nearest)
+        out = [(_CENTER + u32_key(c), v) for c, v in zip(ids.tolist(), f64s_row_blocks(sums[:, :, :-1]))]
+        out.append((_OBJECTIVE, f64s_row_blocks(sums[:, :, -1].reshape(1, -1, 1))[0]))
         out.append((_ASSIGN + u64_key(split.origin_range[0]), f64s_value(nearest)))
         return out
 
@@ -122,7 +130,9 @@ def fit_kmeans(
     starting centers; when omitted, k records are drawn by reservoir
     sampling under seed. The driver reads each round's output once and
     builds the next round from the centers it read. history, when
-    given, receives (centers, assignments, objective) per round.
+    given, receives (centers, assignments, objective) per round. An
+    objective that is not finite (squared distances that overflow)
+    raises DivergenceError naming the round.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -136,14 +146,18 @@ def fit_kmeans(
     if centers.shape != (k, p):
         raise ParameterError(f"init must have shape {(k, p)}, got {centers.shape}")
     assignments, objective = None, None  # every round sets them
+    rounds = 0
 
     def job_factory(t: int) -> JobSpec:
         return JobSpec(_split_mapper(centers), _reducer)
 
     def converged(output) -> bool:
-        nonlocal centers, assignments, objective
+        nonlocal centers, assignments, objective, rounds
+        rounds += 1
         old = centers
         centers, assignments, objective = _read_round(output, old, n)
+        if not math.isfinite(objective):
+            raise DivergenceError(rounds, f"objective is {objective} at iteration {rounds}")
         if history is not None:
             history.append((centers.copy(), assignments, objective))
         return float(np.max(np.abs(centers - old))) < tol

@@ -10,8 +10,11 @@ summing per-record gradient contributions.
 Every job splits the (n, d+1) block [X | y] and its mapper folds a whole
 split at once: one vectorized pass over the split's rows, then one
 ``numerics.partial_sum`` to a single partial per split (in-mapper
-combining). Row values are computed row by row, never by a BLAS
-matrix-vector product, whose rounding depends on the rows around it.
+combining). A partial holds the split's column sums exactly, as a few
+rows of floats, and the reducer rounds once, so every sum, and with it
+every fitted coefficient, has the same bits at any split count. Row
+values are computed row by row, never by a BLAS matrix-vector product,
+whose rounding depends on the rows around it.
 """
 
 from __future__ import annotations
@@ -173,7 +176,14 @@ def _rowdot(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def _sum_mapper(rows, key: bytes):
     """A mapper emitting one partial: the column sums of rows(x, y) over its split."""
-    return lambda split: [partial_sum(key, rows(*_xy(split)))]
+
+    def mapper(split):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a row value that overflows stays inf or nan, and so does its sum
+            block = rows(*_xy(split))
+        return [partial_sum(key, block)]
+
+    return mapper
 
 
 def _sum_round(block, rows, config, key: bytes) -> tuple[np.ndarray, RunStats]:

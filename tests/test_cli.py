@@ -214,6 +214,28 @@ def test_logreg_divergence_exits_one(numbers_csv, capsys):
     assert "diverged" in err
 
 
+def test_linreg_with_overflowing_squares_exits_one_without_a_warning(numbers_csv, capsys):
+    path = numbers_csv("huge.csv", ["x", "y"], [["1e200", 1], ["2e200", 2], [3, 3]])
+    code, out, err = run_cli(["linreg", path, "--label", "y"], capsys)
+    assert (code, out, err) == (1, "", "mrlab: linreg: matrix is singular at pivot 0\n")
+
+
+def test_kmeans_with_overflowing_distances_exits_one_naming_the_round(numbers_csv, capsys):
+    path = numbers_csv("far.csv", ["x", "y"], [["1e200", 1], ["-1e200", 0], [3, 1], [4, 2]])
+    code, out, err = run_cli(["kmeans", path, "--k", "2"], capsys)
+    assert (code, out, err) == (1, "", "mrlab: kmeans: objective is inf at iteration 1\n")
+
+
+def test_calls_avg_overflow_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("date,caller,callee,duration\n2024-01-01,a,b,1e308\n2024-01-01,a,c,1e308\n",
+                    encoding="utf-8")
+    for splits in ("1", "2"):
+        code, out, err = run_cli(["calls-avg", str(path), "--splits", splits], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("mrlab: calls-avg: intermediate overflow in fsum [stage=")
+
+
 def test_logreg_non_binary_label_exits_two(numbers_csv, capsys):
     path = numbers_csv("labels.csv", ["x", "label"], [[-1, 0], [1, 2], [2, 1]])
     code, out, err = run_cli(["logreg", path, "--label", "label"], capsys)
@@ -441,10 +463,25 @@ def write_seeded_calls(path, seed=10, rows=400):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["calls-avg", "calls.csv"],
+    ["kmeans", "table.csv", "--k", "3", "--iters", "20"],
+    ["linreg", "table.csv", "--label", "y"],
+    ["logreg", "table.csv", "--label", "y", "--iters", "20"],
+], ids=["calls-avg", "kmeans", "linreg", "logreg"])
+def test_summing_reports_have_the_same_result_at_one_and_three_splits(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_seeded_inputs(tmp_path)
+    write_seeded_calls(tmp_path / "calls.csv")
+    results = [report_of(run_cli([*argv, "--splits", splits], capsys)[1])["result"] for splits in ("1", "3")]
+    assert results[1] == results[0]
+
+
 # SHA-256 of the call reports on write_seeded_calls's file, recorded before
-# the call log was read into columns.
+# the call log was read into columns; calls-avg re-pinned when partials
+# became exact (its means and bytes_written moved).
 CALL_REPORT_DIGESTS = {
-    "calls-avg": "75054be773e76b00a36b3909328b528e105b8da36fc9999f5c7a36b6568559e7",
+    "calls-avg": "6c25190126d0d32c42465cdd0c1c9e06bde1d3354918323aba311d01230892ec",
     "calls-count": "81c391e65aa998b62c2ed48a26680fa911eb33e6d27d698f9685174c8c0d0454",
 }
 
@@ -477,7 +514,9 @@ def write_seeded_inputs(root, seed=11, rows=300):
 
 
 # SHA-256 of the other subcommands' reports on write_seeded_inputs's files,
-# recorded before shuffle pairs became plain tuples.
+# recorded before shuffle pairs became plain tuples; kmeans, linreg and
+# logreg re-pinned when partials became exact (bytes_written moved in all
+# three, and the kmeans and logreg results at 3 splits).
 REPORT_DIGESTS = {
     "sample-reservoir": (
         ["sample", "table.csv", "--method", "reservoir", "--n", "20"],
@@ -497,15 +536,15 @@ REPORT_DIGESTS = {
     ),
     "kmeans": (
         ["kmeans", "table.csv", "--k", "3", "--iters", "20"],
-        "e5d0c4c383727890ea63ff30afb2b80681693e452ca3b957f75d9607f51847a9",
+        "c79cb851198efa58b88f409bc8425f0794203546f65df81c32aa6f5b93afdbaf",
     ),
     "linreg": (
         ["linreg", "table.csv", "--label", "y"],
-        "085db0ec7b52cacb67bf24598702215335cc3f1f6e373042d21a0b31a5d7057a",
+        "e707c8a474e98c60e0b23fc31c98cbf8ba8d445d7a4295a4494168a34b6c07d4",
     ),
     "logreg": (
         ["logreg", "table.csv", "--label", "y", "--iters", "20"],
-        "f632c674c2a40be5f4ed35dde1f4209d98c08056fd3245a597cbab0d115afd07",
+        "9035285fb8ae62ab6ded8076fd4fe847e7bdf16eb204438ab0911d4fe674926e",
     ),
     "rf": (
         ["rf", "table.csv", "--label", "y", "--trees", "3"],

@@ -82,13 +82,24 @@ def test_f64s_rows_equal_rowwise_decoding(width, rows):
     assert np.array_equal(block, expected)
 
 
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_f64s_row_blocks_are_their_rows_back_to_back(width, k, g, data):
+    values = data.draw(st.lists(finite_floats, min_size=g * k * width, max_size=g * k * width))
+    blocks = np.array(values).reshape(g, k, width)
+    payloads = encoding.f64s_row_blocks(blocks)
+    assert payloads == [b"".join(encoding.f64s_value(row) for row in block) for block in blocks]
+    assert np.array_equal(encoding.parse_f64s_rows(payloads), blocks.reshape(g * k, width))
+
+
 @pytest.mark.parametrize("values, match", [
+    ([encoding.f64s_row_blocks(np.ones((1, 2, 2)))[0], encoding.f64s_value([1.0]) * 3], "unequal width"),
+    ([encoding.f64s_value([1.0]), b""], "unequal width"),
     ([], "at least one"),
     ([b"\x01\x00\x00"], "corrupt"),
     ([encoding.f64s_value([1.0, 2.0]), struct.pack("<I", 3) + bytes(16)], "declared 3, got 2"),
     ([encoding.f64s_value([1.0]), encoding.f64s_value([1.0, 2.0])], "unequal width"),
     ([encoding.f64s_value([1.0, 2.0])[:-4]], "corrupt"),
-], ids=["empty", "short", "bad-prefix", "unequal", "torn"])
+], ids=["rows-then-short-records", "empty-payload", "empty", "short", "bad-prefix", "unequal", "torn"])
 def test_parse_f64s_rows_checks_every_length(values, match):
     with pytest.raises(ValueError, match=match):
         encoding.parse_f64s_rows(values)
