@@ -6,10 +6,10 @@ algorithm's result. Fixed flags give byte-identical reports, so the
 reports double as reproduction artifacts.
 
 Exit codes: 0 success; 1 algorithmic failure (singular system,
-divergence, failed scan sample, job crash); 2 usage errors, missing
-files, an unwritable --out path and malformed input. The report is
-written to --out before stdout, so a report that cannot be saved is not
-printed either.
+divergence, failed scan sample, job crash, a nan or inf in the report or
+model, named by its field); 2 usage errors, missing files, an unwritable
+--out path and malformed input. The report is written to --out before
+stdout, so a report that cannot be saved is not printed either.
 """
 
 from __future__ import annotations
@@ -44,6 +44,32 @@ from .linmodels import DataMatrix, fit_linear, fit_logistic
 from .sampling import reservoir_sample, scan_srs, sort_sample
 
 SCHEMA_VERSION = 1
+
+
+class _NotFinite(Exception):
+    """A report field holds nan or inf, which JSON cannot carry."""
+
+
+def _strict_json(write, value, name: str = "") -> str:
+    """``write()``, a JSON writer of ``value`` that refuses nan and inf. A
+    refusal raises ``_NotFinite`` naming the first such field, keys sorted,
+    under ``name``: ``result.residual_norm``, for example."""
+    try:
+        return write()
+    except ValueError:
+        raise _NotFinite(f"{next(_non_finite(value, name))} is not finite") from None
+
+
+def _non_finite(value, name: str):
+    """The names of the nan and inf numbers in a report value, keys sorted."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield name
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from _non_finite(value[key], f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{name}[{i}]")
 
 
 def _config(args) -> ClusterConfig:
@@ -265,8 +291,6 @@ def _cmd_rf(args, config):
     )
     labels = table.raw_labels if classification else table.labels
     model, stats = fit_forest(table.features, labels, params, args.task, config)
-    if args.model_out:
-        Path(args.model_out).write_text(model.to_json() + "\n", encoding="utf-8")
     result = {
         "task": model.task,
         "classes": model.classes,
@@ -274,6 +298,9 @@ def _cmd_rf(args, config):
         "degenerate_trees": sum(1 for t in model.trees if t.degenerate),
         "model": model.as_dict(),
     }
+    if args.model_out:
+        text = _strict_json(model.to_json, result["model"], "result.model")
+        Path(args.model_out).write_text(text + "\n", encoding="utf-8")
     return result, stats, 0
 
 
@@ -336,13 +363,14 @@ def run(argv) -> int:
             "stats": stats.as_dict(),
             "result": result,
         }
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _strict_json(lambda: json.dumps(report, sort_keys=True, indent=2, allow_nan=False), report)
+        text += "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
     except (RowParseError, ParameterError, EmptyInputError, OSError) as err:
         print(f"mrlab: {args.command}: {err}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, DivergenceError, JobExecutionError) as err:
+    except (SingularMatrixError, DivergenceError, JobExecutionError, _NotFinite) as err:
         print(f"mrlab: {args.command}: {err}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

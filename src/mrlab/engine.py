@@ -58,12 +58,12 @@ class JobSpec:
     The mapper takes one ``InputSplit`` and returns that split's pairs;
     wrap a function of one record in ``per_record``. A mapper may emit
     per-split partials, but the reduced result must not depend on where
-    the split boundaries fall: every draw is a counter-based uniform
-    (``rng.record_uniform``/``rng.record_uniforms``) keyed by its
+    the split boundaries fall: every draw is a counter-based hash
+    (``rng.counter_hash`` and the draws built on it) keyed by its
     coordinates, such as a record index (``origin_range[0]`` plus the
-    offset in the split) or a tree node, never by split. Combiners
-    share the reducer signature and run per split before the shuffle;
-    they must be idempotent with respect to the reducer.
+    offset in the split) or a tree node, never by split. Combiners share the reducer signature and run
+    per split before the shuffle; they must be idempotent with respect to
+    the reducer.
     """
 
     mapper: Mapper

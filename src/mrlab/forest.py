@@ -10,13 +10,13 @@ covers undersampling (k*m < n), rebalancing (= n) and oversampling
 
 Replication counts are counter-based (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC 2011): tree j's uniform stream is keyed
-by (seed, j) and indexed by the global record index, and each uniform is
-turned into a count by inverse CDF. A count depends on (seed, record,
-tree) alone, so resampling is independent of how records are laid out
-across splits, and a map task draws its whole split in one block. Tree
-growth draws the same way: each node's features come from uniforms keyed
-by the node's key, which is fixed by the tree's growth key and the
-node's left/right path from the root, not by the order nodes are grown.
+by ``rng.counter_hash(seed, j)`` and indexed by the global record index,
+and each uniform is turned into a count by inverse CDF. A count depends
+on (seed, record, tree) alone, so resampling is independent of how
+records are laid out across splits, and a map task draws its whole split
+in one call. Tree growth draws by the same rule: each node's features
+come from the draws keyed by the node's key, which is fixed by the tree's
+growth key and its left/right path from the root, not by growth order.
 
 A reducer grows its tree one level at a time over presorted feature
 lists, as PLANET (Panda et al., VLDB 2009) expands one level per
@@ -32,7 +32,6 @@ takes ids 2i+1 for its left child and 2i+2 for its right child.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -44,7 +43,7 @@ import numpy as np
 from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
-from .rng import record_uniform, record_uniforms, splitmix64, splitmix64_array
+from .rng import counter_hash, record_draws, record_uniforms, splitmix64_array
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -126,7 +125,8 @@ class ForestModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        """The model as JSON; a non-finite number raises ValueError."""
+        return json.dumps(self.as_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ForestModel":
@@ -165,7 +165,7 @@ def _poisson_cdf(rate: float) -> tuple[float, ...]:
 
 def _tree_seed(seed: int, tree: int) -> int:
     """The key of tree ``tree``'s uniform stream under ``seed``."""
-    return splitmix64(splitmix64(seed) ^ tree)
+    return int(counter_hash(seed, tree)[0])
 
 
 def _growth_key(seed: int, tree: int) -> int:
@@ -183,34 +183,17 @@ def _child_keys(keys: np.ndarray) -> np.ndarray:
 
 def _node_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
     """Each node's features, one row per key of a uint64 array: the mtry
-    smallest of the p uniforms ``record_uniforms(key, 0, p)``, ties to the
+    smallest of the p draws ``record_draws(key, 0, p)``, ties to the
     smaller index."""
-    draws = splitmix64_array(splitmix64_array(keys)[:, None] ^ np.arange(p, dtype=np.uint64))
-    # draws >> 11 are the uniforms before their exact scaling by 2**-53
-    return np.argsort(draws >> np.uint64(11), axis=1, kind="stable")[:, :mtry]
-
-
-def poisson_counts(seed: int, record_index: int, trees: int, rate: float) -> np.ndarray:
-    """Replication counts p_ij ~ Poisson(rate) for one record across all
-    trees: the scalar form of ``poisson_count_block``, bit-identical to
-    row ``record_index - start`` of any block that holds the record."""
-    cdf = _poisson_cdf(rate)
-    return np.array(
-        [bisect.bisect_right(cdf, record_uniform(_tree_seed(seed, j), record_index))
-         for j in range(trees)],
-        dtype=np.int64,
-    )
+    return np.argsort(record_draws(keys, 0, p), axis=1, kind="stable")[:, :mtry]
 
 
 def poisson_count_block(seed: int, start: int, count: int, trees: int, rate: float) -> np.ndarray:
     """Replication counts of records start..start+count-1 across all trees,
     as a (count, trees) int64 array: the inverse Poisson CDF of each
-    tree's counter-based uniforms."""
-    cdf = np.array(_poisson_cdf(rate))
-    out = np.empty((count, trees), dtype=np.int64)
-    for j in range(trees):
-        out[:, j] = np.searchsorted(cdf, record_uniforms(_tree_seed(seed, j), start, count), side="right")
-    return out
+    tree's counter-based uniforms, all drawn in one call."""
+    keys = counter_hash(seed, np.arange(trees, dtype=np.uint64))  # every _tree_seed
+    return np.searchsorted(np.array(_poisson_cdf(rate)), record_uniforms(keys, start, count), side="right").T
 
 
 def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> list[tuple[bytes, bytes]]:
@@ -300,11 +283,11 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
     first = np.minimum.reduceat(np.where(score == low, np.arange(score.size), score.size), runs)
     lo, hi = xs[cut[first] - 1], xs[cut[first]]
     # Between adjacent doubles the midpoint can round up to hi, and near the
-    # largest double it overflows; either would send every row left, so
-    # those nodes keep lo.
+    # largest double it overflows to inf (every row would go left) or to
+    # -inf (every row would go right), so those nodes keep lo.
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
-    return nodes, feats.ravel()[seg[first]], np.where(mid < hi, mid, lo)
+    return nodes, feats.ravel()[seg[first]], np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def train_tree_reduce(
@@ -411,9 +394,20 @@ def _leaf_payloads(node_of_row, y, leaves, task, classes) -> list:
         return [{"class": c} for c in counts.reshape(count, classes)[leaves].argmax(axis=1).tolist()]
     bounds = np.cumsum(np.bincount(node_of_row, minlength=count)).tolist()
     ys = y[np.argsort(node_of_row, kind="stable")]
-    return [
-        {"value": float(np.mean(ys[(bounds[i - 1] if i else 0):bounds[i]]))} for i in leaves.tolist()
-    ]
+    with np.errstate(over="ignore"):
+        return [
+            {"value": _mean(ys[(bounds[i - 1] if i else 0):bounds[i]])} for i in leaves.tolist()
+        ]
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of finite values, run with overflow ignored; a sum that
+    overflows is redone on values / 2**k, 2**k >= their count, scaled back."""
+    mean = np.mean(values)
+    if np.isinf(mean):
+        scale = 2.0 ** len(values).bit_length()
+        mean = np.mean(values / scale) * scale
+    return float(mean)
 
 
 def _tree_from_levels(levels, payloads) -> TreeModel:
@@ -509,7 +503,8 @@ def fit_forest(
 
 
 def tree_to_bytes(tree: TreeModel) -> bytes:
-    return json.dumps(tree.as_dict(), sort_keys=True).encode("utf-8")
+    """A tree as UTF-8 JSON; a non-finite number raises ValueError."""
+    return json.dumps(tree.as_dict(), sort_keys=True, allow_nan=False).encode("utf-8")
 
 
 def tree_from_bytes(data: bytes) -> TreeModel:
@@ -522,6 +517,7 @@ def predict_forest(model: ForestModel, record) -> object:
     x = np.asarray(record, dtype=float)
     outputs = [tree.predict(x) for tree in model.trees]
     if model.task == REGRESSION:
-        return float(np.mean(outputs))
+        with np.errstate(over="ignore"):
+            return _mean(np.array(outputs, dtype=float))
     votes = np.bincount(np.asarray(outputs, dtype=np.int64), minlength=len(model.classes))
     return model.classes[int(np.argmax(votes))]

@@ -28,7 +28,7 @@ import numpy as np
 from .encoding import f64s_value, parse_f64s
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_iterative, run_job
 from .errors import DivergenceError, ParameterError, RowParseError, SingularMatrixError
-from .numerics import partial_sum, sigmoid, softplus, sum_partials, sum_vectors_reduce
+from .numerics import partial_sum, sigmoid, sum_partials, sum_vectors_reduce
 
 _PIVOT_RTOL = 1e-12
 
@@ -132,19 +132,21 @@ def solve_normal_equations(gram: GramPair) -> np.ndarray:
         raise ParameterError(f"shape mismatch: {a.shape} vs {b.shape}")
     tol = _PIVOT_RTOL * max(float(np.max(np.abs(np.diag(a)))), 0.0)
     lower = np.zeros_like(a)
-    for j in range(d):
-        s = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if not s > tol or not math.isfinite(s):
-            raise SingularMatrixError(j)
-        lower[j, j] = math.sqrt(s)
-        for i in range(j + 1, d):
-            lower[i, j] = (a[i, j] - float(lower[i, :j] @ lower[j, :j])) / lower[j, j]
     z = np.zeros(d)
-    for i in range(d):
-        z[i] = (b[i] - float(lower[i, :i] @ z[:i])) / lower[i, i]
     beta = np.zeros(d)
-    for i in reversed(range(d)):
-        beta[i] = (z[i] - float(lower[i + 1 :, i] @ beta[i + 1 :])) / lower[i, i]
+    # beyond the double range a pivot fails its check, a solution stays inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            s = a[j, j] - float(lower[j, :j] @ lower[j, :j])
+            if not s > tol or not math.isfinite(s):
+                raise SingularMatrixError(j)
+            lower[j, j] = math.sqrt(s)
+            for i in range(j + 1, d):
+                lower[i, j] = (a[i, j] - float(lower[i, :j] @ lower[j, :j])) / lower[j, j]
+        for i in range(d):
+            z[i] = (b[i] - float(lower[i, :i] @ z[:i])) / lower[i, i]
+        for i in reversed(range(d)):
+            beta[i] = (z[i] - float(lower[i + 1 :, i] @ beta[i + 1 :])) / lower[i, i]
     return beta
 
 
@@ -216,12 +218,6 @@ def logistic_gradient_job(
     """
     beta = np.asarray(beta, dtype=float)
     return _sum_round(_binary_block(data), _gradient_rows(beta), config, b"g")
-
-
-def negative_log_likelihood(data: DataMatrix, beta: np.ndarray) -> float:
-    """Unnormalized logistic NLL, computed overflow-free via softplus."""
-    z = data.x @ np.asarray(beta, dtype=float)
-    return float(np.sum(softplus(z) - data.y * z))
 
 
 def fit_logistic(

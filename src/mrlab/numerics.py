@@ -7,9 +7,10 @@ whose column sums equal the block's column sums exactly, so it carries
 no rounding. ``exact_sums`` builds the expansions of a block or of row
 groups of a block, a mapper encodes one under a key with
 ``partial_sum``, and a reducer totals a group's partials with
-``sum_partials``: ``math.fsum`` over every row of every partial, which
-rounds once. A total is therefore the correctly rounded exact sum, the
-same bits as ``math.fsum`` of the whole column at any split count.
+``sum_partials``, the one column sum of the package: ``math.fsum`` over
+every row of every partial, which rounds once. A total is therefore the
+correctly rounded exact sum, the same bits as ``math.fsum`` of the whole
+column at any split count.
 
 A column holding a non-finite term, or a term whose magnitude is too
 close to overflow for the extraction, is summed by ``math.fsum`` in the
@@ -30,19 +31,6 @@ from .encoding import f64s_row_blocks, f64s_value, parse_f64s_rows
 # sum of a pass stays exact while rows * (rows + 2) <= 2**54, and a pass
 # moves at least 53 - m >= 32 bits of every column into its row.
 _MAX_ROWS = 1 << 20
-
-
-def fsum_vectors(block) -> np.ndarray:
-    """Column sums of a 2-D block (or a list of equal-length vectors).
-
-    Each column is summed with ``math.fsum``: correctly rounded, so the
-    result does not depend on the order of the rows. Columns go through
-    ``tolist`` so that fsum reads Python floats.
-    """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] == 0:
-        raise ValueError(f"fsum_vectors needs a non-empty 2-D block, got shape {block.shape}")
-    return np.array([math.fsum(column) for column in block.T.tolist()])
 
 
 def exact_sums(block, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +113,9 @@ def partial_sum(key: bytes, block) -> tuple[bytes, bytes]:
 
 def sum_partials(values: Sequence[bytes]) -> np.ndarray:
     """The column sums of a group's partials: ``math.fsum`` over every
-    row of every partial."""
-    return fsum_vectors(parse_f64s_rows(values))
+    row of every partial, column by column (``tolist`` hands fsum Python
+    floats)."""
+    return np.array([math.fsum(column) for column in parse_f64s_rows(values).T.tolist()])
 
 
 def sum_vectors_reduce(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
@@ -139,9 +128,3 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) without overflow for large |z|."""
-    z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))

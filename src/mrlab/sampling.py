@@ -10,10 +10,10 @@
   candidates as waitlisted. Succeeds with probability at least
   1 - delta; on success the sample is a uniform simple random sample.
 
-Uniform keys are derived from (seed, global record index), never from
-the split layout, so skewed record placement cannot bias the draw. Each
-uniform is a multiple of 2**-53, so a shuffle key holds it exactly as the
-53-bit integer u * 2**53, followed by the index that breaks ties.
+Keys are derived from (seed, global record index), never from the split
+layout, so skewed record placement cannot bias the draw. A shuffle key is
+the record's 53-bit integer draw d, its uniform u = d * 2**-53 held
+exactly, followed by the index that breaks ties.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ import numpy as np
 from .encoding import parse_u64_key, u64_key
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
-from .rng import record_uniforms
+from .rng import record_draws
 
 SeedLike = Union[int, np.random.Generator]
-
-
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def reservoir_sample(stream, n: int, seed: SeedLike) -> list:
@@ -47,7 +41,7 @@ def reservoir_sample(stream, n: int, seed: SeedLike) -> list:
     """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
     reservoir: list = []
     for i, record in enumerate(stream, start=1):
         if i <= n:
@@ -64,20 +58,21 @@ def _smallest_keys(
 ) -> tuple[list[tuple[bytes, bytes]], RunStats]:
     """The MR job both samplers run: records keyed below cut, smallest first.
 
-    Each record's draw u is uniform on [0,1) keyed by its global index
-    i. A map task draws its split's uniforms as one block and emits
-    u64_key(u * 2**53) + u64_key(i) for each u below cut, all of them
+    Each record's draw d is a 53-bit integer keyed by its global index
+    i. A map task draws its split's block at once and emits
+    u64_key(d) + u64_key(i) for each d below ceil(cut * 2**53), all of them
     cut from one big-endian buffer and in key order, as a map-side sort
     leaves them; the shuffle's byte order on (draw, index) then merges
     the splits' sorted runs, index breaking ties.
     """
+    limit = math.ceil(cut * 2**53)  # d * 2**-53 < cut exactly when d < limit
 
     def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         first, last = split.origin_range
-        u = record_uniforms(seed, first, last - first + 1)
-        kept = np.flatnonzero(u < cut)
-        kept = kept[np.argsort(u[kept], kind="stable")]
-        keys = np.column_stack([u[kept] * 2**53, kept + first]).astype(">u8").tobytes()
+        d = record_draws(seed, first, last - first + 1)
+        kept = np.flatnonzero(d < limit)
+        kept = kept[np.argsort(d[kept], kind="stable")]
+        keys = np.column_stack([d[kept], (kept + first).astype(np.uint64)]).astype(">u8").tobytes()
         return [(keys[j:j + 16], b"") for j in range(0, len(keys), 16)]
 
     def reducer(key, values):
@@ -151,7 +146,7 @@ def scan_srs(
     q1, q2 = bernstein_thresholds(n, len(dataset), delta)
     output, stats = _smallest_keys(dataset, seed, q2, config)
     # the output is sorted by key, so the accepted keys (u < q1, that is
-    # u * 2**53 < ceil(q1 * 2**53)) come first
+    # d < ceil(q1 * 2**53)) come first
     accepted = bisect.bisect_left(output, (u64_key(math.ceil(q1 * 2**53)),))
     result = ScanResult(
         success=len(output) >= n,

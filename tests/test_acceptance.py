@@ -21,7 +21,7 @@ from conftest import make_call_corpus
 from mrlab import cli
 from mrlab.aggregates import avg_duration_by_date, calls_per_date_number, word_count
 from mrlab.engine import ClusterConfig
-from mrlab.forest import ForestParams, fit_forest, poisson_counts, predict_forest
+from mrlab.forest import ForestParams, fit_forest, poisson_count_block, predict_forest
 from mrlab.kmeans import fit_kmeans
 from mrlab.linmodels import (
     DataMatrix,
@@ -29,9 +29,10 @@ from mrlab.linmodels import (
     fit_logistic,
     gram_job,
     logistic_gradient_job,
-    negative_log_likelihood,
 )
 from mrlab.sampling import reservoir_sample, scan_srs, sort_sample
+
+from references import negative_log_likelihood
 
 
 @contextmanager
@@ -293,7 +294,7 @@ def test_criterion_7_forest_poisson_statistics():
         n = 30_000
         for regime, (ratio, m) in enumerate([(1.0, 1), (0.5, 2), (0.1, 5)]):
             seed = 70 + regime
-            counts = np.stack([poisson_counts(seed, i, m, ratio) for i in range(n)])
+            counts = poisson_count_block(seed, 0, n, m, ratio)  # the mapper's draw path
             never = float(np.mean(~counts.any(axis=1)))
             assert abs(never - math.exp(-ratio * m)) <= 0.01
             stat, cutoff = _poisson_gof(counts.ravel().astype(np.int64), ratio)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from mrlab import cli
+from mrlab.engine import RunStats
+from mrlab.forest import ForestModel, TreeModel
 
 
 def run_cli(argv, capsys):
@@ -224,6 +227,53 @@ def test_kmeans_with_overflowing_distances_exits_one_naming_the_round(numbers_cs
     path = numbers_csv("far.csv", ["x", "y"], [["1e200", 1], ["-1e200", 0], [3, 1], [4, 2]])
     code, out, err = run_cli(["kmeans", path, "--k", "2"], capsys)
     assert (code, out, err) == (1, "", "mrlab: kmeans: objective is inf at iteration 1\n")
+
+
+def test_linreg_non_finite_residual_norm_exits_one_naming_the_field(numbers_csv, tmp_path, capsys):
+    # The squared residuals overflow, so the norm is inf: not a JSON number.
+    path = numbers_csv("wide.csv", ["x", "y"], [[1, 0], [2, "1e300"], [3, "-1e300"], [4, 2]])
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["linreg", path, "--label", "y", "--out", str(out_path)], capsys)
+    assert (code, out, err) == (1, "", "mrlab: linreg: result.residual_norm is not finite\n")
+    assert not out_path.exists()
+
+
+def test_linreg_solution_beyond_double_range_exits_one_without_a_warning(numbers_csv, capsys):
+    # The triangular solves overflow; that is a non-finite result, not a warning.
+    rows = [[2, 2, 0], [2, "5e-324", 0], [3, 2, 1], ["5e-324", 1, "1.7e308"], [2, -2, 0]]
+    path = numbers_csv("solve.csv", ["x0", "x1", "y"], rows)
+    code, out, err = run_cli(["linreg", path, "--label", "y"], capsys)
+    assert (code, out, err) == (1, "", "mrlab: linreg: result.coefficients[0] is not finite\n")
+
+
+def test_rf_regression_leaf_mean_near_overflow_is_finite(numbers_csv, tmp_path, capsys):
+    # The leaf sums overflow; the means do not.
+    path = numbers_csv("huge.csv", ["x", "y"], [[1, "1.5e308"], [2, "1.6e308"], [3, "1.7e308"], [4, "1.7e308"]])
+    model_path = tmp_path / "model.json"
+    argv = ["rf", path, "--label", "y", "--task", "regression", "--trees", "2", "--max-depth", "0",
+            "--model-out", str(model_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    trees = report_of(out)["result"]["model"]["trees"]
+    values = [tree["nodes"][0]["value"] for tree in trees]
+    assert all(1.5e308 <= v <= 1.7e308 for v in values)
+    assert json.loads(model_path.read_text(encoding="utf-8"))["trees"] == trees
+
+
+def test_rf_non_finite_model_exits_one_and_writes_nothing(numbers_csv, tmp_path, capsys, monkeypatch):
+    def fit_forest(*args):
+        trees = [TreeModel([{"value": 1.0}]), TreeModel([{"value": math.inf}])]
+        return ForestModel(trees, "regression"), RunStats()
+
+    monkeypatch.setattr(cli, "fit_forest", fit_forest)
+    path = numbers_csv("t.csv", ["x", "y"], [[1, 1], [2, 2]])
+    model_path, out_path = tmp_path / "model.json", tmp_path / "report.json"
+    argv = ["rf", path, "--label", "y", "--task", "regression",
+            "--model-out", str(model_path), "--out", str(out_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "mrlab: rf: result.model.trees[1].nodes[0].value is not finite\n"
+    assert not model_path.exists() and not out_path.exists()
 
 
 def test_calls_avg_overflow_exits_one(tmp_path, capsys):
@@ -634,11 +684,6 @@ def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    table = root / "table.csv"
-    table.write_text(
-        "x0,x1,y\n" + "".join(f"{i % 3}.5,{(i * 7) % 5},{i % 2}\n" for i in range(8)),
-        encoding="utf-8",
-    )
     calls = root / "calls.csv"
     calls.write_text(
         "date,caller,callee,duration\n2024-01-01,a,b,3\n2024-01-02,a,c,4\n2024-01-02,b,c,5\n",
@@ -646,11 +691,14 @@ def fuzz_inputs(tmp_path_factory):
     )
     docs = root / "docs.txt"
     docs.write_text("a b a\nc b\n", encoding="utf-8")
-    return {"table": str(table), "calls": str(calls), "docs": str(docs)}
+    # the table is drawn anew for each example
+    return {"table": str(root / "table.csv"), "calls": str(calls), "docs": str(docs)}
 
 
 _COUNTS = st.integers(-3, 12)
 _FLOATS = st.floats()  # includes nan, +-inf, subnormals and huge values
+# Table cells: the edges of the double range, subnormals, signed zeros and small values.
+_CELLS = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 0.0, -0.0, 2.5]) | st.integers(-3, 3)
 _SUBCOMMANDS = {
     # name: (input, fixed argv, {numeric flag: domain})
     "calls-avg": ("calls", [], {}),
@@ -661,8 +709,10 @@ _SUBCOMMANDS = {
     "linreg": ("table", ["--label", "y"], {}),
     "logreg": ("table", ["--label", "y"], {"--step": _FLOATS, "--iters": _COUNTS, "--tol": _FLOATS}),
     "rf": ("table", ["--label", "y"], {
+        # bounded: the Poisson table and the copies grow with --k and --trees
         "--trees": st.integers(-2, 6), "--k": st.integers(-3, 30),
         "--mtry": st.integers(-2, 4), "--max-depth": st.integers(-2, 6),
+        "--task": st.sampled_from(["classification", "regression"]),
     }),
     "bench-io": ("table", [], {"--iters": _COUNTS}),
 }
@@ -670,27 +720,70 @@ _SHARED = {"--splits": st.integers(-3, 40), "--seed": st.integers(-3, 2**64 + 3)
 
 
 @st.composite
+def _table(draw) -> str:
+    """A small numeric CSV with columns x0.., y: one to nine rows, some
+    repeated, and maybe a constant column; labels lean to 0 and 1."""
+    width = draw(st.integers(1, 3))
+    row = st.tuples(*[_CELLS] * width, st.sampled_from([0, 1]) | _CELLS)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    if draw(st.booleans()):
+        column, value = draw(st.integers(0, width)), draw(_CELLS)
+        rows = [r[:column] + (value,) + r[column + 1:] for r in rows]
+    header = [f"x{i}" for i in range(width)] + ["y"]
+    return "".join(",".join(map(str, line)) + "\n" for line in [header, *rows])
+
+
+@st.composite
 def _argv(draw, inputs):
     name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     source, fixed, flags = _SUBCOMMANDS[name]
+    if source == "table":
+        Path(inputs["table"]).write_text(draw(_table()), encoding="utf-8")
     argv = [name, inputs[source], *fixed]
     if name == "sample":
         argv += ["--method", draw(st.sampled_from(["reservoir", "sort", "scan"]))]
     for flag, domain in sorted({**flags, **_SHARED}.items()):
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(domain)!r}")  # '=' keeps '-inf' from reading as a flag
+            argv.append(f"{flag}={draw(domain)!s}")  # '=' keeps '-inf' from reading as a flag
     return argv
+
+
+def _strict_json(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_numeric_flags_never_end_in_a_traceback(fuzz_inputs, data):
     argv = data.draw(_argv(fuzz_inputs))
+    if argv[1] == fuzz_inputs["table"]:
+        note(Path(argv[1]).read_text(encoding="utf-8"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.run(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+            assert code == 2
+            assert out.getvalue() == ""
+            # argparse prints its usage lines, then one error line
+            assert err.getvalue().splitlines()[-1].startswith(f"mrlab {argv[0]}: error: ")
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        _strict_json(out)
+        return
+    assert err.count("\n") == 1 and err.startswith(f"mrlab: {argv[0]}: "), (argv, err)
+    if code == 1 and "scan kept" in err:  # a failed scan still reports what it kept
+        assert _strict_json(out)["result"]["success"] is False
+    else:
+        assert out == "", (argv, out)

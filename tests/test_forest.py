@@ -21,12 +21,13 @@ from mrlab.forest import (
     TreeModel,
     fit_forest,
     poisson_count_block,
-    poisson_counts,
     poisson_resample_split,
     predict_forest,
     train_tree_reduce,
 )
-from mrlab.rng import record_uniforms, splitmix64
+from mrlab.rng import record_uniforms
+
+from references import counter_hash, poisson_counts, record_uniform, splitmix64
 
 
 def blobs(seed=0, n_per=1000, spread=0.6):
@@ -66,8 +67,8 @@ def test_mtry_larger_than_feature_count_rejected():
 
 
 def test_poisson_counts_deterministic():
-    a = poisson_counts(7, 13, 5, 0.5)
-    b = poisson_counts(7, 13, 5, 0.5)
+    a = poisson_count_block(7, 13, 1, 5, 0.5)
+    b = poisson_count_block(7, 13, 1, 5, 0.5)
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0
 
@@ -79,6 +80,25 @@ def test_count_block_rows_equal_scalar_counts(rate):
     assert block.shape == (count, trees) and block.dtype == np.int64
     scalar = np.stack([poisson_counts(4, start + r, trees, rate) for r in range(count)])
     assert np.array_equal(block, scalar)
+
+
+@pytest.mark.parametrize(
+    "seed, start, count, trees, rate",
+    [(0, 0, 1, 1, 1.0), (2**64 + 4, 2**40, 7, 3, 0.5), (2**64 - 1, 123, 25, 11, 3.0), (9, 500, 64, 10, 1.0)],
+)
+def test_count_block_equals_scalar_counts_at_any_coordinates(seed, start, count, trees, rate):
+    block = poisson_count_block(seed, start, count, trees, rate)
+    scalar = np.stack([poisson_counts(seed, start + r, trees, rate) for r in range(count)])
+    assert block.shape == (count, trees) and np.array_equal(block, scalar)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**64 - 1, 2**64 + 4, 2**70])
+def test_tree_keys_are_the_counter_hash_of_seed_and_tree(seed):
+    # a seed is taken mod 2**64, and the growth key's counter ~tree is negative
+    for tree in range(5):
+        assert forest._tree_seed(seed, tree) == counter_hash(seed, tree)
+        assert forest._growth_key(seed, tree) == counter_hash(seed, ~tree)
+        assert forest._growth_key(seed, tree) == counter_hash(seed % 2**64, 2**64 - 1 - tree)
 
 
 def test_count_block_mean_and_variance_at_large_rate():
@@ -307,7 +327,7 @@ def test_array_draws_equal_their_scalar_definition():
         assert features.shape == (keys.size, mtry)
         for key, (left, right), drawn in zip(keys.tolist(), children.tolist(), features.tolist()):
             assert (left, right) == (splitmix64(key ^ 1), splitmix64(key ^ 2))
-            assert drawn == np.argsort(record_uniforms(key, 0, p), kind="stable")[:mtry].tolist()
+            assert drawn == sorted(range(p), key=lambda f: record_uniform(key, f))[:mtry]
 
 
 @pytest.mark.parametrize("p, mtry", [(4, 2), (5, 3), (3, 1)])
@@ -379,7 +399,7 @@ def depth_first_reference(x, y, params, key, task, n_classes=0):
         split = None
         if (rows.size >= 2 * params.min_leaf and not np.all(sub_y == sub_y[0])
                 and (params.max_depth is None or depth < params.max_depth)):
-            drawn = np.argsort(record_uniforms(node_key, 0, p), kind="stable")[:mtry]
+            drawn = sorted(range(p), key=lambda f: record_uniform(node_key, f))[:mtry]
             split = best_split(x[rows], sub_y, drawn)
         if split is None:
             if task == CLASSIFICATION:
@@ -471,6 +491,51 @@ def test_midpoint_overflow_keeps_the_lower_value():
                              5, CLASSIFICATION, 2)
     assert tree.nodes[0]["threshold"] == 1.0e308
     assert [tree.predict(row) for row in x] == [0, 1]
+
+
+def test_negative_midpoint_overflow_keeps_the_lower_value():
+    # (lo + hi) / 2 is -inf here, which would send every row right, and
+    # without a depth limit the same split would repeat without end
+    x = np.array([[-1.7e308], [-1.0e308]])
+    params = ForestParams(trees=1, sample_size=2, mtry=1, max_depth=3)
+    tree = train_tree_reduce(x, np.array([0.0, 1.0]), params, 5, CLASSIFICATION, 2)
+    assert tree.nodes[0]["threshold"] == -1.7e308
+    assert [tree.predict(row) for row in x] == [0, 1]
+
+
+def test_leaf_means_whose_sums_overflow_stay_finite():
+    labels = [1.5e308, 1.6e308, 1.7e308, 1.7e308]
+    y = np.array(labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leaf = train_tree_reduce(np.zeros((4, 1)), y, ForestParams(trees=1, sample_size=4, mtry=1),
+                                 5, REGRESSION)
+        both = forest._leaf_payloads(np.array([0, 0, 1, 1]), y, np.array([0, 1]), REGRESSION, 0)
+        model, _ = fit_forest(np.zeros((4, 1)), labels, ForestParams(trees=3, sample_size=4, mtry=1,
+                                                                     max_depth=0), REGRESSION)
+        predicted = predict_forest(model, [0.0])
+    assert leaf.nodes == [{"value": 1.625e308}]
+    assert both == [{"value": 1.55e308}, {"value": 1.7e308}]
+    assert all(math.isfinite(t.nodes[0]["value"]) for t in model.trees)
+    assert 1.5e308 <= predicted <= 1.7e308
+    json.loads(model.to_json())
+
+
+def test_leaf_means_that_do_not_overflow_keep_their_bits():
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)
+    nodes = rng.integers(0, 6, 50)
+    leaves = np.unique(nodes)
+    got = forest._leaf_payloads(nodes, y, leaves, REGRESSION, 0)
+    assert [p["value"] for p in got] == [float(np.mean(y[nodes == i])) for i in leaves]
+
+
+def test_json_writers_refuse_non_finite_numbers():
+    tree = TreeModel([{"value": math.nan}])
+    with pytest.raises(ValueError):
+        forest.tree_to_bytes(tree)
+    with pytest.raises(ValueError):
+        ForestModel([tree], REGRESSION).to_json()
 
 
 def test_labels_whose_squares_overflow_still_train():

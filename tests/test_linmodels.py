@@ -19,9 +19,10 @@ from mrlab.linmodels import (
     fit_logistic,
     gram_job,
     logistic_gradient_job,
-    negative_log_likelihood,
     solve_normal_equations,
 )
+
+from references import negative_log_likelihood
 
 
 def random_matrix(seed, n=30, p=3):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mrlab import sampling
 from mrlab.engine import ClusterConfig, JobSpec
 from mrlab.errors import ParameterError
-from mrlab.rng import record_uniform
 from mrlab.sampling import (
     ScanResult,
     bernstein_thresholds,
@@ -18,6 +17,8 @@ from mrlab.sampling import (
     scan_srs,
     sort_sample,
 )
+
+from references import record_uniform
 
 
 # ---------------------------------------------------------------- reservoir
@@ -67,14 +68,15 @@ def test_reservoir_inclusion_is_roughly_uniform():
 # --------------------------------------------------------------- sort-based
 
 
-def fixed_uniforms(keys):
-    """A stand-in for ``record_uniforms`` that draws keys[start:start+count]."""
-    return lambda seed, start, count: np.array(keys[start : start + count])
+def fixed_draws(keys):
+    """A stand-in for ``record_draws`` whose draws are the uniforms
+    keys[start:start+count] as 53-bit integers."""
+    return lambda seed, start, count: (np.array(keys[start : start + count]) * 2**53).astype(np.uint64)
 
 
 def test_sort_sample_fixed_keys_pick_smallest(monkeypatch):
     keys = [0.9, 0.1, 0.5]
-    monkeypatch.setattr(sampling, "record_uniforms", fixed_uniforms(keys))
+    monkeypatch.setattr(sampling, "record_draws", fixed_draws(keys))
     sample, _ = sort_sample(["r0", "r1", "r2"], 2, seed=0)
     assert sample == ["r1", "r2"]
 
@@ -141,7 +143,7 @@ def test_sort_sample_matches_brute_force_oracle(size, seed, data):
     records = [f"r{i}" for i in range(size)]
     oracle = [records[i] for i in sorted(range(size), key=lambda i: (keys[i], i))[:n]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "record_uniforms", fixed_uniforms(keys))
+        mp.setattr(sampling, "record_draws", fixed_draws(keys))
         sample, _ = sort_sample(records, n, seed=seed)
     assert sample == oracle
 
