@@ -1,8 +1,11 @@
 import collections
 import datetime
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrlab.aggregates import (
     CallLog,
@@ -14,6 +17,7 @@ from mrlab.aggregates import (
     word_count,
 )
 from mrlab.dataio import read_csv_rows
+from mrlab.encoding import text_key
 from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
@@ -86,6 +90,12 @@ def test_calls_per_date_number_matches_oracle(call_corpus):
     for splits in (1, 2, 8):
         out, _ = calls_per_date_number(call_corpus, ClusterConfig(num_splits=splits))
         assert dict(out) == dict(oracle)
+
+
+def test_a_caller_holding_the_separator_comes_back_whole():
+    # a count key is the date's ten bytes, U+001F, then the caller
+    out, _ = calls_per_date_number([call(D1, 3, caller="a\x1fb"), call(D1, 4, caller="a")])
+    assert out == [(("2024-01-01", "a"), 1), (("2024-01-01", "a\x1fb"), 1)]
 
 
 # -------------------------------------------------------------- word count
@@ -209,6 +219,15 @@ def test_non_canonical_iso_dates_key_as_their_canonical_form(tmp_path):
     assert avg_duration_by_date(log)[0] == [("2024-01-01", (2.0, 3))]
 
 
+def test_read_call_csv_strips_every_field_as_parse_call_row_does(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text("date,caller,callee,duration\n 2024-01-01 , a ,\tb\t, 3 \n2024-01-01,a,b,4\n")
+    _, rows, lines = read_csv_rows(p)
+    log = read_call_csv(p)
+    assert list(log) == [parse_call_row(row, line) for row, line in zip(rows, lines)]
+    assert (log.callers, log.callees) == (("a", "a"), ("b", "b"))
+
+
 BAD_ROWS = {
     "date": "2024-13-01,a,b,1",
     "duration": "2024-01-01,a,b,ten",
@@ -244,3 +263,54 @@ def test_read_call_csv_names_the_first_bad_row_in_file_order(tmp_path, kinds):
         read_call_csv(p)
     assert (err.value.row, str(err.value)) == expected
     assert expected[0] == 5  # the header, two lines of the quoted row, a good row
+
+
+# ------------------------------------------------------ dictionary coding
+
+# Non-ASCII, astral, lone-surrogate, empty and U+001F-bearing strings.
+_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.sampled_from(["\x1f", "é", "\U0001f4de", "0", "a"]) | st.characters(),
+    max_size=3,
+)
+
+
+@st.composite
+def call_columns(draw):
+    """The columns of one to twelve calls, drawn from small pools so that
+    values repeat."""
+    pools = [draw(st.lists(values, min_size=1, max_size=4))
+             for values in (st.dates(), _TEXT, _TEXT, st.floats(0, 1e6))]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=12))
+    days, callers, callees, durations = map(tuple, zip(*rows))
+    return tuple(d.isoformat() for d in days), callers, callees, durations
+
+
+@given(columns=call_columns(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_call_log_columns_round_trip_and_jobs_match_their_oracles(columns, data):
+    dates, callers, callees, durations = columns
+    log = CallLog(*columns)
+    assert (log.dates, log.callers, log.callees, log.durations) == columns
+    records = [CallRecord(datetime.date.fromisoformat(d), a, b, t) for d, a, b, t in zip(*columns)]
+    assert [log[i] for i in range(len(log))] == records
+    assert log[-1] == records[-1]
+    assert log.nbytes == sum(r.nbytes for r in records)
+    start, stop = sorted(data.draw(st.lists(st.integers(0, len(log)), min_size=2, max_size=2)))
+    part = log[start:stop]
+    assert (part.dates, part.callers, part.callees, part.durations) == tuple(c[start:stop] for c in columns)
+    assert part == CallLog(*(c[start:stop] for c in columns)) == CallLog.from_records(records[start:stop])
+    assert list(part) == records[start:stop]
+    assert part.nbytes == sum(r.nbytes for r in records[start:stop])
+
+    # oracles in the shuffle's order: by key bytes
+    counts = sorted(collections.Counter(zip(dates, callers)).items(), key=lambda kv: text_key(*kv[0]))
+    by_date = collections.defaultdict(list)
+    for date, duration in zip(dates, durations):
+        by_date[date].append(duration)
+    means = sorted(((d, (math.fsum(ds) / len(ds), len(ds))) for d, ds in by_date.items()),
+                   key=lambda kv: text_key(kv[0]))
+    for splits in range(1, 5):
+        config = ClusterConfig(num_splits=splits)
+        assert calls_per_date_number(log, config)[0] == counts
+        assert avg_duration_by_date(log, config)[0] == means

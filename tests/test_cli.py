@@ -75,6 +75,14 @@ def test_calls_count_report(calls_csv, capsys):
     ]
 
 
+def test_calls_count_keeps_a_caller_holding_the_unit_separator(tmp_path, capsys):
+    path = tmp_path / "us.csv"
+    path.write_text("date,caller,callee,duration\n2024-01-01,a\x1fb,c,3\n", encoding="utf-8")
+    code, out, err = run_cli(["calls-count", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert report_of(out)["result"]["counts"] == [["2024-01-01", "a\x1fb", 1]]
+
+
 def test_wordcount_report(tmp_path, capsys):
     doc = tmp_path / "docs.txt"
     doc.write_text("to be or\nnot to be\n", encoding="utf-8")
@@ -515,16 +523,17 @@ def write_seeded_calls(path, seed=10, rows=400):
 
 @pytest.mark.parametrize("argv", [
     ["calls-avg", "calls.csv"],
+    ["calls-count", "calls.csv"],
     ["kmeans", "table.csv", "--k", "3", "--iters", "20"],
     ["linreg", "table.csv", "--label", "y"],
     ["logreg", "table.csv", "--label", "y", "--iters", "20"],
-], ids=["calls-avg", "kmeans", "linreg", "logreg"])
-def test_summing_reports_have_the_same_result_at_one_and_three_splits(tmp_path, monkeypatch, capsys, argv):
+], ids=["calls-avg", "calls-count", "kmeans", "linreg", "logreg"])
+def test_reports_have_the_same_result_at_one_three_and_eight_splits(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     write_seeded_inputs(tmp_path)
     write_seeded_calls(tmp_path / "calls.csv")
-    results = [report_of(run_cli([*argv, "--splits", splits], capsys)[1])["result"] for splits in ("1", "3")]
-    assert results[1] == results[0]
+    results = [report_of(run_cli([*argv, "--splits", splits], capsys)[1])["result"] for splits in ("1", "3", "8")]
+    assert results == [results[0]] * 3
 
 
 # SHA-256 of the call reports on write_seeded_calls's file, recorded before
@@ -684,15 +693,10 @@ def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    calls = root / "calls.csv"
-    calls.write_text(
-        "date,caller,callee,duration\n2024-01-01,a,b,3\n2024-01-02,a,c,4\n2024-01-02,b,c,5\n",
-        encoding="utf-8",
-    )
     docs = root / "docs.txt"
     docs.write_text("a b a\nc b\n", encoding="utf-8")
-    # the table is drawn anew for each example
-    return {"table": str(root / "table.csv"), "calls": str(calls), "docs": str(docs)}
+    # the table and the call file are drawn anew for each example
+    return {"table": str(root / "table.csv"), "calls": str(root / "calls.csv"), "docs": str(docs)}
 
 
 _COUNTS = st.integers(-3, 12)
@@ -734,12 +738,31 @@ def _table(draw) -> str:
     return "".join(",".join(map(str, line)) + "\n" for line in [header, *rows])
 
 
+# Call-file fields: canonical, compact, space-padded and bad dates; callers
+# holding U+001F, a non-ASCII letter, a quoted comma or newline, or nothing;
+# durations at and past the edges of what a row may hold.
+_CALL_DATES = st.sampled_from(["2024-01-01", "20240102", " 2024-01-01 ", "2024-13-01"])
+_CALLERS = st.sampled_from(["a\x1fb", "é", '"a,b"', '"a\nb"', "", "a"])
+_DURATIONS = st.sampled_from(["0", "-0", "2.5", "1e308", "-1", "nan", "x"])
+
+
+@st.composite
+def _calls(draw) -> str:
+    """A small call file: one to five rows, some repeated."""
+    rows = draw(st.lists(st.tuples(_CALL_DATES, _CALLERS, _CALLERS, _DURATIONS), min_size=1, max_size=5))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return "".join(",".join(line) + "\n" for line in [("date", "caller", "callee", "duration"), *rows])
+
+
+_DRAWN = {"table": _table, "calls": _calls}
+
+
 @st.composite
 def _argv(draw, inputs):
     name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
     source, fixed, flags = _SUBCOMMANDS[name]
-    if source == "table":
-        Path(inputs["table"]).write_text(draw(_table()), encoding="utf-8")
+    if source in _DRAWN:
+        Path(inputs[source]).write_text(draw(_DRAWN[source]()), encoding="utf-8")
     argv = [name, inputs[source], *fixed]
     if name == "sample":
         argv += ["--method", draw(st.sampled_from(["reservoir", "sort", "scan"]))]
@@ -762,7 +785,7 @@ def _strict_json(text: str):
 @settings(max_examples=150, deadline=None)
 def test_numeric_flags_never_end_in_a_traceback(fuzz_inputs, data):
     argv = data.draw(_argv(fuzz_inputs))
-    if argv[1] == fuzz_inputs["table"]:
+    if argv[1] in (fuzz_inputs["table"], fuzz_inputs["calls"]):
         note(Path(argv[1]).read_text(encoding="utf-8"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
