@@ -34,7 +34,6 @@ from .encoding import (
     f64s_value,
     parse_count,
     parse_f64s,
-    split_text_key,
     text_key,
 )
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
@@ -200,19 +199,15 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
 def _call_columns(rows: list[list[str]]) -> Optional[CallLog]:
     """The log of rows that ``parse_call_row`` accepts every one of, coded
     straight from the raw columns: each distinct date, caller and callee
-    is stripped (a date also made canonical) once, and the durations are
-    parsed in one pass. None if a row is malformed or there are none.
-
-    Durations go through ``float`` unstripped. ``float`` strips the
-    whitespace ``str.strip`` does but U+001C-U+001F, so a duration wrapped
-    in those returns None here and parses in ``parse_call_row``.
-    """
+    is stripped (a date also made canonical) once, and the stripped
+    durations are parsed in one pass. ``rows`` is not empty; None exactly
+    when ``parse_call_row`` rejects one of them."""
     if set(map(len, rows)) != {4}:
         return None
     raw_dates, callers, callees, raw_durations = zip(*rows)
     try:
         dates = _dictionary(raw_dates, _iso)
-        durations = np.fromiter(map(float, raw_durations), float, len(rows))
+        durations = np.fromiter(map(float, map(str.strip, raw_durations)), float, len(rows))
     except ValueError:
         return None
     if not np.all(np.isfinite(durations)) or np.any(durations < 0):
@@ -225,15 +220,20 @@ def read_call_csv(path) -> CallLog:
     """Load a call log: header date,caller,callee,duration, ISO dates.
 
     Dates are kept in canonical form, so ``20240101`` reads as
-    ``2024-01-01``. A malformed file raises the RowParseError that
-    ``parse_call_row`` gives its first bad row.
+    ``2024-01-01``. The log is built in one pass over the columns; only
+    when that pass refuses the file does ``parse_call_row`` run, row by
+    row, to raise the RowParseError of the first bad row.
     """
     header, rows, lines = read_csv_rows(path)
     if tuple(h.strip().lower() for h in header) != CALL_HEADER:
         raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
+    if not rows:
+        return CallLog()
     log = _call_columns(rows)
-    if log is None:  # parse row by row, to name the first bad row
-        log = CallLog.from_records(parse_call_row(row, line) for row, line in zip(rows, lines))
+    if log is None:
+        for row, line in zip(rows, lines):
+            parse_call_row(row, line)
+        raise AssertionError("parse_call_row accepted rows that the column pass refused")
     return log
 
 
@@ -306,7 +306,6 @@ def calls_per_date_number(
 def word_count_job() -> JobSpec:
     def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
         counts = Counter(token for document in split.records for token in document.split())
-        # str.split() splits on U+001F too, so a token is one text_key field
         return [(text_key(token), count_value(n)) for token, n in counts.items()]
 
     return JobSpec(mapper, _count_reduce)
@@ -319,4 +318,4 @@ def word_count(
     if not documents:
         return [], RunStats()
     output, stats = run_job(word_count_job(), documents, config)
-    return [(split_text_key(k)[0], parse_count(v)) for k, v in output], stats
+    return [(k.decode("utf-8", "surrogatepass"), parse_count(v)) for k, v in output], stats

@@ -38,7 +38,7 @@ from .errors import (
     RowParseError,
     SingularMatrixError,
 )
-from .forest import ForestParams, fit_forest
+from .forest import MAX_POISSON_RATE, ForestParams, fit_forest
 from .kmeans import fit_kmeans
 from .linmodels import DataMatrix, fit_linear, fit_logistic
 from .sampling import reservoir_sample, scan_srs, sort_sample
@@ -282,6 +282,11 @@ def _cmd_rf(args, config):
     classification = args.task == "classification"
     table = dataio.read_table(args.input, args.label, numeric_labels=not classification)
     n, p = table.features.shape
+    if args.k is not None and args.k > n * MAX_POISSON_RATE:
+        raise ParameterError(
+            f"--k: sample size per tree must be at most {n * MAX_POISSON_RATE} "
+            f"({MAX_POISSON_RATE} times the row count), got {args.k}"
+        )
     params = ForestParams(
         trees=args.trees,
         sample_size=args.k if args.k is not None else n,

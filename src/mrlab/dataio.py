@@ -5,10 +5,12 @@ malformed content, so failures point at the offending line. Every reader
 decodes its file through ``open_text``, which drops a leading byte-order
 mark and names the line of the first byte that is not UTF-8.
 
-Numeric tables are parsed in bulk: one pass of Python's ``float`` over
-every cell into a single array. Only when that pass fails does the row
-loop ``_parse_rows`` run, as the error path, so that the error names the
-first bad row exactly as a row-by-row parse would.
+Numeric tables are parsed in bulk, and only the bulk pass builds one:
+one pass of Python's ``float`` over every feature cell into a single
+array, and one over the stripped label strings. It accepts exactly the
+rows that the row scan ``_parse_rows`` accepts. The row scan runs only
+when the bulk pass refuses a file, builds nothing, and raises the error
+that names the first bad row.
 """
 
 from __future__ import annotations
@@ -90,69 +92,67 @@ def write_csv_rows(path, header: list[str], rows) -> None:
 
 def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_labels=False):
     """Parse CSV rows as floats: (matrix of every column but label_idx,
-    label column as floats, zeros unless numeric_labels).
+    stripped label strings, labels as floats, zeros unless numeric_labels).
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
     checked for non-finite values before the labels are.
     """
     parsed = _parse_bulk(rows, len(names), label_idx, numeric_labels)
-    if parsed is None:  # parse row by row, to name the first bad row
-        parsed = _parse_rows(rows, lines, names, label_idx, numeric_labels)
-    matrix, labels = parsed
+    if parsed is None:
+        _parse_rows(rows, lines, names, label_idx, numeric_labels)
+        raise AssertionError("the row scan accepted rows that the bulk parse refused")
+    matrix, raw_labels, labels = parsed
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
         raise RowParseError(lines[r], nonfinite)
     bad = np.flatnonzero(~np.isfinite(labels))
     if bad.size:
         raise RowParseError(lines[bad[0]], "non-finite label")
-    return matrix, labels
+    return matrix, raw_labels, labels
 
 
 def _parse_bulk(rows, width: int, label_idx, numeric_labels):
-    """``_parse_rows``'s arrays from one ``float`` pass over every cell, or
-    None if a row has the wrong field count or a cell does not parse.
-
-    Labels go through ``float`` unstripped: ``str.strip`` also removes
-    U+001C-U+001F, which ``float`` rejects, so a label wrapped in those
-    returns None here and parses in ``_parse_rows``.
-    """
+    """``_parse_numeric``'s result from one ``float`` pass over every
+    feature cell and one over the stripped labels, or None if a row has
+    the wrong field count or a cell does not parse, exactly when
+    ``_parse_rows`` raises."""
     if set(map(len, rows)) != {width}:
         return None
     cells = itertools.chain.from_iterable(rows)
-    if label_idx is not None and not numeric_labels:  # leave the label cell out
+    raw_labels = []
+    if label_idx is not None:  # leave the label cell out
+        raw_labels = [row[label_idx].strip() for row in rows]
         cells = itertools.compress(cells, itertools.cycle([j != label_idx for j in range(width)]))
-        width, label_idx = width - 1, None
+        width -= 1
+    n = len(rows)
     try:
-        parsed = np.fromiter(map(float, cells), float, len(rows) * width).reshape(len(rows), width)
+        matrix = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
+        labels = np.fromiter(map(float, raw_labels), float, n) if numeric_labels else np.zeros(n)
     except ValueError:
         return None
-    if label_idx is None:
-        return parsed, np.zeros(len(rows))
-    return np.delete(parsed, label_idx, axis=1), np.ascontiguousarray(parsed[:, label_idx])
+    return matrix, raw_labels, labels
 
 
-def _parse_rows(rows, lines, names, label_idx, numeric_labels):
-    """The row-by-row parse: raises RowParseError at the first row with
+def _parse_rows(rows, lines, names, label_idx, numeric_labels) -> None:
+    """The row-by-row scan: raises RowParseError at the first row with
     the wrong field count or a cell that does not parse."""
-    columns = [j for j in range(len(names)) if j != label_idx]
-    matrix = np.empty((len(rows), len(columns)))
-    labels = np.zeros(len(rows))
-    for r, (row, line) in enumerate(zip(rows, lines)):
+    for row, line in zip(rows, lines):
         if len(row) != len(names):
             raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
-        for out, j in enumerate(columns):
+        for j, cell in enumerate(row):
+            if j == label_idx:
+                continue
             try:
-                matrix[r, out] = float(row[j])
+                float(cell)
             except ValueError:
-                raise RowParseError(line, f"bad numeric value {row[j]!r} in column {names[j]!r}") from None
+                raise RowParseError(line, f"bad numeric value {cell!r} in column {names[j]!r}") from None
         if numeric_labels:
             raw = row[label_idx].strip()
             try:
-                labels[r] = float(raw)
+                float(raw)
             except ValueError:
                 raise RowParseError(line, f"bad numeric label {raw!r}") from None
-    return matrix, labels
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -161,7 +161,7 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
     names = [h.strip() for h in header]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    matrix, _labels = _parse_numeric(rows, lines, names, "non-finite value")
+    matrix, _raw_labels, _labels = _parse_numeric(rows, lines, names, "non-finite value")
     return names, matrix
 
 
@@ -180,8 +180,7 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     feature_names = [n for i, n in enumerate(names) if i != label_idx]
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    features, labels = _parse_numeric(
+    features, raw_labels, labels = _parse_numeric(
         rows, lines, names, "non-finite feature value", label_idx, numeric_labels,
     )
-    raw_labels = [row[label_idx].strip() for row in rows]
     return Table(features, labels, raw_labels, feature_names, lines)

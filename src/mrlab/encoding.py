@@ -1,9 +1,11 @@
 """Byte encodings for shuffle keys and values.
 
 Keys must compare bytewise in the same order as their decoded meaning:
-text fields are joined with the 0x1F unit separator and integer
-components are fixed-width big-endian. A sampling key is two such
-integers: a uniform draw's exact 53-bit integer, then the record index.
+a text field is its UTF-8 bytes, which keep code-point order, and
+integer components are fixed-width big-endian. A key of two fields puts
+the 0x1F unit separator ``FIELD_SEP`` between them. A sampling key is
+two big-endian integers: a uniform draw's exact 53-bit integer, then the
+record index.
 
 Values are opaque payloads: counts travel as UTF-8 decimals, numeric
 vectors/matrices as length-prefixed little-endian float64 arrays.
@@ -17,27 +19,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FIELD_SEP = b"\x1f"
-_TEXT_SEP = FIELD_SEP.decode()
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _LEN = struct.Struct("<I")
 
 
-def text_key(*fields: str) -> bytes:
-    """Join UTF-8 fields with the unit separator.
+def text_key(field: str) -> bytes:
+    """A text field's UTF-8 bytes, which sort in its code-point order.
 
     A lone surrogate, which strict UTF-8 cannot encode, passes through as
-    its three-byte form, so every str round-trips through split_text_key.
-    UTF-8 encodes each code point alone, so the joined text is encoded in
-    one call.
+    its three-byte form, so every str round-trips through
+    ``key.decode("utf-8", "surrogatepass")``.
     """
-    return _TEXT_SEP.join(fields).encode("utf-8", "surrogatepass")
-
-
-def split_text_key(key: bytes) -> tuple[str, ...]:
-    # The byte 0x1F occurs in UTF-8 only as the code point U+001F.
-    return tuple(key.decode("utf-8", "surrogatepass").split(_TEXT_SEP))
+    return field.encode("utf-8", "surrogatepass")
 
 
 def u32_key(value: int) -> bytes:

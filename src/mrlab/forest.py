@@ -139,6 +139,10 @@ class ForestModel:
 # resolution of a 53-bit uniform.
 _TAIL = 2.0**-53
 
+# The largest rate k/n a forest draws at. The CDF table has about rate
+# entries, each a step of a Python loop, so the cap bounds its build time.
+MAX_POISSON_RATE = 2**20
+
 
 @functools.lru_cache(maxsize=32)
 def _poisson_cdf(rate: float) -> tuple[float, ...]:
@@ -457,7 +461,8 @@ def fit_forest(
     Classification labels may be arbitrary hashable values; they are
     mapped to the sorted class list carried by the model. Trees whose
     Poisson draws left them without a single record become degenerate
-    single-leaf trees predicting the global majority/mean.
+    single-leaf trees predicting the global majority/mean. A rate k/n
+    above ``MAX_POISSON_RATE`` raises ParameterError.
     """
     if task not in (CLASSIFICATION, REGRESSION):
         raise ParameterError(f"task must be classification or regression, got {task!r}")
@@ -467,6 +472,10 @@ def fit_forest(
     n, p = x.shape
     if params.mtry > p:
         raise ParameterError(f"mtry={params.mtry} exceeds feature count {p}")
+    if params.sample_size > n * MAX_POISSON_RATE:
+        raise ParameterError(
+            f"sample_size={params.sample_size} over {n} records is a Poisson rate above {MAX_POISSON_RATE}"
+        )
     labels = list(labels)
     if len(labels) != n:
         raise ParameterError(f"got {len(labels)} labels for {n} records")

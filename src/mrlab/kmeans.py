@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_row_blocks, f64s_value, parse_f64s, u32_key, u64_key
+from .encoding import f64s_row_blocks, f64s_value, parse_f64s, parse_u32_key, parse_u64_key, u32_key, u64_key
 from .engine import ClusterConfig, JobSpec, RunStats, run_iterative
 from .errors import DivergenceError, ParameterError
 from .numerics import exact_sums, sum_partials, sum_vectors_reduce
@@ -80,10 +80,10 @@ def _read_round(
     objective = float("inf")
     for key, value in output:
         if key[:1] == _CENTER:
-            centers[int.from_bytes(key[1:5], "big")] = parse_f64s(value)
+            centers[parse_u32_key(key[1:5])] = parse_f64s(value)
         elif key[:1] == _ASSIGN:
             block = parse_f64s(value)
-            first = int.from_bytes(key[1:9], "big")
+            first = parse_u64_key(key[1:9])
             assignments[first : first + block.size] = block
         else:
             objective = float(parse_f64s(value)[0])

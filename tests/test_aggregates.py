@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlab import aggregates
 from mrlab.aggregates import (
     CallLog,
     CallRecord,
@@ -17,7 +18,6 @@ from mrlab.aggregates import (
     word_count,
 )
 from mrlab.dataio import read_csv_rows
-from mrlab.encoding import text_key
 from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
@@ -228,6 +228,18 @@ def test_read_call_csv_strips_every_field_as_parse_call_row_does(tmp_path):
     assert (log.callers, log.callees) == (("a", "a"), ("b", "b"))
 
 
+def test_clean_call_files_never_take_the_row_loop(tmp_path, monkeypatch):
+    def row_loop(*args):
+        raise AssertionError("parse_call_row ran on a clean file")
+
+    monkeypatch.setattr(aggregates, "parse_call_row", row_loop)
+    p = tmp_path / "calls.csv"
+    p.write_text('date,caller,callee,duration\n 2024-01-01 ,"a\nb",\tc\t, 3 \n20240102,a,b,0\n')
+    log = read_call_csv(p)
+    assert (log.dates, log.callers, log.callees) == (("2024-01-01", "2024-01-02"), ("a\nb", "a"), ("c", "b"))
+    assert log.durations == (3.0, 0.0)
+
+
 BAD_ROWS = {
     "date": "2024-13-01,a,b,1",
     "duration": "2024-01-01,a,b,ten",
@@ -303,13 +315,15 @@ def test_call_log_columns_round_trip_and_jobs_match_their_oracles(columns, data)
     assert list(part) == records[start:stop]
     assert part.nbytes == sum(r.nbytes for r in records[start:stop])
 
-    # oracles in the shuffle's order: by key bytes
-    counts = sorted(collections.Counter(zip(dates, callers)).items(), key=lambda kv: text_key(*kv[0]))
+    # oracles in the shuffle's order: by key bytes, a count key being the
+    # date, U+001F, then the caller
+    counts = sorted(collections.Counter(zip(dates, callers)).items(),
+                    key=lambda kv: f"{kv[0][0]}\x1f{kv[0][1]}".encode("utf-8", "surrogatepass"))
     by_date = collections.defaultdict(list)
     for date, duration in zip(dates, durations):
         by_date[date].append(duration)
     means = sorted(((d, (math.fsum(ds) / len(ds), len(ds))) for d, ds in by_date.items()),
-                   key=lambda kv: text_key(kv[0]))
+                   key=lambda kv: kv[0].encode("utf-8", "surrogatepass"))
     for splits in range(1, 5):
         config = ClusterConfig(num_splits=splits)
         assert calls_per_date_number(log, config)[0] == counts

@@ -14,6 +14,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from mrlab import cli
+from mrlab.aggregates import CallLog, read_call_csv
 from mrlab.engine import RunStats
 from mrlab.forest import ForestModel, TreeModel
 
@@ -471,6 +472,14 @@ def test_sample_size_above_row_count_exits_two(numbers_csv, capsys, method):
     assert "--n: sample size" in err
 
 
+def test_rf_k_above_the_poisson_rate_cap_exits_two(numbers_csv, capsys):
+    path = numbers_csv("small.csv", ["x", "y"], [[i, i % 2] for i in range(5)])
+    code, out, err = run_cli(["rf", path, "--label", "y", "--k", str(10**20), "--trees", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mrlab: rf: --k: sample size per tree must be at most 5242880 ")
+
+
 @pytest.mark.parametrize("flag, value, argv", [
     ("--splits", "0", ["linreg", "--label", "y"]),
     ("--seed", "-1", ["sample", "--n", "2"]),
@@ -552,6 +561,24 @@ def test_call_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     code, out, _ = run_cli([command, "calls.csv", "--splits", "3"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CALL_REPORT_DIGESTS[command]
+
+
+# SHA-256 of the call reports on a file that holds only the header,
+# recorded before the reader returned an empty log directly.
+EMPTY_CALL_REPORT_DIGESTS = {
+    "calls-avg": "9b0f1b750dea5bff1d8408146eec1ee3ca680041476619d0b1022464b27166e4",
+    "calls-count": "76626c433ca2cdd8bcd800efc4144e5b0656a2ac5c8fc0d63e735324e4e607ef",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_CALL_REPORT_DIGESTS))
+def test_a_header_only_call_file_reads_as_an_empty_log(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    (tmp_path / "calls.csv").write_text("date,caller,callee,duration\n", encoding="utf-8")
+    assert read_call_csv("calls.csv") == CallLog()
+    code, out, err = run_cli([command, "calls.csv"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMPTY_CALL_REPORT_DIGESTS[command]
 
 
 def write_seeded_inputs(root, seed=11, rows=300):
@@ -713,8 +740,8 @@ _SUBCOMMANDS = {
     "linreg": ("table", ["--label", "y"], {}),
     "logreg": ("table", ["--label", "y"], {"--step": _FLOATS, "--iters": _COUNTS, "--tol": _FLOATS}),
     "rf": ("table", ["--label", "y"], {
-        # bounded: the Poisson table and the copies grow with --k and --trees
-        "--trees": st.integers(-2, 6), "--k": st.integers(-3, 30),
+        # bounded: the copies grow with --k and --trees; 10**20 is past the Poisson rate cap
+        "--trees": st.integers(-2, 6), "--k": st.integers(-3, 30) | st.just(10**20),
         "--mtry": st.integers(-2, 4), "--max-depth": st.integers(-2, 6),
         "--task": st.sampled_from(["classification", "regression"]),
     }),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrlab import dataio
+from mrlab import aggregates, dataio
 from mrlab.errors import RowParseError
 
 
@@ -140,6 +140,23 @@ def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
     assert table.features.tolist() == [[1, 3], [4, 0]]
     assert table.labels.tolist() == [2, 5]
     assert dataio.read_table(path, "b", numeric_labels=False).raw_labels == ["2", "5"]
+
+
+def test_numbers_wrapped_in_unit_separators_are_read_by_the_bulk_passes(tmp_path, monkeypatch):
+    # str.strip removes U+001C-U+001F, which float alone rejects; the row
+    # loops strip a label and a duration before float reads them
+    def row_loop(*args):
+        raise AssertionError("a row loop ran on a clean file")
+
+    monkeypatch.setattr(dataio, "_parse_rows", row_loop)
+    monkeypatch.setattr(aggregates, "parse_call_row", row_loop)
+    table, calls = tmp_path / "data.csv", tmp_path / "calls.csv"
+    table.write_text("x,y\n1,\x1f1\x1f\n2, \x1c-0.5\x1e\n", encoding="utf-8")
+    read = dataio.read_table(table, "y")
+    assert arrays_bits(read.features, read.labels) == arrays_bits(np.array([[1.0], [2.0]]), np.array([1.0, -0.5]))
+    assert read.raw_labels == ["1", "-0.5"]
+    calls.write_text("date,caller,callee,duration\n2024-01-01,a,b,\x1f2.5\x1f\n", encoding="utf-8")
+    assert aggregates.read_call_csv(calls).durations == (2.5,)
 
 
 _PAD = st.sampled_from(["", " ", "\t", "\n", "\u2003"])

@@ -12,30 +12,35 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def test_text_key_roundtrip():
-    key = encoding.text_key("2024-01-05", "0601020304")
-    assert key == b"2024-01-05\x1f0601020304"
-    assert encoding.split_text_key(key) == ("2024-01-05", "0601020304")
+    key = encoding.text_key("2024-01-05")
+    assert key == b"2024-01-05"
+    assert key.decode("utf-8", "surrogatepass") == "2024-01-05"
 
 
 def test_text_key_single_field_has_no_separator():
     assert encoding.text_key("abc") == b"abc"
 
 
-@given(st.lists(st.text(alphabet=st.characters(blacklist_characters="\x1f"), max_size=20), min_size=1, max_size=4))
-def test_text_key_roundtrips_any_fields(fields):
-    assert encoding.split_text_key(encoding.text_key(*fields)) == tuple(fields)
+@given(st.text(max_size=20))
+def test_text_key_roundtrips_any_fields(field):
+    # U+001F included: a one-field key has no separator to split on
+    assert encoding.text_key(field).decode("utf-8", "surrogatepass") == field
 
 
-_WITH_SURROGATES = st.one_of(st.characters(exclude_characters="\x1f"),
-                             st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+_WITH_SURROGATES = st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
 
 
-@given(st.lists(st.text(alphabet=_WITH_SURROGATES, max_size=8), min_size=1, max_size=4))
-def test_text_key_equals_the_field_by_field_encoding(fields):
-    # each field's bytes, joined by the separator, lone surrogates included
-    key = encoding.text_key(*fields)
-    assert key == b"\x1f".join(f.encode("utf-8", "surrogatepass") for f in fields)
-    assert encoding.split_text_key(key) == tuple(fields)
+@given(st.text(alphabet=_WITH_SURROGATES, max_size=20))
+def test_text_key_equals_the_field_by_field_encoding(field):
+    # each character's bytes, lone surrogates included as their three-byte form
+    key = encoding.text_key(field)
+    assert key == b"".join(c.encode("utf-8", "surrogatepass") for c in field)
+    assert key.decode("utf-8", "surrogatepass") == field
+
+
+@given(st.text(alphabet=_WITH_SURROGATES, max_size=8), st.text(alphabet=_WITH_SURROGATES, max_size=8))
+def test_text_key_order_matches_text_order(a, b):
+    assert (encoding.text_key(a) < encoding.text_key(b)) == (a < b)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))

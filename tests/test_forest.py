@@ -63,6 +63,14 @@ def test_mtry_larger_than_feature_count_rejected():
         fit_forest(x, [0] * 5, ForestParams(trees=1, sample_size=5, mtry=3))
 
 
+def test_poisson_rate_above_the_cap_rejected():
+    # the CDF table grows with the rate k/n, so a huge sample_size would never finish
+    x = np.zeros((5, 2))
+    for k in (5 * forest.MAX_POISSON_RATE + 1, 10**20):
+        with pytest.raises(ParameterError, match="Poisson rate above"):
+            fit_forest(x, [0] * 5, ForestParams(trees=2, sample_size=k, mtry=1))
+
+
 # ---------------------------------------------------------------- resample
 
 
