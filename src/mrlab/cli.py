@@ -2,8 +2,10 @@
 
 Every subcommand prints one JSON run report to stdout: schema version,
 the echoed command line, the cluster configuration, RunStats, and the
-algorithm's result. Fixed flags give byte-identical reports, so the
-reports double as reproduction artifacts.
+algorithm's result. A report is one line, keys sorted, with the default
+", " and ": " separators and a trailing newline: the form json's C
+encoder writes, which any indent would bypass. Fixed flags give
+byte-identical reports, so the reports double as reproduction artifacts.
 
 Exit codes: 0 success; 1 algorithmic failure (singular system,
 divergence, failed scan sample, job crash, a nan or inf in the report or
@@ -149,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--label", required=True, help="label column name")
     p.add_argument("--task", choices=["classification", "regression"], default="classification")
-    p.add_argument("--trees", type=int, default=10, help="number of trees")
-    p.add_argument("--k", type=int, default=None, help="target sample size per tree (default n)")
-    p.add_argument("--mtry", type=int, default=None, help="features per node (default sqrt(p))")
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--trees", type=_int_at_least(1), default=10, help="number of trees")
+    p.add_argument("--k", type=_int_at_least(1), default=None, help="target sample size per tree (default n)")
+    p.add_argument("--mtry", type=_int_at_least(1), default=None, help="features per node (default sqrt(p))")
+    p.add_argument("--max-depth", type=_int_at_least(0), default=None)
     p.add_argument("--model-out", default=None, help="write the forest model JSON")
 
     p = sub.add_parser("bench-io", help="disk vs memory read/write accounting")
@@ -287,6 +289,10 @@ def _cmd_rf(args, config):
             f"--k: sample size per tree must be at most {n * MAX_POISSON_RATE} "
             f"({MAX_POISSON_RATE} times the row count), got {args.k}"
         )
+    if args.mtry is not None and args.mtry > p:
+        raise ParameterError(
+            f"--mtry: features per node must be at most {p} (the feature count), got {args.mtry}"
+        )
     params = ForestParams(
         trees=args.trees,
         sample_size=args.k if args.k is not None else n,
@@ -368,7 +374,7 @@ def run(argv) -> int:
             "stats": stats.as_dict(),
             "result": result,
         }
-        text = _strict_json(lambda: json.dumps(report, sort_keys=True, indent=2, allow_nan=False), report)
+        text = _strict_json(lambda: json.dumps(report, sort_keys=True, allow_nan=False), report)
         text += "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")

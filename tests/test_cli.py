@@ -31,6 +31,17 @@ def report_of(out):
     return report
 
 
+def indented(out):
+    """The indent=2 form of a report printed on one line.
+
+    The pinned digests were recorded when reports were indented: hashing
+    this form shows the one-line report holds the same document.
+    """
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 @pytest.fixture
 def calls_csv(tmp_path):
     path = tmp_path / "calls.csv"
@@ -472,18 +483,26 @@ def test_sample_size_above_row_count_exits_two(numbers_csv, capsys, method):
     assert "--n: sample size" in err
 
 
-def test_rf_k_above_the_poisson_rate_cap_exits_two(numbers_csv, capsys):
-    path = numbers_csv("small.csv", ["x", "y"], [[i, i % 2] for i in range(5)])
-    code, out, err = run_cli(["rf", path, "--label", "y", "--k", str(10**20), "--trees", "2"], capsys)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", str(10**20), "--k: sample size per tree must be at most 5242880 "),
+    ("--mtry", "3", "--mtry: features per node must be at most 2 (the feature count), got 3\n"),
+], ids=["k", "mtry"])
+def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, flag, value, message):
+    path = numbers_csv("small.csv", ["x0", "x1", "y"], [[i, -i, i % 2] for i in range(5)])
+    code, out, err = run_cli(["rf", path, "--label", "y", flag, value, "--trees", "2"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("mrlab: rf: --k: sample size per tree must be at most 5242880 ")
+    assert err.startswith(f"mrlab: rf: {message}")
 
 
 @pytest.mark.parametrize("flag, value, argv", [
     ("--splits", "0", ["linreg", "--label", "y"]),
     ("--seed", "-1", ["sample", "--n", "2"]),
-], ids=["splits", "seed"])
+    ("--trees", "0", ["rf", "--label", "y"]),
+    ("--k", "0", ["rf", "--label", "y"]),
+    ("--mtry", "0", ["rf", "--label", "y"]),
+    ("--max-depth", "-1", ["rf", "--label", "y"]),
+], ids=["splits", "seed", "trees", "k", "mtry", "max-depth"])
 def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv):
     path = numbers_csv("line.csv", ["x", "y"], [[1, 2], [2, 4], [3, 7]])
     with pytest.raises(SystemExit) as exc:
@@ -560,7 +579,7 @@ def test_call_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     write_seeded_calls(tmp_path / "calls.csv")
     code, out, _ = run_cli([command, "calls.csv", "--splits", "3"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CALL_REPORT_DIGESTS[command]
+    assert hashlib.sha256(indented(out).encode("utf-8")).hexdigest() == CALL_REPORT_DIGESTS[command]
 
 
 # SHA-256 of the call reports on a file that holds only the header,
@@ -578,7 +597,7 @@ def test_a_header_only_call_file_reads_as_an_empty_log(tmp_path, monkeypatch, ca
     assert read_call_csv("calls.csv") == CallLog()
     code, out, err = run_cli([command, "calls.csv"], capsys)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMPTY_CALL_REPORT_DIGESTS[command]
+    assert hashlib.sha256(indented(out).encode("utf-8")).hexdigest() == EMPTY_CALL_REPORT_DIGESTS[command]
 
 
 def write_seeded_inputs(root, seed=11, rows=300):
@@ -650,7 +669,7 @@ def test_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
     argv, digest = REPORT_DIGESTS[name]
     code, out, _ = run_cli([*argv, "--splits", "3"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(indented(out).encode("utf-8")).hexdigest() == digest
 
 
 def test_linreg_result_is_equal_at_every_split_count(numbers_csv, capsys):
@@ -686,6 +705,15 @@ def test_out_file_matches_stdout(calls_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     _, out, _ = run_cli(["calls-avg", calls_csv, "--out", str(out_path)], capsys)
     assert out_path.read_text(encoding="utf-8") == out
+
+    # rf writes the largest report, the model embedded in it.
+    write_seeded_inputs(tmp_path)
+    model_path = tmp_path / "model.json"
+    code, out, _ = run_cli(["rf", str(tmp_path / "table.csv"), "--label", "y", "--trees", "3",
+                            "--out", str(out_path), "--model-out", str(model_path)], capsys)
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == out
+    assert json.loads(model_path.read_text(encoding="utf-8")) == report_of(out)["result"]["model"]
 
 
 def test_unwritable_out_path_exits_two_and_prints_no_report(numbers_csv, tmp_path, capsys):
