@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataio import read_csv_rows
+from .dataio import iter_rows, read_csv_fields
 from .encoding import (
     FIELD_SEP,
     count_value,
@@ -196,18 +196,18 @@ def parse_call_row(fields: Sequence[str], line: int) -> CallRecord:
     return CallRecord(date, caller, callee, duration)
 
 
-def _call_columns(rows: list[list[str]]) -> Optional[CallLog]:
-    """The log of rows that ``parse_call_row`` accepts every one of, coded
-    straight from the raw columns: each distinct date, caller and callee
-    is stripped (a date also made canonical) once, and the stripped
-    durations are parsed in one pass. ``rows`` is not empty; None exactly
-    when ``parse_call_row`` rejects one of them."""
-    if set(map(len, rows)) != {4}:
+def _call_columns(fields: list[str], widths: list[int]) -> Optional[CallLog]:
+    """The log of the flat CSV rows that ``parse_call_row`` accepts every
+    one of, coded straight from the raw columns: each distinct date,
+    caller and callee is stripped (a date also made canonical) once, and
+    the stripped durations are parsed in one pass. ``widths`` is not
+    empty; None exactly when ``parse_call_row`` rejects one of the rows."""
+    if set(widths) != {4}:
         return None
-    raw_dates, callers, callees, raw_durations = zip(*rows)
+    raw_dates, callers, callees, raw_durations = (fields[j::4] for j in range(4))
     try:
         dates = _dictionary(raw_dates, _iso)
-        durations = np.fromiter(map(float, map(str.strip, raw_durations)), float, len(rows))
+        durations = np.fromiter(map(float, map(str.strip, raw_durations)), float, len(widths))
     except ValueError:
         return None
     if not np.all(np.isfinite(durations)) or np.any(durations < 0):
@@ -220,18 +220,19 @@ def read_call_csv(path) -> CallLog:
     """Load a call log: header date,caller,callee,duration, ISO dates.
 
     Dates are kept in canonical form, so ``20240101`` reads as
-    ``2024-01-01``. The log is built in one pass over the columns; only
-    when that pass refuses the file does ``parse_call_row`` run, row by
-    row, to raise the RowParseError of the first bad row.
+    ``2024-01-01``. The log is built in one pass over the columns of the
+    flat CSV fields; only when that pass refuses the file does
+    ``parse_call_row`` run, row by row, to raise the RowParseError of the
+    first bad row.
     """
-    header, rows, lines = read_csv_rows(path)
+    header, fields, widths, lines = read_csv_fields(path)
     if tuple(h.strip().lower() for h in header) != CALL_HEADER:
         raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
-    if not rows:
+    if not widths:
         return CallLog()
-    log = _call_columns(rows)
+    log = _call_columns(fields, widths)
     if log is None:
-        for row, line in zip(rows, lines):
+        for row, line in zip(iter_rows(fields, widths), lines):
             parse_call_row(row, line)
         raise AssertionError("parse_call_row accepted rows that the column pass refused")
     return log

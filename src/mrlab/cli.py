@@ -69,7 +69,7 @@ def _non_finite(value, name: str):
     elif isinstance(value, dict):
         for key in sorted(value):
             yield from _non_finite(value[key], f"{name}.{key}" if name else key)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             yield from _non_finite(item, f"{name}[{i}]")
 
@@ -89,6 +89,21 @@ def _int_at_least(minimum: int):
         return value
 
     parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
+def _float_in(low: float, high: float = math.inf, *, low_open: bool):
+    """argparse type: a finite float above low (or equal to it, unless
+    low_open) and below high, else a usage error (exit 2)."""
+    bound = f"in ({low:g}, {high:g})" if high < math.inf else f"{'>' if low_open else '>='} {low:g}"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (low < value if low_open else low <= value) and value < high):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"
     return parse
 
 
@@ -125,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--method", choices=["reservoir", "sort", "scan"], default="reservoir")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--delta", type=float, default=0.01, help="scan failure budget")
+    p.add_argument("--delta", type=_float_in(0, 1, low_open=True), default=0.01, help="scan failure budget")
     p.add_argument("--rows-out", default=None, help="write sampled rows as CSV")
 
     p = sub.add_parser("kmeans", help="k-means clustering of a numeric CSV")
     _add_shared(p)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--iters", type=int, default=100, help="maximum iterations")
-    p.add_argument("--tol", type=float, default=1e-6, help="center displacement stop")
+    p.add_argument("--iters", type=_int_at_least(1), default=100, help="maximum iterations")
+    p.add_argument("--tol", type=_float_in(0, low_open=False), default=1e-6, help="center displacement stop")
     p.add_argument("--centers-out", default=None, help="write centers as CSV")
     p.add_argument("--assignments-out", default=None, help="write assignments, one per line")
 
@@ -143,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("logreg", help="logistic regression via gradient descent")
     _add_shared(p)
     p.add_argument("--label", required=True, help="label column name (values 0/1)")
-    p.add_argument("--step", type=float, default=1.0, help="gradient step size")
-    p.add_argument("--iters", type=int, default=100, help="iteration count")
-    p.add_argument("--tol", type=float, default=None, help="optional gradient stop")
+    p.add_argument("--step", type=_float_in(0, low_open=True), default=1.0, help="gradient step size")
+    p.add_argument("--iters", type=_int_at_least(1), default=100, help="iteration count")
+    p.add_argument("--tol", type=_float_in(0, low_open=False), default=None, help="optional gradient stop")
 
     p = sub.add_parser("rf", help="random forest via Poisson resampling")
     _add_shared(p)
@@ -159,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-io", help="disk vs memory read/write accounting")
     _add_shared(p, bench=True)
-    p.add_argument("--iters", type=int, default=10, help="iterative rounds to simulate")
+    p.add_argument("--iters", type=_int_at_least(1), default=10, help="iterative rounds to simulate")
     return parser
 
 
@@ -172,7 +187,8 @@ def _cmd_calls_avg(args, config):
 def _cmd_calls_count(args, config):
     log = read_call_csv(args.input)
     result, stats = calls_per_date_number(log, config)
-    return {"counts": [[date, caller, n] for (date, caller), n in result]}, stats, 0
+    # tuples of str and int, which the collector stops tracking, unlike lists
+    return {"counts": [(date, caller, n) for (date, caller), n in result]}, stats, 0
 
 
 def _cmd_wordcount(args, config):

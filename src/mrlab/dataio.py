@@ -5,12 +5,19 @@ malformed content, so failures point at the offending line. Every reader
 decodes its file through ``open_text``, which drops a leading byte-order
 mark and names the line of the first byte that is not UTF-8.
 
+Every CSV is read in one ``csv.reader`` pass that keeps no row list:
+``read_csv_fields`` gives every data row's fields as one flat list, with
+each row's field count and the file line it starts on beside it. A file
+whose rows all have w fields holds column j as ``fields[j::w]``.
+``read_csv_rows`` is the row view of the same pass, for callers whose
+records are rows.
+
 Numeric tables are parsed in bulk, and only the bulk pass builds one:
 one pass of Python's ``float`` over every feature cell into a single
 array, and one over the stripped label strings. It accepts exactly the
 rows that the row scan ``_parse_rows`` accepts. The row scan runs only
-when the bulk pass refuses a file, builds nothing, and raises the error
-that names the first bad row.
+when the bulk pass refuses a file, on rows sliced from the flat fields;
+it builds nothing and raises the error that names the first bad row.
 """
 
 from __future__ import annotations
@@ -64,23 +71,40 @@ def read_lines(path) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
-    """Raw CSV as (header, rows, lines); rows keep their string fields,
-    and lines holds the file line on which each row starts (a quoted
-    field may span lines)."""
+def read_csv_fields(path) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Raw CSV in one flat pass as (header, fields, widths, lines): every
+    data row's string fields in one list, each row's field count, and
+    the file line on which each row starts (a quoted field may span
+    lines)."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: empty file") from None
-        rows, lines = [], []
+        fields, widths, lines = [], [], []
         start = reader.line_num + 1
         for row in reader:
-            rows.append(row)
+            fields.extend(row)
+            widths.append(len(row))
             lines.append(start)
             start = reader.line_num + 1
-    return header, rows, lines
+    return header, fields, widths, lines
+
+
+def iter_rows(fields: list[str], widths: list[int]):
+    """The rows of a flat field list, each a new list sliced from it."""
+    start = 0
+    for width in widths:
+        yield fields[start:start + width]
+        start += width
+
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """Raw CSV as (header, rows, lines): ``read_csv_fields`` with its
+    fields cut back into one list per row."""
+    header, fields, widths, lines = read_csv_fields(path)
+    return header, list(iter_rows(fields, widths)), lines
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
@@ -90,17 +114,18 @@ def write_csv_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_labels=False):
-    """Parse CSV rows as floats: (matrix of every column but label_idx,
-    stripped label strings, labels as floats, zeros unless numeric_labels).
+def _parse_numeric(fields, widths, lines, names, nonfinite: str, label_idx=None, numeric_labels=False):
+    """Parse flat CSV fields as floats: (matrix of every column but
+    label_idx, stripped label strings, labels as floats, zeros unless
+    numeric_labels).
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
     checked for non-finite values before the labels are.
     """
-    parsed = _parse_bulk(rows, len(names), label_idx, numeric_labels)
+    parsed = _parse_bulk(fields, widths, len(names), label_idx, numeric_labels)
     if parsed is None:
-        _parse_rows(rows, lines, names, label_idx, numeric_labels)
+        _parse_rows(iter_rows(fields, widths), lines, names, label_idx, numeric_labels)
         raise AssertionError("the row scan accepted rows that the bulk parse refused")
     matrix, raw_labels, labels = parsed
     if not np.all(np.isfinite(matrix)):
@@ -112,20 +137,20 @@ def _parse_numeric(rows, lines, names, nonfinite: str, label_idx=None, numeric_l
     return matrix, raw_labels, labels
 
 
-def _parse_bulk(rows, width: int, label_idx, numeric_labels):
+def _parse_bulk(fields, widths, width: int, label_idx, numeric_labels):
     """``_parse_numeric``'s result from one ``float`` pass over every
     feature cell and one over the stripped labels, or None if a row has
     the wrong field count or a cell does not parse, exactly when
     ``_parse_rows`` raises."""
-    if set(map(len, rows)) != {width}:
+    if set(widths) != {width}:
         return None
-    cells = itertools.chain.from_iterable(rows)
+    cells = fields
     raw_labels = []
     if label_idx is not None:  # leave the label cell out
-        raw_labels = [row[label_idx].strip() for row in rows]
+        raw_labels = list(map(str.strip, fields[label_idx::width]))
         cells = itertools.compress(cells, itertools.cycle([j != label_idx for j in range(width)]))
         width -= 1
-    n = len(rows)
+    n = len(widths)
     try:
         matrix = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
         labels = np.fromiter(map(float, raw_labels), float, n) if numeric_labels else np.zeros(n)
@@ -157,11 +182,11 @@ def _parse_rows(rows, lines, names, label_idx, numeric_labels) -> None:
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Load an all-numeric CSV with a header as (column names, matrix)."""
-    header, rows, lines = read_csv_rows(path)
+    header, fields, widths, lines = read_csv_fields(path)
     names = [h.strip() for h in header]
-    if not rows:
+    if not widths:
         raise EmptyInputError(f"{path}: no data rows")
-    matrix, _raw_labels, _labels = _parse_numeric(rows, lines, names, "non-finite value")
+    matrix, _raw_labels, _labels = _parse_numeric(fields, widths, lines, names, "non-finite value")
     return names, matrix
 
 
@@ -172,15 +197,15 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     parsed as floats when numeric_labels is set and kept as raw strings
     either way (classification tasks map strings to classes later).
     """
-    header, rows, lines = read_csv_rows(path)
+    header, fields, widths, lines = read_csv_fields(path)
     names = [h.strip() for h in header]
     if label not in names:
         raise ParameterError(f"label column {label!r} not in header {names}")
     label_idx = names.index(label)
     feature_names = [n for i, n in enumerate(names) if i != label_idx]
-    if not rows:
+    if not widths:
         raise EmptyInputError(f"{path}: no data rows")
     features, raw_labels, labels = _parse_numeric(
-        rows, lines, names, "non-finite feature value", label_idx, numeric_labels,
+        fields, widths, lines, names, "non-finite feature value", label_idx, numeric_labels,
     )
     return Table(features, labels, raw_labels, feature_names, lines)

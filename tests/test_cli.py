@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -495,21 +496,40 @@ def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, flag, value, messa
     assert err.startswith(f"mrlab: rf: {message}")
 
 
-@pytest.mark.parametrize("flag, value, argv", [
-    ("--splits", "0", ["linreg", "--label", "y"]),
-    ("--seed", "-1", ["sample", "--n", "2"]),
-    ("--trees", "0", ["rf", "--label", "y"]),
-    ("--k", "0", ["rf", "--label", "y"]),
-    ("--mtry", "0", ["rf", "--label", "y"]),
-    ("--max-depth", "-1", ["rf", "--label", "y"]),
-], ids=["splits", "seed", "trees", "k", "mtry", "max-depth"])
-def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv):
+@pytest.mark.parametrize("flag, value, argv, message", [
+    ("--splits", "0", ["linreg", "--label", "y"], "must be >= 1, got 0"),
+    ("--seed", "-1", ["sample", "--n", "2"], "must be >= 0, got -1"),
+    ("--trees", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
+    ("--k", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
+    ("--mtry", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
+    ("--max-depth", "-1", ["rf", "--label", "y"], "must be >= 0, got -1"),
+    ("--iters", "0", ["kmeans", "--k", "2"], "must be >= 1, got 0"),
+    ("--iters", "0", ["logreg", "--label", "y"], "must be >= 1, got 0"),
+    ("--iters", "0", ["bench-io"], "must be >= 1, got 0"),
+    ("--tol", "nan", ["kmeans", "--k", "2"], "must be a finite number >= 0, got nan"),
+    ("--tol", "-1", ["kmeans", "--k", "2"], "must be a finite number >= 0, got -1"),
+    ("--tol", "inf", ["logreg", "--label", "y"], "must be a finite number >= 0, got inf"),
+    ("--step", "0", ["logreg", "--label", "y"], "must be a finite number > 0, got 0"),
+    ("--step", "1e400", ["logreg", "--label", "y"], "must be a finite number > 0, got 1e400"),
+    ("--delta", "1", ["sample", "--n", "2", "--method", "scan"], "must be a finite number in (0, 1), got 1"),
+    ("--delta", "nan", ["sample", "--n", "2", "--method", "scan"], "must be a finite number in (0, 1), got nan"),
+], ids=["splits", "seed", "trees", "k", "mtry", "max-depth", "kmeans-iters", "logreg-iters", "bench-io-iters",
+        "kmeans-tol-nan", "kmeans-tol-negative", "logreg-tol-inf", "step-zero", "step-inf", "delta-one",
+        "delta-nan"])
+def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv, message):
     path = numbers_csv("line.csv", ["x", "y"], [[1, 2], [2, 4], [3, 7]])
     with pytest.raises(SystemExit) as exc:
-        cli.run([argv[0], path, *argv[1:], flag, value])
+        cli.run([argv[0], path, *argv[1:], f"{flag}={value}"])
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"argument {flag}: must be >= " in err
+    assert err.endswith(f"mrlab {argv[0]}: error: argument {flag}: {message}\n")
+
+
+def test_zero_tolerance_runs_every_round(numbers_csv, capsys):
+    path = numbers_csv("line.csv", ["x", "y"], [[1, 2], [2, 4], [3, 7], [9, 9]])
+    code, out, _ = run_cli(["kmeans", path, "--k", "2", "--iters", "4", "--tol", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["iterations"] == 4
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -756,6 +776,7 @@ def fuzz_inputs(tmp_path_factory):
 
 _COUNTS = st.integers(-3, 12)
 _FLOATS = st.floats()  # includes nan, +-inf, subnormals and huge values
+_EDGES = st.sampled_from(["nan", "inf", "-inf", "-1", "0"])
 # Table cells: the edges of the double range, subnormals, signed zeros and small values.
 _CELLS = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 0.0, -0.0, 2.5]) | st.integers(-3, 3)
 _SUBCOMMANDS = {
@@ -763,19 +784,30 @@ _SUBCOMMANDS = {
     "calls-avg": ("calls", [], {}),
     "calls-count": ("calls", [], {}),
     "wordcount": ("docs", [], {}),
-    "sample": ("table", [], {"--n": _COUNTS, "--delta": _FLOATS}),
-    "kmeans": ("table", [], {"--k": _COUNTS, "--iters": _COUNTS, "--tol": _FLOATS}),
+    "sample": ("table", [], {"--n": _COUNTS, "--delta": _FLOATS | _EDGES}),
+    "kmeans": ("table", [], {"--k": _COUNTS, "--iters": _COUNTS | _EDGES, "--tol": _FLOATS | _EDGES}),
     "linreg": ("table", ["--label", "y"], {}),
-    "logreg": ("table", ["--label", "y"], {"--step": _FLOATS, "--iters": _COUNTS, "--tol": _FLOATS}),
+    "logreg": ("table", ["--label", "y"], {
+        "--step": _FLOATS | _EDGES, "--iters": _COUNTS | _EDGES, "--tol": _FLOATS | _EDGES,
+    }),
     "rf": ("table", ["--label", "y"], {
         # bounded: the copies grow with --k and --trees; 10**20 is past the Poisson rate cap
         "--trees": st.integers(-2, 6), "--k": st.integers(-3, 30) | st.just(10**20),
         "--mtry": st.integers(-2, 4), "--max-depth": st.integers(-2, 6),
         "--task": st.sampled_from(["classification", "regression"]),
     }),
-    "bench-io": ("table", [], {"--iters": _COUNTS}),
+    "bench-io": ("table", [], {"--iters": _COUNTS | _EDGES}),
 }
 _SHARED = {"--splits": st.integers(-3, 40), "--seed": st.integers(-3, 2**64 + 3)}
+# The values that a flag's range refuses at parse time, given as text.
+_REFUSED = {
+    "--iters": lambda text: not text.lstrip("-").isdigit() or int(text) < 1,
+    "--tol": lambda text: not 0 <= float(text) < math.inf,
+    "--step": lambda text: not 0 < float(text) < math.inf,
+    "--delta": lambda text: not 0 < float(text) < 1,
+}
+_USAGE_ERROR = re.compile(
+    r"mrlab [\w-]+: error: (?:argument (--[\w-]+): .*|the following arguments are required: (--[\w-]+))")
 
 
 @st.composite
@@ -842,6 +874,8 @@ def test_numeric_flags_never_end_in_a_traceback(fuzz_inputs, data):
     argv = data.draw(_argv(fuzz_inputs))
     if argv[1] in (fuzz_inputs["table"], fuzz_inputs["calls"]):
         note(Path(argv[1]).read_text(encoding="utf-8"))
+    drawn = dict(arg.split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg)
+    refused = [flag for flag, text in drawn.items() if flag in _REFUSED and _REFUSED[flag](text)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -850,9 +884,14 @@ def test_numeric_flags_never_end_in_a_traceback(fuzz_inputs, data):
             code = exc.code
             assert code == 2
             assert out.getvalue() == ""
-            # argparse prints its usage lines, then one error line
-            assert err.getvalue().splitlines()[-1].startswith(f"mrlab {argv[0]}: error: ")
+            # argparse prints its usage lines, then one error line naming the flag
+            line = err.getvalue().splitlines()[-1]
+            named = _USAGE_ERROR.fullmatch(line)
+            assert named and line.startswith(f"mrlab {argv[0]}: error: "), line
+            assert named[1] in drawn if named[1] else named[2] not in drawn, line
+            assert named[1] not in _REFUSED or named[1] in refused, line
             return
+    assert not refused, (argv, refused)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlab import aggregates, dataio
-from mrlab.errors import RowParseError
+from mrlab.errors import EmptyInputError, RowParseError
 
 
 @pytest.mark.parametrize("body, read, message", [
@@ -38,6 +40,68 @@ def test_csv_rows_carry_the_line_each_record_starts_on(tmp_path):
     assert header == ["a", "b"]
     assert rows == [["x\ny", "1"], [], ["2", "3\n\n4"], ["5", "6"]]
     assert lines == [2, 4, 5, 8]
+
+
+# ----------------------------------------------------- the flat pass
+
+
+def reference_csv_rows(path):
+    """A plain ``csv.reader`` walk that keeps each row as a list, with the
+    file line each row starts on: the row reader that preceded the flat
+    pass, kept as the reference for ``read_csv_fields``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: empty file") from None
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            rows.append(row)
+            lines.append(start)
+            start = reader.line_num + 1
+    return header, rows, lines
+
+
+def raised_or(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyInputError as err:
+        return type(err), str(err)
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+_FIELD = st.text(alphabet=["a", "é", ",", '"', "\n", "\r", " ", "\x1f"], max_size=4)
+_CSV_TEXT = st.one_of(
+    # raw text: ragged rows, empty fields, blank lines, quoted commas and
+    # newlines, stray quotes and bare carriage returns
+    st.lists(st.sampled_from(["a", "é", ",", '"', "\n", "\r\n", "\r", " ", '""', '"a,b"', '"x\ny"', '"\r\n"']),
+             max_size=30).map("".join),
+    # rows as csv.writer quotes them
+    st.lists(st.lists(_FIELD, max_size=4), max_size=8).map(csv_text),
+)
+
+
+@given(text=_CSV_TEXT, bom=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom):
+    path = tmp_path_factory.mktemp("flat") / "data.csv"
+    path.write_bytes(BOM * bom + text.encode("utf-8"))
+    want = raised_or(reference_csv_rows, path)
+    got = raised_or(dataio.read_csv_fields, path)
+    if isinstance(want[0], type):
+        assert got == want
+        assert raised_or(dataio.read_csv_rows, path) == want
+        return
+    header, rows, lines = want
+    assert got == (header, list(itertools.chain.from_iterable(rows)), list(map(len, rows)), lines)
+    assert dataio.read_csv_rows(path) == want
 
 
 # ----------------------------------------------------- bulk parse parity
