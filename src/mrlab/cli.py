@@ -11,7 +11,10 @@ Exit codes: 0 success; 1 algorithmic failure (singular system,
 divergence, failed scan sample, job crash, a nan or inf in the report or
 model, named by its field); 2 usage errors, missing files, an unwritable
 --out path and malformed input. The report is written to --out before
-stdout, so a report that cannot be saved is not printed either.
+stdout, so a report that cannot be saved is not printed either. A failure
+prints one "mrlab:" line on stderr and nothing on stdout, except a failed
+scan sample, which still reports and writes what it kept, and an argparse
+usage error, whose error line follows the usage lines.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def _cmd_kmeans(args, config):
         )
     if args.assignments_out:
         Path(args.assignments_out).write_text(
-            "".join(f"{a}\n" for a in assignments), encoding="utf-8",
+            "".join(f"{a}\n" for a in assignments.tolist()), encoding="utf-8",
         )
     result = {
         "k": args.k,

@@ -14,6 +14,12 @@ split count. The round's output carries the assignment blocks and
 the total objective, so fit_kmeans can report assignments and track the
 objective without extra passes, and the assignment vector it decodes is
 the same whatever the split layout.
+
+The mapper and ``assign`` share one nearest-center rule: a squared
+distance is the squared coordinate differences summed in column order,
+and ties go to the smallest index. ``_nearest`` builds the distances of
+m rows to k centers one coordinate at a time, so its scratch space is
+(m, k) whatever the dimension p.
 """
 
 from __future__ import annotations
@@ -49,12 +55,13 @@ class CenterSet:
 def _nearest(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (m, p) block: the index of the nearest center and
     the squared distance to it, inf if it overflows; ties go to the
-    smallest index. One center at a time, so the scratch space is (m, p),
-    not (m, k, p)."""
-    d2 = np.empty((block.shape[0], centers.shape[0]))
+    smallest index. A squared distance is the squared coordinate
+    differences summed in column order, one coordinate of every row and
+    center at a time, so the scratch space is (m, k), not (m, k, p)."""
+    d2 = np.zeros((block.shape[0], centers.shape[0]))
     with np.errstate(over="ignore"):  # fit_kmeans rejects the infinite objective
-        for c, center in enumerate(centers):
-            d2[:, c] = ((block - center) ** 2).sum(axis=1)
+        for j in range(block.shape[1]):
+            d2 += (block[:, j:j + 1] - centers[:, j]) ** 2
     nearest = np.argmin(d2, axis=1)
     return nearest, d2[np.arange(block.shape[0]), nearest]
 
@@ -141,7 +148,7 @@ def fit_kmeans(
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if init is None:
-        init = np.array(reservoir_sample(points, k, seed))
+        init = points[reservoir_sample(range(n), k, seed)]
     centers = np.asarray(init, dtype=float)
     if centers.shape != (k, p):
         raise ParameterError(f"init must have shape {(k, p)}, got {centers.shape}")

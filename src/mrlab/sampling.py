@@ -1,6 +1,9 @@
 """Simple random sampling: n of N records, three ways.
 
 - reservoir_sample: classic single-pass reservoir, strictly sequential.
+  It reads the stream once, in blocks, and draws each block's
+  replacement slots in one call from the same Generator stream that one
+  draw per record would read.
 - sort_sample: an MR job; every record gets an independent uniform key
   and the n smallest keys win.
 - scan_srs: the sort job cut at q2. Bernstein-derived thresholds
@@ -21,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -33,23 +37,32 @@ from .rng import record_draws
 SeedLike = Union[int, np.random.Generator]
 
 
+_RESERVOIR_BLOCK = 4096  # records read, and slots drawn in one call, at a time
+
+
 def reservoir_sample(stream, n: int, seed: SeedLike) -> list:
     """Single-pass reservoir sample of min(n, N) records.
 
     The first n records fill the reservoir; record i (1-based) then
-    draws j uniform on [1, i] and replaces slot j when j <= n.
+    draws j uniform on [1, i] and replaces slot j when j <= n. The rest
+    of the stream is read in blocks, and a block's draws are one
+    ``rng.integers`` call with one bound per record: numpy reads the
+    same 32-bit stream for an array of bounds as for each bound in turn,
+    so the sample, and the state a passed Generator is left in, are
+    those of one scalar draw per record. No draw is made past the end
+    of the stream.
     """
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)  # a Generator comes back as it is
-    reservoir: list = []
-    for i, record in enumerate(stream, start=1):
-        if i <= n:
-            reservoir.append(record)
-            continue
-        j = int(rng.integers(1, i + 1))
-        if j <= n:
-            reservoir[j - 1] = record
+    records = iter(stream)
+    reservoir = list(islice(records, n))
+    seen = len(reservoir)
+    while block := list(islice(records, _RESERVOIR_BLOCK)):
+        j = rng.integers(1, np.arange(seen + 2, seen + len(block) + 2))
+        for b in np.flatnonzero(j <= n).tolist():
+            reservoir[j[b] - 1] = block[b]
+        seen += len(block)
     return reservoir
 
 

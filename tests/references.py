@@ -2,7 +2,8 @@
 
 The library keeps one form of each draw rule, over arrays; the draws here
 are the same rules written one value at a time, in plain Python integers
-and floats. The logistic objective is here because only tests evaluate it.
+and floats. So is the k-means squared distance. The logistic objective is
+here because only tests evaluate it.
 """
 
 from __future__ import annotations
@@ -63,3 +64,33 @@ def poisson_counts(seed: int, record_index: int, trees: int, rate: float) -> np.
         dtype=np.int64,
     )
 
+
+def reservoir_sample(stream, n: int, seed) -> list:
+    """The sequential reservoir: the first n records fill it, and record i
+    (1-based) then makes one scalar draw j uniform on [1, i] and replaces
+    slot j when j <= n."""
+    rng = np.random.default_rng(seed)
+    reservoir: list = []
+    for i, record in enumerate(stream, start=1):
+        if i <= n:
+            reservoir.append(record)
+            continue
+        j = int(rng.integers(1, i + 1))
+        if j <= n:
+            reservoir[j - 1] = record
+    return reservoir
+
+
+def column_order_d2(block, centers) -> np.ndarray:
+    """(m, k) squared distances: for each row and center, the squared
+    coordinate differences added one float at a time, in column order."""
+    rows = np.asarray(block, dtype=float).tolist()
+    centers = np.asarray(centers, dtype=float).tolist()
+    out = np.empty((len(rows), len(centers)))
+    for r, row in enumerate(rows):
+        for c, center in enumerate(centers):
+            total = 0.0
+            for x, y in zip(row, center):
+                total += (x - y) * (x - y)
+            out[r, c] = total
+    return out

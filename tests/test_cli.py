@@ -153,6 +153,34 @@ def test_sample_scan_failure_exits_one(numbers_csv, capsys):
     assert "fewer than n=20" in err
 
 
+def test_failed_scan_still_writes_what_it_kept(numbers_csv, tmp_path, capsys):
+    path = numbers_csv("rows.csv", ["v"], [[i] for i in range(40)])
+    out_path, rows_path = tmp_path / "report.json", tmp_path / "kept.csv"
+    code, out, err = run_cli(
+        ["sample", path, "--method", "scan", "--n", "20", "--delta", "0.95", "--seed", "42",
+         "--out", str(out_path), "--rows-out", str(rows_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err == "mrlab: sample: scan kept 19 candidates, fewer than n=20\n"
+    assert out_path.read_text(encoding="utf-8") == out
+    kept = report_of(out)["result"]["rows"]
+    assert rows_path.read_text(encoding="utf-8").splitlines() == ["v", *(row[0] for row in kept)]
+
+
+def test_usage_error_prints_usage_then_one_error_line(numbers_csv, capsys):
+    path = numbers_csv("line.csv", ["x", "y"], [[1, 2], [2, 4]])
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["kmeans", path, "--k", "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: mrlab kmeans ")
+    assert lines[-1] == "mrlab kmeans: error: argument --k: invalid int value: 'x'"
+    assert not any(line.startswith("mrlab") for line in lines[:-1])
+
+
 def test_sample_scan_ledger_comes_from_its_job(numbers_csv, capsys):
     path = numbers_csv("rows.csv", ["v"], [[i] for i in range(500)])
     reports = {}

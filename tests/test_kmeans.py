@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from mrlab.engine import ClusterConfig
 from mrlab.errors import ParameterError
-from mrlab.kmeans import CenterSet, assign, fit_kmeans
+from mrlab.kmeans import CenterSet, _nearest, assign, fit_kmeans
 from mrlab.sampling import reservoir_sample
+
+from references import column_order_d2
 
 
 def lloyd_oracle(points, init, iters):
@@ -53,6 +55,25 @@ def test_assign_matches_brute_force(seed):
     x = rng.normal(size=3)
     expected = int(np.argmin([np.sum((x - c) ** 2) for c in centers]))
     assert assign(x, centers) == expected
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 33])
+def test_nearest_sums_squares_in_column_order(p):
+    rng = np.random.default_rng(p)
+    block = rng.normal(size=(60, p)) * 10.0 ** rng.integers(-3, 4, size=(60, p))
+    centers = rng.normal(size=(5, p)) * 10.0 ** rng.integers(-3, 4, size=(5, p))
+    want = column_order_d2(block, centers)
+    nearest, d2 = _nearest(block, centers)
+    np.testing.assert_array_equal(nearest, np.argmin(want, axis=1))
+    assert d2.tobytes() == want[np.arange(len(block)), nearest].tobytes()
+    assert [assign(row, centers) for row in block] == nearest.tolist()
+    if p <= 7:  # numpy's pairwise sum is sequential below 8 terms
+        per_center = np.column_stack([((block - c) ** 2).sum(axis=1) for c in centers])
+        assert per_center.tobytes() == want.tobytes()
+
+
+def test_assign_with_no_coordinates_picks_the_first_center():
+    assert assign(np.empty(0), np.empty((3, 0))) == 0
 
 
 # --------------------------------------------------------------- fit_kmeans

@@ -18,6 +18,7 @@ from mrlab.sampling import (
     sort_sample,
 )
 
+import references
 from references import record_uniform
 
 
@@ -53,6 +54,27 @@ def test_reservoir_accepts_generator_instance():
     first = reservoir_sample(range(50), 5, rng)
     second = reservoir_sample(range(50), 5, rng)  # stream continues, differs
     assert first != second
+
+
+_BLOCK = sampling._RESERVOIR_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_reservoir_block_draws_match_the_scalar_loop(n):
+    # one draw call per block reads the Generator stream a draw per record
+    # reads, and stops where the stream does; at n = 1000 most draws land
+    # in the reservoir, so a bound that is off by one shows
+    block = sampling._RESERVOIR_BLOCK
+    lengths = sorted({0, n - 1, n, n + 1, block - 1, block, block + 1,
+                      n + block - 1, n + block, n + block + 1, n + 2 * block + 5})
+    for length in lengths:
+        for seed in (0, 7, 2**40 + 3):
+            want = references.reservoir_sample(range(length), n, seed)
+            assert reservoir_sample(range(length), n, seed) == want, (length, seed)
+        mine, ref = np.random.default_rng(11), np.random.default_rng(11)
+        sample = reservoir_sample(iter(range(length)), n, mine)  # one pass over an iterator
+        assert sample == references.reservoir_sample(range(length), n, ref), length
+        assert mine.bit_generator.state == ref.bit_generator.state, length
 
 
 def test_reservoir_inclusion_is_roughly_uniform():
