@@ -57,7 +57,10 @@ def _nearest(block: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     the squared distance to it, inf if it overflows; ties go to the
     smallest index. A squared distance is the squared coordinate
     differences summed in column order, one coordinate of every row and
-    center at a time, so the scratch space is (m, k), not (m, k, p)."""
+    center at a time, so the scratch space is (m, k), not (m, k, p).
+    The loop is over the p coordinates: it makes fewer numpy calls than
+    a loop over the k centers when p is below k, and about p/k times as
+    many when p is well above k."""
     d2 = np.zeros((block.shape[0], centers.shape[0]))
     with np.errstate(over="ignore"):  # fit_kmeans rejects the infinite objective
         for j in range(block.shape[1]):

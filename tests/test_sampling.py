@@ -56,9 +56,6 @@ def test_reservoir_accepts_generator_instance():
     assert first != second
 
 
-_BLOCK = sampling._RESERVOIR_BLOCK
-
-
 @pytest.mark.parametrize("n", [1, 3, 1000])
 def test_reservoir_block_draws_match_the_scalar_loop(n):
     # one draw call per block reads the Generator stream a draw per record
