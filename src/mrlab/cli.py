@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -123,6 +124,7 @@ def _add_shared(parser: argparse.ArgumentParser, *, bench: bool = False) -> None
     parser.add_argument("--out", default=None, help="also write the JSON report to this path")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrlab",

@@ -267,8 +267,8 @@ def run_job(
             raise JobExecutionError("combine", str(exc), split_id=split.split_id, key=key) from exc
         per_split = combined
 
+    stats.records_shuffled += sum(map(len, per_split))  # each pair lands in one group
     groups = shuffle(per_split)
-    stats.records_shuffled += sum(len(vs) for _, vs in groups)
 
     output: list[tuple[bytes, bytes]] = []
     try:

@@ -239,12 +239,16 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
     xs = x[rows, np.repeat(feats.ravel(), lens)]
     ys = y[rows]
 
-    cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # flat index of each right part's first row
+    # A cut is the flat index of its right part's first row. Those within
+    # min_leaf rows of a segment's ends leave too few rows on one side.
+    is_cut = np.zeros(xs.size + 1, dtype=bool)
+    np.less(xs[:-1], xs[1:], out=is_cut[1:-1])
+    ends = (np.append(seg_start, xs.size)[:, None] + np.arange(1 - min_leaf, min_leaf)).ravel()
+    is_cut[ends[(ends >= 0) & (ends <= xs.size)]] = False
+    cut = np.flatnonzero(is_cut)
     seg = np.searchsorted(seg_start, cut, side="right") - 1
-    left = cut - seg_start[seg]  # 0 where a segment starts: min_leaf drops it
+    left = cut - seg_start[seg]
     size = lens[seg]
-    keep = (left >= min_leaf) & (size - left >= min_leaf)
-    cut, seg, left, size = cut[keep], seg[keep], left[keep], size[keep]
     if cut.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     base = seg_start[seg]
@@ -252,21 +256,51 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
     sizes_l = left.astype(float)
     sizes_r = size - sizes_l
     if task == CLASSIFICATION:
-        # Per class: its count left of each cut, from one running count.
-        squares_l, squares_r = [], []
+        # Per class: its count left of each cut, from one running count, and
+        # its squared share of each side, written in place. The squares are
+        # summed over the classes as np.sum(np.column_stack(...), axis=1)
+        # would: numpy adds fewer than 8 terms of a row in order, so below 8
+        # classes adding them class by class into sum_l and sum_r gives the
+        # same bits; from 8 terms numpy sums pairwise, so 8 or more classes
+        # keep their squares in columns and sum those rows.
+        fold = classes < 8
+        m = cut.size
+        if fold:
+            sum_l, sum_r = np.zeros(m), np.zeros(m)
+            share_l, share_r = np.empty(m), np.empty(m)
+        else:
+            squares_l, squares_r = np.empty((m, classes)), np.empty((m, classes))
+        is_c = np.empty(ys.size, dtype=bool)
         running = np.zeros(ys.size + 1, dtype=np.int64)
+        at_cut, at_base, at_end = np.empty((3, m), dtype=np.int64)
         for c in range(classes):
-            np.cumsum(ys == c, out=running[1:])
-            at_cut = running[cut]
-            squares_l.append(((at_cut - running[base]) / sizes_l) ** 2)
-            squares_r.append(((running[end] - at_cut) / sizes_r) ** 2)
-        gini_l = 1.0 - np.sum(np.column_stack(squares_l), axis=1)
-        gini_r = 1.0 - np.sum(np.column_stack(squares_r), axis=1)
-        score = sizes_l / size * gini_l + sizes_r / size * gini_r
+            np.cumsum(np.equal(ys, c, out=is_c), out=running[1:])
+            # mode="clip" takes without a buffer; no index is out of range.
+            np.take(running, cut, out=at_cut, mode="clip")
+            np.take(running, base, out=at_base, mode="clip")
+            np.take(running, end, out=at_end, mode="clip")
+            if not fold:
+                share_l, share_r = squares_l[:, c], squares_r[:, c]
+            np.subtract(at_cut, at_base, out=share_l)
+            share_l /= sizes_l
+            share_l *= share_l
+            np.subtract(at_end, at_cut, out=share_r)
+            share_r /= sizes_r
+            share_r *= share_r
+            if fold:
+                sum_l += share_l
+                sum_r += share_r
+        if not fold:
+            sum_l, sum_r = np.sum(squares_l, axis=1), np.sum(squares_r, axis=1)
+        gini_l = np.subtract(1.0, sum_l, out=sum_l)
+        gini_r = np.subtract(1.0, sum_r, out=sum_r)
+        gini_l *= np.divide(sizes_l, size, out=sizes_l)
+        gini_r *= np.divide(sizes_r, size, out=sizes_r)
+        score = np.add(gini_l, gini_r, out=gini_l)
     else:
         # Prefix sums restart at each segment: a running sum minus an offset
         # would round differently. Labels beyond about 1e154 overflow their
-        # squares; the nan scores that follow are dropped below.
+        # squares; the nan scores that follow are never the best.
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.column_stack([ys, ys * ys])
             sums = np.concatenate([
@@ -278,13 +312,14 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
             var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
             var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
             score = sizes_l / size * var_l + sizes_r / size * var_r
+        score[np.isnan(score)] = np.inf
 
-    score[np.isnan(score)] = np.inf  # never the best
-    bounds = np.searchsorted(seg // mtry, np.arange(len(feats) + 1))  # each node's candidates
+    bounds = np.searchsorted(seg, np.arange(len(feats) + 1) * mtry)  # each node's candidates
     nodes = np.flatnonzero(bounds[1:] > bounds[:-1])
     runs = bounds[nodes]
     low = np.repeat(np.minimum.reduceat(score, runs), bounds[nodes + 1] - runs)
-    first = np.minimum.reduceat(np.where(score == low, np.arange(score.size), score.size), runs)
+    hits = np.flatnonzero(score == low)
+    first = hits[np.searchsorted(hits, runs)]  # each node's first minimum
     lo, hi = xs[cut[first] - 1], xs[cut[first]]
     # Between adjacent doubles the midpoint can round up to hi, and near the
     # largest double it overflows to inf (every row would go left) or to

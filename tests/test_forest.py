@@ -448,6 +448,38 @@ def test_level_growth_equals_the_depth_first_reference(task):
         assert forest.tree_to_bytes(grown) == forest.tree_to_bytes(reference), case
 
 
+@pytest.mark.parametrize("columns", range(1, 8))
+def test_class_order_fold_has_the_bits_of_the_row_sum(columns):
+    # Below 8 classes _level_splits adds each class's squared shares into one
+    # running total instead of summing the stacked columns row by row.
+    rng = np.random.default_rng(7000 + columns)
+    for length in [*range(1, 41), 2999, 4096]:
+        cols = [(rng.integers(0, 97, length) / rng.integers(97, 200, length)) ** 2
+                for _ in range(columns)]
+        cols[-1][::3] *= 2.0 ** -30  # terms of very different sizes round differently by order
+        total = np.zeros(length)
+        for col in cols:
+            total += col
+        stacked = np.sum(np.column_stack(cols), axis=1)
+        assert total.tobytes() == stacked.tobytes(), length
+
+
+@pytest.mark.parametrize("n_classes", range(8, 13))
+def test_level_growth_equals_the_reference_at_8_to_12_classes(n_classes):
+    # A few distinct feature values and many classes make equal Gini scores
+    # common, so the first minimum depends on the last bit of each class sum.
+    rng = np.random.default_rng(3030 + n_classes)
+    for case in range(40):
+        n, p = int(rng.integers(n_classes, 120)), int(rng.integers(2, 6))
+        x = rng.integers(0, int(rng.integers(2, 6)), size=(n, p)).astype(float)
+        y = rng.integers(0, n_classes, n).astype(float)
+        params = ForestParams(trees=1, sample_size=n, mtry=p, max_depth=[None, 2][case % 2])
+        key = int(rng.integers(0, 2**63))
+        grown = train_tree_reduce(x, y, params, key, CLASSIFICATION, n_classes)
+        reference = depth_first_reference(x, y, params, key, CLASSIFICATION, n_classes)
+        assert forest.tree_to_bytes(grown) == forest.tree_to_bytes(reference), case
+
+
 # SHA-256 of fit_forest(...).to_json(), recorded from the depth-first grower.
 FIT_DIGESTS = {
     CLASSIFICATION: "5c0483089c78fe8ba93307d4b67b13b59cc0a8959078811ba09b8e2e89157dd4",
