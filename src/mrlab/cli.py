@@ -305,6 +305,8 @@ def _cmd_rf(args, config):
     classification = args.task == "classification"
     table = dataio.read_table(args.input, args.label, numeric_labels=not classification)
     n, p = table.features.shape
+    if p == 0:
+        raise ParameterError(f"{args.input}: no feature column besides the label column {args.label!r}")
     if args.k is not None and args.k > n * MAX_POISSON_RATE:
         raise ParameterError(
             f"--k: sample size per tree must be at most {n * MAX_POISSON_RATE} "

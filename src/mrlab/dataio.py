@@ -5,19 +5,27 @@ malformed content, so failures point at the offending line. Every reader
 decodes its file through ``open_text``, which drops a leading byte-order
 mark and names the line of the first byte that is not UTF-8.
 
-Every CSV is read in one ``csv.reader`` pass that keeps no row list:
-``read_csv_fields`` gives every data row's fields as one flat list, with
-each row's field count and the file line it starts on beside it. A file
-whose rows all have w fields holds column j as ``fields[j::w]``.
-``read_csv_rows`` is the row view of the same pass, for callers whose
-records are rows.
+Every CSV's header is read by ``csv.reader``. ``read_csv_fields`` reads
+the data rows in one ``csv.reader`` pass that keeps no row list: it
+gives every data row's fields as one flat list, with each row's field
+count and the file line it starts on beside it. A file whose rows all
+have w fields holds column j as ``fields[j::w]``. ``read_csv_rows`` is
+the row view of the same pass, for callers whose records are rows. A
+field longer than ``csv.field_size_limit()`` raises RowParseError.
 
-Numeric tables are parsed in bulk, and only the bulk pass builds one:
-one pass of Python's ``float`` over every feature cell into a single
-array, and one over the stripped label strings. It accepts exactly the
-rows that the row scan ``_parse_rows`` accepts. The row scan runs only
-when the bulk pass refuses a file, on rows sliced from the flat fields;
-it builds nothing and raises the error that names the first bad row.
+A numeric table (``read_matrix``, and ``read_table`` with numeric
+labels) whose data lines hold no quote, no U+001C-U+001F, no empty line
+and no line longer than that limit is parsed by numpy's C reader,
+``np.loadtxt``, which hands each cell to the parser behind ``float``; its
+result is kept when it holds one row of the header's width per line.
+Every other file, and every file numpy refuses, is read by the flat
+pass and parsed in bulk: one pass of Python's ``float`` over every
+feature cell into a single array, and one over the stripped label
+strings. It accepts exactly the rows that the row scan ``_parse_rows``
+accepts. The row scan runs only when the bulk pass refuses a file, on
+rows sliced from the flat fields; it builds nothing and raises the error
+that names the first bad row. Either way a number reads as ``float``
+reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +50,7 @@ class Table:
     labels: np.ndarray  # float labels, shape (n,)
     raw_labels: list  # original label strings, same order
     feature_names: list
-    lines: list  # the file line on which each row starts
+    lines: Sequence[int]  # the file line on which each row starts
 
 
 @contextlib.contextmanager
@@ -71,24 +80,38 @@ def read_lines(path) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
+def _read_header(fh, path) -> tuple[list[str], int]:
+    """The header row read from fh with ``csv.reader``, and the number of
+    file lines it takes."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path}: empty file") from None
+    except csv.Error as err:
+        raise RowParseError(1, str(err)) from None
+    return header, reader.line_num
+
+
 def read_csv_fields(path) -> tuple[list[str], list[str], list[int], list[int]]:
     """Raw CSV in one flat pass as (header, fields, widths, lines): every
     data row's string fields in one list, each row's field count, and
     the file line on which each row starts (a quoted field may span
-    lines)."""
+    lines). A field longer than ``csv.field_size_limit()`` raises
+    RowParseError naming the line on which its row starts."""
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: empty file") from None
+        header, taken = _read_header(fh, path)
+        reader = csv.reader(fh)  # reads on from the line after the header
         fields, widths, lines = [], [], []
-        start = reader.line_num + 1
-        for row in reader:
-            fields.extend(row)
-            widths.append(len(row))
-            lines.append(start)
-            start = reader.line_num + 1
+        start = taken + 1
+        try:
+            for row in reader:
+                fields.extend(row)
+                widths.append(len(row))
+                lines.append(start)
+                start = taken + reader.line_num + 1
+        except csv.Error as err:
+            raise RowParseError(start, str(err)) from None
     return header, fields, widths, lines
 
 
@@ -114,31 +137,95 @@ def write_csv_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_numeric(fields, widths, lines, names, nonfinite: str, label_idx=None, numeric_labels=False):
-    """Parse flat CSV fields as floats: (matrix of every column but
-    label_idx, stripped label strings, labels as floats, zeros unless
-    numeric_labels).
+def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
+    """A numeric CSV as (names, matrix of every column but the label,
+    stripped label strings, labels as floats, row lines); the labels
+    are zeros unless numeric_labels, and [] with no label column.
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
-    checked for non-finite values before the labels are.
+    checked for non-finite values before the labels are. A file whose
+    every cell is to be a number goes to numpy's reader first; the csv
+    pass reads the file again when that reader declines it.
     """
-    parsed = _parse_bulk(fields, widths, len(names), label_idx, numeric_labels)
-    if parsed is None:
-        _parse_rows(iter_rows(fields, widths), lines, names, label_idx, numeric_labels)
-        raise AssertionError("the row scan accepted rows that the bulk parse refused")
-    matrix, raw_labels, labels = parsed
+    read = _read_by_numpy(path, label) if label is None or numeric_labels else None
+    if read is None:
+        read = _read_by_csv(path, label, numeric_labels)
+    names, matrix, raw_labels, labels, lines = read
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
         raise RowParseError(lines[r], nonfinite)
     bad = np.flatnonzero(~np.isfinite(labels))
     if bad.size:
         raise RowParseError(lines[bad[0]], "non-finite label")
-    return matrix, raw_labels, labels
+    return read
+
+
+# Characters that numpy's reader strips around a number and ``float``
+# refuses (``str.strip`` removes them too).
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _read_by_numpy(path, label):
+    """``_read_numeric``'s result, before its non-finite check, from numpy's
+    C reader, or None when the file is one the csv pass must read.
+
+    numpy hands each cell to the parser behind ``float``, so it reads a
+    number to the same bits, and refuses what ``float`` refuses, except
+    for U+001C-U+001F, which it strips. It is given only text after the
+    header that holds no quote, none of those characters, no empty line
+    (numpy skips one; a lone "\r" is an empty line ended by "\r\n") and
+    no line longer than the csv field limit, and its result stands only
+    when it reads one row of the header's width from each line. Files
+    with a missing label column or no data rows are left to the csv
+    pass, which raises their errors.
+    """
+    with open_text(path) as fh:
+        header, taken = _read_header(fh, path)
+        text = fh.read()
+    names = [h.strip() for h in header]
+    if '"' in text or any(c in text for c in _SEPARATORS) or (label is not None and label not in names):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or "" in lines or "\r" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    n = len(lines)
+    try:  # max_rows=n sizes the result once, where numpy would grow it
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=n)
+    except ValueError:
+        return None
+    if matrix.shape != (n, len(names)):
+        return None
+    rows = range(taken + 1, taken + 1 + n)
+    if label is None:
+        return names, matrix, [], np.zeros(n), rows
+    j = names.index(label)
+    cut = len(names) - j  # the label is the first of the last `cut` cells
+    raw_labels = [line.rsplit(",", cut)[-cut].strip() for line in lines]
+    return names, np.delete(matrix, j, axis=1), raw_labels, matrix[:, j].copy(), rows
+
+
+def _read_by_csv(path, label, numeric_labels):
+    """``_read_numeric``'s result, before its non-finite check, from
+    ``read_csv_fields`` and the bulk pass, or the row scan's error."""
+    header, fields, widths, lines = read_csv_fields(path)
+    names = [h.strip() for h in header]
+    if label is not None and label not in names:
+        raise ParameterError(f"label column {label!r} not in header {names}")
+    if not widths:
+        raise EmptyInputError(f"{path}: no data rows")
+    label_idx = None if label is None else names.index(label)
+    parsed = _parse_bulk(fields, widths, len(names), label_idx, numeric_labels)
+    if parsed is None:
+        _parse_rows(iter_rows(fields, widths), lines, names, label_idx, numeric_labels)
+        raise AssertionError("the row scan accepted rows that the bulk parse refused")
+    return (names, *parsed, lines)
 
 
 def _parse_bulk(fields, widths, width: int, label_idx, numeric_labels):
-    """``_parse_numeric``'s result from one ``float`` pass over every
+    """``_read_by_csv``'s arrays from one ``float`` pass over every
     feature cell and one over the stripped labels, or None if a row has
     the wrong field count or a cell does not parse, exactly when
     ``_parse_rows`` raises."""
@@ -182,11 +269,7 @@ def _parse_rows(rows, lines, names, label_idx, numeric_labels) -> None:
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Load an all-numeric CSV with a header as (column names, matrix)."""
-    header, fields, widths, lines = read_csv_fields(path)
-    names = [h.strip() for h in header]
-    if not widths:
-        raise EmptyInputError(f"{path}: no data rows")
-    matrix, _raw_labels, _labels = _parse_numeric(fields, widths, lines, names, "non-finite value")
+    names, matrix, _raw_labels, _labels, _lines = _read_numeric(path, None, False, "non-finite value")
     return names, matrix
 
 
@@ -197,15 +280,9 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     parsed as floats when numeric_labels is set and kept as raw strings
     either way (classification tasks map strings to classes later).
     """
-    header, fields, widths, lines = read_csv_fields(path)
-    names = [h.strip() for h in header]
-    if label not in names:
-        raise ParameterError(f"label column {label!r} not in header {names}")
+    names, features, raw_labels, labels, lines = _read_numeric(
+        path, label, numeric_labels, "non-finite feature value",
+    )
     label_idx = names.index(label)
     feature_names = [n for i, n in enumerate(names) if i != label_idx]
-    if not widths:
-        raise EmptyInputError(f"{path}: no data rows")
-    features, raw_labels, labels = _parse_numeric(
-        fields, widths, lines, names, "non-finite feature value", label_idx, numeric_labels,
-    )
     return Table(features, labels, raw_labels, feature_names, lines)

@@ -26,6 +26,14 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(module, argv):
+    """``python -m module *argv`` in a process of its own, with this
+    checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
 def report_of(out):
     report = json.loads(out)
     assert report["schema"] == 1
@@ -496,6 +504,33 @@ def test_row_after_a_multiline_record_is_named_by_its_file_line(tmp_path, capsys
     assert f"mrlab: {argv[0]}: row 4: {message}" in err  # data row 2 starts on line 4
 
 
+@pytest.mark.parametrize("argv, header, row, line", [
+    (["linreg", "--label", "y"], "x,y", "3," + "1" * 131073, 3),
+    (["kmeans", "--k", "1"], "x,y", "3," + "1" * 131073, 3),
+    (["calls-count"], "date,caller,callee,duration", "2024-01-01," + "a" * 131073 + ",b,3", 3),
+    (["sample", "--n", "1"], "x,y", "a" * 131073 + ",b", 3),
+    (["kmeans", "--k", "1"], "x," + "y" * 131073, "3,4", 1),
+], ids=["table", "matrix", "call-log", "sample", "header"])
+def test_a_field_over_the_csv_limit_exits_two_naming_its_line(tmp_path, capsys, argv, header, row, line):
+    path = tmp_path / "long.csv"
+    first = "2024-01-01,a,b,3" if argv[0] == "calls-count" else "1,2"
+    path.write_text(f"{header}\n{first}\n{row}\n", encoding="utf-8")
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"mrlab: {argv[0]}: row {line}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("argv", [["kmeans", "--k", "1"], ["linreg", "--label", "b"]], ids=["matrix", "table"])
+def test_a_body_of_blank_lines_exits_two_with_one_line(tmp_path, argv):
+    # in a process of its own, so that a warning would reach stderr
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n\n\n", encoding="utf-8")
+    proc = run_module("mrlab", [argv[0], str(path), *argv[1:]])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"mrlab: {argv[0]}: row 2: expected 2 fields, got 0\n"
+
+
 def test_bad_sample_size_exits_two(numbers_csv, capsys):
     path = numbers_csv("rows.csv", ["v"], [[1], [2]])
     code, _, err = run_cli(["sample", path, "--n", "0"], capsys)
@@ -512,16 +547,17 @@ def test_sample_size_above_row_count_exits_two(numbers_csv, capsys, method):
     assert "--n: sample size" in err
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--k", str(10**20), "--k: sample size per tree must be at most 5242880 "),
-    ("--mtry", "3", "--mtry: features per node must be at most 2 (the feature count), got 3\n"),
-], ids=["k", "mtry"])
-def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, flag, value, message):
-    path = numbers_csv("small.csv", ["x0", "x1", "y"], [[i, -i, i % 2] for i in range(5)])
-    code, out, err = run_cli(["rf", path, "--label", "y", flag, value, "--trees", "2"], capsys)
+@pytest.mark.parametrize("columns, flags, message", [
+    (["x0", "x1", "y"], ["--k", str(10**20)], "--k: sample size per tree must be at most 5242880 "),
+    (["x0", "x1", "y"], ["--mtry", "3"], "--mtry: features per node must be at most 2 (the feature count), got 3\n"),
+    (["y"], [], "{path}: no feature column besides the label column 'y'\n"),
+], ids=["k", "mtry", "label-only"])
+def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, columns, flags, message):
+    path = numbers_csv("small.csv", columns, [[i, -i, i % 2][-len(columns):] for i in range(5)])
+    code, out, err = run_cli(["rf", path, "--label", "y", *flags, "--trees", "2"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"mrlab: rf: {message}")
+    assert err.startswith(f"mrlab: rf: {message.format(path=path)}")
 
 
 @pytest.mark.parametrize("flag, value, argv, message", [
@@ -780,12 +816,7 @@ def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
     path = numbers_csv("line.csv", ["x", "y"], [[x, 2 * x + 1] for x in range(5)])
     argv = ["linreg", path, "--label", "y"]
     _, expected, _ = run_cli(argv, capsys)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module(module, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 

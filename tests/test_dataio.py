@@ -20,8 +20,10 @@ from mrlab.errors import EmptyInputError, RowParseError
     ("nan,1\n", "table", "row 2: non-finite feature value"),
     ("1,2\n3, lo \n", "table", "row 3: bad numeric label 'lo'"),
     ("1,lo\n2,x\n", "table", "row 2: bad numeric label 'lo'"),
+    ("1\n3\n", "matrix", "row 2: expected 2 fields, got 1"),
+    ("1,2,3\n", "table", "row 2: expected 2 fields, got 3"),
 ], ids=["matrix-fields", "matrix-value", "matrix-finite", "table-fields",
-        "table-value", "table-finite", "table-label", "table-first-row"])
+        "table-value", "table-finite", "table-label", "table-first-row", "matrix-width", "table-width"])
 def test_numeric_readers_name_the_row(tmp_path, body, read, message):
     path = tmp_path / "data.csv"
     path.write_text("a,b\n" + body, encoding="utf-8")
@@ -174,36 +176,75 @@ BAD_ROWS = {
     "label": "1,lo,3",
     "label-nan": "1,nan,3",
     "label-1f": "1,\x1f2\x1f,3",  # str.strip removes U+001F, float does not
+    "feature-1f": "\x1f1\x1f,2,3",  # numpy's reader strips U+001F, float does not
+    "spaces": " \t ",
+    "cr": "1,2\r3",  # csv ends a line at a lone carriage return
+    "nul": "1,\x002,3",
+    "long": "1,2," + "1" * 131073,  # one digit over csv's field limit
 }
-KINDS = (list(itertools.permutations(BAD_ROWS, 1)) + list(itertools.permutations(BAD_ROWS, 2))[::4]
-         + list(itertools.permutations(BAD_ROWS, 3))[::23])
+OLD_ROWS = list(BAD_ROWS)[:9]  # the pairs and triples below are drawn from these
+NEW_ROWS = list(BAD_ROWS)[9:]
+KINDS = (list(itertools.permutations(OLD_ROWS, 1)) + list(itertools.permutations(OLD_ROWS, 2))[::4]
+         + list(itertools.permutations(OLD_ROWS, 3))[::23])
+NEW_KINDS = [(name,) for name in NEW_ROWS]
+MIXED_KINDS = [pair for new in NEW_ROWS for old in OLD_ROWS for pair in ((new, old), (old, new))][::3]
+# (header, good rows). The quoted set has a field spanning two lines, so
+# its rows and file lines differ, and numpy's reader never sees it; the
+# plain set is quote-free after a two-line header, so numpy's reader
+# reads it unless a bad row stops it.
+GOOD = {
+    "quoted": ("a,b,c", ['"1\n",2,3', "0.5, 7 ,-0.0"]),
+    "plain": ('"a\n",b,c', ["1,2,3", "0.5, 7 ,-0.0"]),
+}
+CASES = ([pytest.param("quoted", bad, id="+".join(bad)) for bad in KINDS + NEW_KINDS]
+         + [pytest.param("plain", bad, id="plain-" + "+".join(bad)) for bad in KINDS + NEW_KINDS + MIXED_KINDS])
 
 
 @pytest.mark.parametrize("label", ["b", "c"])
 @pytest.mark.parametrize("kind", ["table", "table-strings", "matrix"])
-@pytest.mark.parametrize("bad", KINDS, ids="+".join)
-def test_bulk_parse_matches_the_row_loop(tmp_path, bad, kind, label):
-    # Good rows before, between and after the bad ones, and a quoted field
-    # spanning two lines, so rows and file lines differ.
-    good = ['"1\n",2,3', "0.5, 7 ,-0.0"]
+@pytest.mark.parametrize("good, bad", CASES)
+def test_bulk_parse_matches_the_row_loop(tmp_path, good, bad, kind, label):
+    # Good rows before, between and after the bad ones.
+    header, good = GOOD[good]
     rows = good + [row for name in bad for row in (BAD_ROWS[name], good[1])]
     path = tmp_path / "data.csv"
-    path.write_text("a,b,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assert outcome(read, path, kind, label) == outcome(read_by_reference, path, kind, label)
 
 
-def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
-    def row_loop(*args):
-        raise AssertionError("the row-by-row parse ran on a clean file")
+def refuse(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
 
-    monkeypatch.setattr(dataio, "_parse_rows", row_loop)
+    return fail
+
+
+def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_parse_rows", refuse("the row-by-row parse"))
     path = tmp_path / "data.csv"
     path.write_text('a,b,c\n"1\n", 2 ,3\n4,5,-0.0\n', encoding="utf-8")
-    assert dataio.read_matrix(path)[1].tolist() == [[1, 2, 3], [4, 5, 0]]
-    table = dataio.read_table(path, "b")
-    assert table.features.tolist() == [[1, 3], [4, 0]]
-    assert table.labels.tolist() == [2, 5]
-    assert dataio.read_table(path, "b", numeric_labels=False).raw_labels == ["2", "5"]
+    with monkeypatch.context() as patch:  # a quoted cell is the csv pass's
+        patch.setattr(np, "loadtxt", refuse("numpy's reader"))
+        assert dataio.read_matrix(path)[1].tolist() == [[1, 2, 3], [4, 5, 0]]
+        table = dataio.read_table(path, "b")
+        assert table.features.tolist() == [[1, 3], [4, 0]]
+        assert table.labels.tolist() == [2, 5]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,b,c\n1, x ,3\n4,y,-0.0\n", encoding="utf-8")
+    with monkeypatch.context() as patch:  # so is a string label
+        patch.setattr(np, "loadtxt", refuse("numpy's reader"))
+        assert dataio.read_table(path, "b", numeric_labels=False).raw_labels == ["2", "5"]
+        table = dataio.read_table(plain, "b", numeric_labels=False)
+        assert table.features.tolist() == [[1, 3], [4, 0]]
+        assert table.raw_labels == ["x", "y"]
+    plain.write_text("a,b,c\r\n1, 2 ,3\r\n4,\x855\u2003,-0.0\r\n", encoding="utf-8")
+    monkeypatch.setattr(dataio, "_parse_bulk", refuse("the csv bulk pass"))
+    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
+    assert dataio.read_matrix(plain)[1].tolist() == [[1, 2, 3], [4, 5, 0]]
+    table = dataio.read_table(plain, "b")
+    assert arrays_bits(table.features, table.labels) == arrays_bits(np.array([[1.0, 3], [4, -0.0]]), np.array([2.0, 5]))
+    assert table.raw_labels == ["2", "5"]
+    assert list(table.lines) == [2, 3]
 
 
 def test_numbers_wrapped_in_unit_separators_are_read_by_the_bulk_passes(tmp_path, monkeypatch):
@@ -241,6 +282,34 @@ def test_valid_cells_read_exactly_as_float_reads_them(tmp_path_factory, rows):
     table = dataio.read_table(path, "b")
     assert arrays_bits(dataio.read_matrix(path)[1], table.features, table.labels) == arrays_bits(
         want, np.ascontiguousarray(want[:, [0, 2]]), np.ascontiguousarray(want[:, 1]))
+
+
+_FLOAT_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(["nan", "-inf", "1e400"])
+
+
+@st.composite
+def _quote_free_text(draw) -> str:
+    """A quote-free file: a header, then rows of cells padded with
+    whitespace that float and numpy's reader both strip, or also with
+    U+001C-U+001F, which only numpy's reader strips; some rows ragged,
+    some lines blank, "\n" or "\r\n" line ends. Half the files draw
+    every cell from _CELL, whose digit groups numpy's reader refuses."""
+    pads = ["", " ", "\x0b", "\x0c", "\x85"] + draw(st.sampled_from([[], ["\x1c", "\x1d", "\x1e", "\x1f"]]))
+    pad = st.sampled_from(pads)
+    cell = st.tuples(pad, draw(st.sampled_from([_CELL, _FLOAT_CELL])), pad).map("".join)
+    row = st.lists(cell, min_size=3, max_size=3).map(",".join)
+    line = st.one_of(row, row, row, st.just(""), st.lists(cell, min_size=2, max_size=4).map(",".join))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(["a,b,c", draw(row), *draw(st.lists(line, max_size=7))])
+    return text + end * draw(st.booleans())
+
+
+@given(text=_quote_free_text(), kind=st.sampled_from(["table", "matrix"]), label=st.sampled_from(["b", "c"]))
+@settings(max_examples=300, deadline=None)
+def test_quote_free_files_read_as_the_row_loop_reads_them(tmp_path_factory, text, kind, label):
+    path = tmp_path_factory.mktemp("plain") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read, path, kind, label) == outcome(read_by_reference, path, kind, label)
 
 
 # ----------------------------------------------------- byte-order mark
