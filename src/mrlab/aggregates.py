@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataio import iter_rows, read_csv_fields
+from .dataio import read_csv_fields
 from .encoding import (
     FIELD_SEP,
     count_value,
@@ -225,14 +225,14 @@ def read_call_csv(path) -> CallLog:
     ``parse_call_row`` run, row by row, to raise the RowParseError of the
     first bad row.
     """
-    header, fields, widths, lines = read_csv_fields(path)
+    header, rows = read_csv_fields(path)
     if tuple(h.strip().lower() for h in header) != CALL_HEADER:
         raise RowParseError(1, f"expected header {','.join(CALL_HEADER)}")
-    if not widths:
+    if not rows:
         return CallLog()
-    log = _call_columns(fields, widths)
+    log = _call_columns(rows.fields, rows.widths)
     if log is None:
-        for row, line in zip(iter_rows(fields, widths), lines):
+        for row, line in zip(rows, rows.lines):
             parse_call_row(row, line)
         raise AssertionError("parse_call_row accepted rows that the column pass refused")
     return log

@@ -33,7 +33,6 @@ from .engine import (
     ClusterConfig,
     JobSpec,
     RunStats,
-    dataset_nbytes,
     run_iterative,
 )
 from .errors import (
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kmeans", help="k-means clustering of a numeric CSV")
     _add_shared(p)
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    p.add_argument("--k", type=_int_at_least(1), required=True, help="number of clusters")
     p.add_argument("--iters", type=_int_at_least(1), default=100, help="maximum iterations")
     p.add_argument("--tol", type=_float_in(0, low_open=False), default=1e-6, help="center displacement stop")
     p.add_argument("--centers-out", default=None, help="write centers as CSV")
@@ -203,7 +202,7 @@ def _cmd_wordcount(args, config):
 
 
 def _cmd_sample(args, config):
-    header, rows, _lines = dataio.read_csv_rows(args.input)
+    header, rows = dataio.read_csv_fields(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
     if not 1 <= args.n <= len(rows):
@@ -214,7 +213,7 @@ def _cmd_sample(args, config):
         sample = reservoir_sample(rows, args.n, args.seed)
         stats = RunStats(
             records_read=len(rows),
-            bytes_read=dataset_nbytes(rows),
+            bytes_read=rows.nbytes,
             records_written=len(sample),
             iterations=1,
         )
@@ -243,6 +242,8 @@ def _cmd_sample(args, config):
 
 def _cmd_kmeans(args, config):
     names, matrix = dataio.read_matrix(args.input)
+    if args.k > len(matrix):
+        raise ParameterError(f"--k: clusters must be in 1..{len(matrix)} (the row count), got {args.k}")
     centers, assignments, stats = fit_kmeans(
         matrix, args.k, max_iters=args.iters, tol=args.tol, config=config, seed=args.seed,
     )
@@ -302,8 +303,7 @@ def _cmd_logreg(args, config):
 
 
 def _cmd_rf(args, config):
-    classification = args.task == "classification"
-    table = dataio.read_table(args.input, args.label, numeric_labels=not classification)
+    table = dataio.read_table(args.input, args.label, numeric_labels=args.task == "regression")
     n, p = table.features.shape
     if p == 0:
         raise ParameterError(f"{args.input}: no feature column besides the label column {args.label!r}")
@@ -323,8 +323,7 @@ def _cmd_rf(args, config):
         max_depth=args.max_depth,
         seed=args.seed,
     )
-    labels = table.raw_labels if classification else table.labels
-    model, stats = fit_forest(table.features, labels, params, args.task, config)
+    model, stats = fit_forest(table.features, table.labels, params, args.task, config)
     result = {
         "task": model.task,
         "classes": model.classes,
@@ -358,7 +357,7 @@ def bench_io(dataset, iters: int, modes, base_config: ClusterConfig) -> dict:
 
 
 def _cmd_bench_io(args, config):
-    _header, rows, _lines = dataio.read_csv_rows(args.input)
+    _header, rows = dataio.read_csv_fields(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
     modes = ["disk", "memory"] if args.mode == "both" else [args.mode]

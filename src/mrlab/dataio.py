@@ -7,10 +7,12 @@ mark and names the line of the first byte that is not UTF-8.
 
 Every CSV's header is read by ``csv.reader``. ``read_csv_fields`` reads
 the data rows in one ``csv.reader`` pass that keeps no row list: it
-gives every data row's fields as one flat list, with each row's field
-count and the file line it starts on beside it. A file whose rows all
-have w fields holds column j as ``fields[j::w]``. ``read_csv_rows`` is
-the row view of the same pass, for callers whose records are rows. A
+gives them as ``Rows``, every data row's fields in one flat list, with
+each row's field count and the file line it starts on beside it. A file
+whose rows all have w fields holds column j as ``fields[j::w]``. ``Rows``
+is also a dataset of rows for the engine and the samplers: a row by
+index is a list sliced from the flat fields when it is asked for, a
+slice is a ``Rows``, and ``nbytes`` sizes every field in one pass. A
 field longer than ``csv.field_size_limit()`` raises RowParseError.
 
 A numeric table (``read_matrix``, and ``read_table`` with numeric
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,8 +50,7 @@ class Table:
     """A numeric feature matrix plus one designated label column."""
 
     features: np.ndarray  # shape (n, p)
-    labels: np.ndarray  # float labels, shape (n,)
-    raw_labels: list  # original label strings, same order
+    labels: np.ndarray | list  # floats, shape (n,); the stripped strings unless numeric
     feature_names: list
     lines: Sequence[int]  # the file line on which each row starts
 
@@ -93,12 +95,53 @@ def _read_header(fh, path) -> tuple[list[str], int]:
     return header, reader.line_num
 
 
-def read_csv_fields(path) -> tuple[list[str], list[str], list[int], list[int]]:
-    """Raw CSV in one flat pass as (header, fields, widths, lines): every
-    data row's string fields in one list, each row's field count, and
-    the file line on which each row starts (a quoted field may span
-    lines). A field longer than ``csv.field_size_limit()`` raises
-    RowParseError naming the line on which its row starts."""
+@dataclass(frozen=True)
+class Rows:
+    """CSV data rows held flat: every row's string fields in one list,
+    each row's field count, and the file line on which each row starts
+    (a quoted field may span lines).
+
+    As a dataset it has one record per row: a row by index is a new list
+    sliced from ``fields``, a slice is a ``Rows``, iteration yields the
+    rows in order, and ``nbytes`` is the UTF-8 size of every field, the
+    sum the engine's record walk gives a list of these rows. The row
+    offsets are built on the first index, slice or iteration.
+    """
+
+    fields: list[str]
+    widths: list[int]
+    lines: list[int]
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    @functools.cached_property
+    def _offsets(self) -> list[int]:
+        """Where each row starts in ``fields``, then where the last ends."""
+        return [0, *itertools.accumulate(self.widths)]
+
+    def __getitem__(self, index):
+        offsets = self._offsets
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a slice of rows takes no step")
+            return Rows(self.fields[offsets[start]:offsets[stop]], self.widths[start:stop], self.lines[start:stop])
+        i = range(len(self))[index]  # a negative index counts from the end; IndexError past it
+        return self.fields[offsets[i]:offsets[i + 1]]
+
+    def __iter__(self):
+        return (self.fields[start:stop] for start, stop in itertools.pairwise(self._offsets))
+
+    @functools.cached_property
+    def nbytes(self) -> int:
+        return len("".join(self.fields).encode("utf-8", "surrogatepass"))
+
+
+def read_csv_fields(path) -> tuple[list[str], Rows]:
+    """Raw CSV in one flat pass as (header, rows). A field longer than
+    ``csv.field_size_limit()`` raises RowParseError naming the line on
+    which its row starts."""
     with open_text(path) as fh:
         header, taken = _read_header(fh, path)
         reader = csv.reader(fh)  # reads on from the line after the header
@@ -112,22 +155,7 @@ def read_csv_fields(path) -> tuple[list[str], list[str], list[int], list[int]]:
                 start = taken + reader.line_num + 1
         except csv.Error as err:
             raise RowParseError(start, str(err)) from None
-    return header, fields, widths, lines
-
-
-def iter_rows(fields: list[str], widths: list[int]):
-    """The rows of a flat field list, each a new list sliced from it."""
-    start = 0
-    for width in widths:
-        yield fields[start:start + width]
-        start += width
-
-
-def read_csv_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
-    """Raw CSV as (header, rows, lines): ``read_csv_fields`` with its
-    fields cut back into one list per row."""
-    header, fields, widths, lines = read_csv_fields(path)
-    return header, list(iter_rows(fields, widths)), lines
+    return header, Rows(fields, widths, lines)
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
@@ -139,8 +167,8 @@ def write_csv_rows(path, header: list[str], rows) -> None:
 
 def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
     """A numeric CSV as (names, matrix of every column but the label,
-    stripped label strings, labels as floats, row lines); the labels
-    are zeros unless numeric_labels, and [] with no label column.
+    labels, row lines); the labels are floats if numeric_labels, else
+    the stripped label strings, and [] with no label column.
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
@@ -151,13 +179,14 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
     read = _read_by_numpy(path, label) if label is None or numeric_labels else None
     if read is None:
         read = _read_by_csv(path, label, numeric_labels)
-    names, matrix, raw_labels, labels, lines = read
+    names, matrix, labels, lines = read
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
         raise RowParseError(lines[r], nonfinite)
-    bad = np.flatnonzero(~np.isfinite(labels))
-    if bad.size:
-        raise RowParseError(lines[bad[0]], "non-finite label")
+    if numeric_labels:
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            raise RowParseError(lines[bad[0]], "non-finite label")
     return read
 
 
@@ -200,56 +229,55 @@ def _read_by_numpy(path, label):
         return None
     rows = range(taken + 1, taken + 1 + n)
     if label is None:
-        return names, matrix, [], np.zeros(n), rows
+        return names, matrix, [], rows
     j = names.index(label)
-    cut = len(names) - j  # the label is the first of the last `cut` cells
-    raw_labels = [line.rsplit(",", cut)[-cut].strip() for line in lines]
-    return names, np.delete(matrix, j, axis=1), raw_labels, matrix[:, j].copy(), rows
+    return names, np.delete(matrix, j, axis=1), matrix[:, j].copy(), rows
 
 
 def _read_by_csv(path, label, numeric_labels):
     """``_read_numeric``'s result, before its non-finite check, from
     ``read_csv_fields`` and the bulk pass, or the row scan's error."""
-    header, fields, widths, lines = read_csv_fields(path)
+    header, rows = read_csv_fields(path)
     names = [h.strip() for h in header]
     if label is not None and label not in names:
         raise ParameterError(f"label column {label!r} not in header {names}")
-    if not widths:
+    if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     label_idx = None if label is None else names.index(label)
-    parsed = _parse_bulk(fields, widths, len(names), label_idx, numeric_labels)
+    parsed = _parse_bulk(rows.fields, rows.widths, len(names), label_idx, numeric_labels)
     if parsed is None:
-        _parse_rows(iter_rows(fields, widths), lines, names, label_idx, numeric_labels)
+        _parse_rows(rows, names, label_idx, numeric_labels)
         raise AssertionError("the row scan accepted rows that the bulk parse refused")
-    return (names, *parsed, lines)
+    return (names, *parsed, rows.lines)
 
 
 def _parse_bulk(fields, widths, width: int, label_idx, numeric_labels):
-    """``_read_by_csv``'s arrays from one ``float`` pass over every
-    feature cell and one over the stripped labels, or None if a row has
-    the wrong field count or a cell does not parse, exactly when
-    ``_parse_rows`` raises."""
+    """``_read_by_csv``'s matrix and labels from one ``float`` pass over
+    every feature cell and one over the stripped labels when they are
+    numeric, or None if a row has the wrong field count or a cell does
+    not parse, exactly when ``_parse_rows`` raises."""
     if set(widths) != {width}:
         return None
     cells = fields
-    raw_labels = []
+    labels = []
     if label_idx is not None:  # leave the label cell out
-        raw_labels = list(map(str.strip, fields[label_idx::width]))
+        labels = list(map(str.strip, fields[label_idx::width]))
         cells = itertools.compress(cells, itertools.cycle([j != label_idx for j in range(width)]))
         width -= 1
     n = len(widths)
     try:
         matrix = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
-        labels = np.fromiter(map(float, raw_labels), float, n) if numeric_labels else np.zeros(n)
+        if numeric_labels:
+            labels = np.fromiter(map(float, labels), float, n)
     except ValueError:
         return None
-    return matrix, raw_labels, labels
+    return matrix, labels
 
 
-def _parse_rows(rows, lines, names, label_idx, numeric_labels) -> None:
+def _parse_rows(rows: Rows, names, label_idx, numeric_labels) -> None:
     """The row-by-row scan: raises RowParseError at the first row with
     the wrong field count or a cell that does not parse."""
-    for row, line in zip(rows, lines):
+    for row, line in zip(rows, rows.lines):
         if len(row) != len(names):
             raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
         for j, cell in enumerate(row):
@@ -269,7 +297,7 @@ def _parse_rows(rows, lines, names, label_idx, numeric_labels) -> None:
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     """Load an all-numeric CSV with a header as (column names, matrix)."""
-    names, matrix, _raw_labels, _labels, _lines = _read_numeric(path, None, False, "non-finite value")
+    names, matrix, _labels, _lines = _read_numeric(path, None, False, "non-finite value")
     return names, matrix
 
 
@@ -277,12 +305,12 @@ def read_table(path, label: str, *, numeric_labels: bool = True) -> Table:
     """Load a numeric CSV with a header into features + label column.
 
     Every non-label column becomes a float feature. Label values are
-    parsed as floats when numeric_labels is set and kept as raw strings
-    either way (classification tasks map strings to classes later).
+    parsed as floats when numeric_labels is set, else kept as stripped
+    strings (classification tasks map strings to classes later).
     """
-    names, features, raw_labels, labels, lines = _read_numeric(
+    names, features, labels, lines = _read_numeric(
         path, label, numeric_labels, "non-finite feature value",
     )
     label_idx = names.index(label)
     feature_names = [n for i, n in enumerate(names) if i != label_idx]
-    return Table(features, labels, raw_labels, feature_names, lines)
+    return Table(features, labels, feature_names, lines)

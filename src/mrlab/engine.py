@@ -132,9 +132,9 @@ def record_nbytes(record: Any) -> int:
 def dataset_nbytes(dataset: Sequence) -> int:
     """Bytes charged for reading a dataset: the sum of ``record_nbytes``
     over its records, taken as ``.nbytes`` for a 2-D array of rows and for
-    a dataset other than an array that defines it (a columnar log sizes
-    itself), and as 8 a record when every record is exactly an int or a
-    float."""
+    a dataset other than an array that defines it (a columnar log and CSV
+    rows size themselves), and as 8 a record when every record is exactly
+    an int or a float."""
     if isinstance(dataset, np.ndarray):
         if dataset.ndim == 2:
             return dataset.nbytes
@@ -151,7 +151,7 @@ def partition(dataset: Sequence, num_splits: int) -> list[InputSplit]:
     Sizes differ by at most one: the first (n mod s) splits take the
     extra record. num_splits larger than the dataset is clamped. Each
     split holds the dataset's own slice (a numpy array's view of its rows,
-    a columnar log's sub-log, a list's sublist).
+    a columnar log's sub-log, CSV rows' sub-rows, a list's sublist).
     """
     n = len(dataset)
     if n == 0:

@@ -17,7 +17,7 @@ from mrlab.aggregates import (
     read_call_csv,
     word_count,
 )
-from mrlab.dataio import read_csv_rows
+from mrlab.dataio import read_csv_fields
 from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
@@ -222,9 +222,9 @@ def test_non_canonical_iso_dates_key_as_their_canonical_form(tmp_path):
 def test_read_call_csv_strips_every_field_as_parse_call_row_does(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("date,caller,callee,duration\n 2024-01-01 , a ,\tb\t, 3 \n2024-01-01,a,b,4\n")
-    _, rows, lines = read_csv_rows(p)
+    _, rows = read_csv_fields(p)
     log = read_call_csv(p)
-    assert list(log) == [parse_call_row(row, line) for row, line in zip(rows, lines)]
+    assert list(log) == [parse_call_row(row, line) for row, line in zip(rows, rows.lines)]
     assert (log.callers, log.callees) == (("a", "a"), ("b", "b"))
 
 
@@ -252,8 +252,8 @@ BAD_ROWS = {
 
 def row_by_row_error(path):
     """The (line, message) of the first row that ``parse_call_row`` rejects."""
-    _, rows, lines = read_csv_rows(path)
-    for row, line in zip(rows, lines):
+    _, rows = read_csv_fields(path)
+    for row, line in zip(rows, rows.lines):
         try:
             parse_call_row(row, line)
         except RowParseError as err:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -565,6 +566,8 @@ def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, columns, flags, me
     ("--seed", "-1", ["sample", "--n", "2"], "must be >= 0, got -1"),
     ("--trees", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
     ("--k", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
+    ("--k", "0", ["kmeans"], "must be >= 1, got 0"),
+    ("--k", "-2", ["kmeans"], "must be >= 1, got -2"),
     ("--mtry", "0", ["rf", "--label", "y"], "must be >= 1, got 0"),
     ("--max-depth", "-1", ["rf", "--label", "y"], "must be >= 0, got -1"),
     ("--iters", "0", ["kmeans", "--k", "2"], "must be >= 1, got 0"),
@@ -577,7 +580,8 @@ def test_rf_flag_above_its_cap_exits_two(numbers_csv, capsys, columns, flags, me
     ("--step", "1e400", ["logreg", "--label", "y"], "must be a finite number > 0, got 1e400"),
     ("--delta", "1", ["sample", "--n", "2", "--method", "scan"], "must be a finite number in (0, 1), got 1"),
     ("--delta", "nan", ["sample", "--n", "2", "--method", "scan"], "must be a finite number in (0, 1), got nan"),
-], ids=["splits", "seed", "trees", "k", "mtry", "max-depth", "kmeans-iters", "logreg-iters", "bench-io-iters",
+], ids=["splits", "seed", "trees", "k", "kmeans-k-zero", "kmeans-k-negative", "mtry", "max-depth",
+        "kmeans-iters", "logreg-iters", "bench-io-iters",
         "kmeans-tol-nan", "kmeans-tol-negative", "logreg-tol-inf", "step-zero", "step-inf", "delta-one",
         "delta-nan"])
 def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv, message):
@@ -587,6 +591,13 @@ def test_bad_shared_flag_exits_two(numbers_csv, capsys, flag, value, argv, messa
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.endswith(f"mrlab {argv[0]}: error: argument {flag}: {message}\n")
+
+
+def test_kmeans_k_above_the_row_count_exits_two(numbers_csv, capsys):
+    path = numbers_csv("two.csv", ["x", "y"], [[1, 2], [3, 4]])
+    code, out, err = run_cli(["kmeans", path, "--k", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "mrlab: kmeans: --k: clusters must be in 1..2 (the row count), got 5\n"
 
 
 def test_zero_tolerance_runs_every_round(numbers_csv, capsys):
@@ -754,6 +765,61 @@ def test_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
     code, out, _ = run_cli([*argv, "--splits", "3"], capsys)
     assert code == 0
     assert hashlib.sha256(indented(out).encode("utf-8")).hexdigest() == digest
+
+
+def write_text_csv(path, seed=12, rows=60):
+    """A text CSV drawn from seed: multi-byte cells, a quoted comma, a
+    quoted newline, a quoted quote, empty cells, and one blank line, which
+    is a row of no fields."""
+    rng = np.random.default_rng(seed)
+    cells = ["plain", "été", "日本語", "a,b", "two\nlines", "", '"q"', "naïve, café", "x"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "note", "n"])
+        for i in range(rows):
+            if i == 17:
+                fh.write("\n")
+                continue
+            a, b = rng.integers(0, len(cells), 2).tolist()
+            writer.writerow([cells[a], cells[b], str(i)])
+
+
+# SHA-256 of the reports, and of the --rows-out file, on write_text_csv's
+# file, recorded while sample and bench-io read one list per row. Every
+# sample holds the blank line's empty row.
+TEXT_REPORT_DIGESTS = {
+    "sample-reservoir": (
+        ["sample", "text.csv", "--method", "reservoir", "--n", "30", "--rows-out", "rows.csv"],
+        "7535c3202a5c39f49c04de7884191bababce3602502e4577ebdd21fd32d9934a",
+        "31bb2e2a13c04a1d6d3f4fd3892bb8a2b00b1f2cec42075674e61ebb1ddb9b59",
+    ),
+    "sample-sort": (
+        ["sample", "text.csv", "--method", "sort", "--n", "30", "--rows-out", "rows.csv"],
+        "7b0bd6d4eae4f755377ca25a54e30a31531b9aca5ce8de2cb7e1cfaf0964acd0",
+        "c8aac17d980647baa977ee72fb960f86f777abdcb776faf412fb15a681e0ccd3",
+    ),
+    "sample-scan": (
+        ["sample", "text.csv", "--method", "scan", "--n", "30", "--rows-out", "rows.csv"],
+        "ef6b0e1d8ca672076bdd7fd66898e5b014acd6e30338eea7eae36319b9c481e6",
+        "c8aac17d980647baa977ee72fb960f86f777abdcb776faf412fb15a681e0ccd3",
+    ),
+    "bench-io": (
+        ["bench-io", "text.csv", "--iters", "3"],
+        "c1f77bae14659b42b8ef39f6fde3c35a17b91a91540ae32461c860ce73cce5c1", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORT_DIGESTS))
+def test_text_csv_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)  # the report echoes the input path
+    write_text_csv(tmp_path / "text.csv")
+    argv, digest, rows_digest = TEXT_REPORT_DIGESTS[name]
+    code, out, _ = run_cli([*argv, "--splits", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(indented(out).encode("utf-8")).hexdigest() == digest
+    if rows_digest is not None:
+        assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == rows_digest
 
 
 def test_linreg_result_is_equal_at_every_split_count(numbers_csv, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlab import aggregates, dataio
+from mrlab.engine import record_nbytes
 from mrlab.errors import EmptyInputError, RowParseError
 
 
@@ -38,10 +39,10 @@ def test_numeric_readers_name_the_row(tmp_path, body, read, message):
 def test_csv_rows_carry_the_line_each_record_starts_on(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text('a,b\n"x\ny",1\n\n2,"3\n\n4"\n5,6\n', encoding="utf-8")
-    header, rows, lines = dataio.read_csv_rows(path)
+    header, rows = dataio.read_csv_fields(path)
     assert header == ["a", "b"]
-    assert rows == [["x\ny", "1"], [], ["2", "3\n\n4"], ["5", "6"]]
-    assert lines == [2, 4, 5, 8]
+    assert list(rows) == [["x\ny", "1"], [], ["2", "3\n\n4"], ["5", "6"]]
+    assert rows.lines == [2, 4, 5, 8]
 
 
 # ----------------------------------------------------- the flat pass
@@ -90,20 +91,28 @@ _CSV_TEXT = st.one_of(
 )
 
 
-@given(text=_CSV_TEXT, bom=st.booleans())
+@given(text=_CSV_TEXT, bom=st.booleans(), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom):
+def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data):
     path = tmp_path_factory.mktemp("flat") / "data.csv"
     path.write_bytes(BOM * bom + text.encode("utf-8"))
     want = raised_or(reference_csv_rows, path)
     got = raised_or(dataio.read_csv_fields, path)
     if isinstance(want[0], type):
         assert got == want
-        assert raised_or(dataio.read_csv_rows, path) == want
         return
     header, rows, lines = want
-    assert got == (header, list(itertools.chain.from_iterable(rows)), list(map(len, rows)), lines)
-    assert dataio.read_csv_rows(path) == want
+    assert got == (header, dataio.Rows(list(itertools.chain.from_iterable(rows)), list(map(len, rows)), lines))
+    got = got[1]
+    assert len(got) == len(rows)
+    assert list(got) == rows
+    assert [got[i] for i in range(len(rows))] == rows == [got[i] for i in range(-len(rows), 0)]
+    start = data.draw(st.integers(0, len(rows)), label="start")
+    stop = data.draw(st.integers(0, len(rows)), label="stop")
+    part = got[start:stop]
+    assert isinstance(part, dataio.Rows)
+    assert (list(part), part.lines) == (rows[start:stop], lines[start:stop])
+    assert got.nbytes == sum(record_nbytes(r) for r in rows)
 
 
 # ----------------------------------------------------- bulk parse parity
@@ -111,10 +120,11 @@ def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom):
 
 def reference_parse(rows, lines, names, nonfinite, label_idx=None, numeric_labels=False):
     """The row-by-row parse that preceded the bulk path, kept as the
-    reference for ``_parse_numeric``'s arrays and errors."""
+    reference for ``_parse_numeric``'s arrays and errors; string labels
+    come back stripped, in a list."""
     columns = [j for j in range(len(names)) if j != label_idx]
     matrix = np.empty((len(rows), len(columns)))
-    labels = np.zeros(len(rows))
+    labels = np.zeros(len(rows)) if numeric_labels else []
     for r, (row, line) in enumerate(zip(rows, lines)):
         if len(row) != len(names):
             raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
@@ -129,17 +139,21 @@ def reference_parse(rows, lines, names, nonfinite, label_idx=None, numeric_label
                 labels[r] = float(raw)
             except ValueError:
                 raise RowParseError(line, f"bad numeric label {raw!r}") from None
+        elif label_idx is not None:
+            labels.append(row[label_idx].strip())
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
         raise RowParseError(lines[r], nonfinite)
-    bad = np.flatnonzero(~np.isfinite(labels))
-    if bad.size:
-        raise RowParseError(lines[bad[0]], "non-finite label")
+    if numeric_labels:
+        bad = np.flatnonzero(~np.isfinite(labels))
+        if bad.size:
+            raise RowParseError(lines[bad[0]], "non-finite label")
     return matrix, labels
 
 
 def arrays_bits(*arrays):
-    return [(a.shape, a.dtype, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+    """Arrays bit for bit; a list (string labels) as it is."""
+    return [a if isinstance(a, list) else (a.shape, a.dtype, a.flags.c_contiguous, a.tobytes()) for a in arrays]
 
 
 def outcome(fn, *args):
@@ -159,11 +173,12 @@ def read(path, kind, label):
 
 
 def read_by_reference(path, kind, label):
-    header, rows, lines = dataio.read_csv_rows(path)
+    header, rows = dataio.read_csv_fields(path)
     names = [h.strip() for h in header]
     if kind == "matrix":
-        return reference_parse(rows, lines, names, "non-finite value")[:1]
-    return reference_parse(rows, lines, names, "non-finite feature value", names.index(label), kind == "table")
+        return reference_parse(list(rows), rows.lines, names, "non-finite value")[:1]
+    return reference_parse(list(rows), rows.lines, names, "non-finite feature value", names.index(label),
+                           kind == "table")
 
 
 BAD_ROWS = {
@@ -233,17 +248,16 @@ def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
     plain.write_text("a,b,c\n1, x ,3\n4,y,-0.0\n", encoding="utf-8")
     with monkeypatch.context() as patch:  # so is a string label
         patch.setattr(np, "loadtxt", refuse("numpy's reader"))
-        assert dataio.read_table(path, "b", numeric_labels=False).raw_labels == ["2", "5"]
+        assert dataio.read_table(path, "b", numeric_labels=False).labels == ["2", "5"]
         table = dataio.read_table(plain, "b", numeric_labels=False)
         assert table.features.tolist() == [[1, 3], [4, 0]]
-        assert table.raw_labels == ["x", "y"]
+        assert table.labels == ["x", "y"]
     plain.write_text("a,b,c\r\n1, 2 ,3\r\n4,\x855\u2003,-0.0\r\n", encoding="utf-8")
     monkeypatch.setattr(dataio, "_parse_bulk", refuse("the csv bulk pass"))
     monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
     assert dataio.read_matrix(plain)[1].tolist() == [[1, 2, 3], [4, 5, 0]]
     table = dataio.read_table(plain, "b")
     assert arrays_bits(table.features, table.labels) == arrays_bits(np.array([[1.0, 3], [4, -0.0]]), np.array([2.0, 5]))
-    assert table.raw_labels == ["2", "5"]
     assert list(table.lines) == [2, 3]
 
 
@@ -259,7 +273,6 @@ def test_numbers_wrapped_in_unit_separators_are_read_by_the_bulk_passes(tmp_path
     table.write_text("x,y\n1,\x1f1\x1f\n2, \x1c-0.5\x1e\n", encoding="utf-8")
     read = dataio.read_table(table, "y")
     assert arrays_bits(read.features, read.labels) == arrays_bits(np.array([[1.0], [2.0]]), np.array([1.0, -0.5]))
-    assert read.raw_labels == ["1", "-0.5"]
     calls.write_text("date,caller,callee,duration\n2024-01-01,a,b,\x1f2.5\x1f\n", encoding="utf-8")
     assert aggregates.read_call_csv(calls).durations == (2.5,)
 
@@ -322,7 +335,7 @@ def test_a_byte_order_mark_is_not_read_as_text(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(b"x,y\n1,0\n2,1\n")
     marked.write_bytes(BOM + plain.read_bytes())
-    assert dataio.read_csv_rows(marked) == dataio.read_csv_rows(plain)
+    assert dataio.read_csv_fields(marked) == dataio.read_csv_fields(plain)
     assert dataio.read_lines(marked) == dataio.read_lines(plain)
     assert dataio.read_table(marked, "x").feature_names == ["y"]
 
@@ -332,5 +345,5 @@ def test_bytes_that_are_not_utf8_are_named_by_line_after_a_mark(tmp_path, prefix
     path = tmp_path / "data.csv"
     path.write_bytes(prefix + b"x,y\n1,0\n2,\xff\n")
     with pytest.raises(RowParseError) as exc:
-        dataio.read_csv_rows(path)
+        dataio.read_csv_fields(path)
     assert str(exc.value) == "row 3: not valid UTF-8"
