@@ -27,8 +27,9 @@ import math
 import sys
 from pathlib import Path
 
+# Only what every subcommand needs is imported here; each handler imports
+# the module it runs, so a command loads its own algorithm and no other.
 from . import dataio
-from .aggregates import avg_duration_by_date, calls_per_date_number, read_call_csv, word_count
 from .engine import (
     ClusterConfig,
     JobSpec,
@@ -43,10 +44,6 @@ from .errors import (
     RowParseError,
     SingularMatrixError,
 )
-from .forest import MAX_POISSON_RATE, ForestParams, fit_forest
-from .kmeans import fit_kmeans
-from .linmodels import DataMatrix, fit_linear, fit_logistic
-from .sampling import reservoir_sample, scan_srs, sort_sample
 
 SCHEMA_VERSION = 1
 
@@ -183,12 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calls_avg(args, config):
+    from .aggregates import avg_duration_by_date, read_call_csv
+
     log = read_call_csv(args.input)
     result, stats = avg_duration_by_date(log, config)
     return {"means": [[date, mean, count] for date, (mean, count) in result]}, stats, 0
 
 
 def _cmd_calls_count(args, config):
+    from .aggregates import calls_per_date_number, read_call_csv
+
     log = read_call_csv(args.input)
     result, stats = calls_per_date_number(log, config)
     # tuples of str and int, which the collector stops tracking, unlike lists
@@ -196,12 +197,16 @@ def _cmd_calls_count(args, config):
 
 
 def _cmd_wordcount(args, config):
+    from .aggregates import word_count
+
     documents = dataio.read_lines(args.input)
     result, stats = word_count(documents, config)
     return {"counts": [[token, n] for token, n in result]}, stats, 0
 
 
 def _cmd_sample(args, config):
+    from .sampling import reservoir_sample, scan_srs, sort_sample
+
     header, rows = dataio.read_csv_fields(args.input)
     if not rows:
         raise EmptyInputError(f"{args.input}: no data rows")
@@ -241,6 +246,8 @@ def _cmd_sample(args, config):
 
 
 def _cmd_kmeans(args, config):
+    from .kmeans import fit_kmeans
+
     names, matrix = dataio.read_matrix(args.input)
     if args.k > len(matrix):
         raise ParameterError(f"--k: clusters must be in 1..{len(matrix)} (the row count), got {args.k}")
@@ -271,6 +278,8 @@ def _fit_table(args, fit):
     The library numbers data rows from 1; a RowParseError it raises is
     renumbered to the file line on which that row starts.
     """
+    from .linmodels import DataMatrix
+
     table = dataio.read_table(args.input, args.label)
     try:
         model, stats = fit(DataMatrix.from_features(table.features, table.labels))
@@ -280,6 +289,8 @@ def _fit_table(args, fit):
 
 
 def _cmd_linreg(args, config):
+    from .linmodels import fit_linear
+
     table, model, stats = _fit_table(args, lambda data: fit_linear(data, config))
     result = {
         "coefficients": [float(b) for b in model.beta],
@@ -290,6 +301,8 @@ def _cmd_linreg(args, config):
 
 
 def _cmd_logreg(args, config):
+    from .linmodels import fit_logistic
+
     table, model, stats = _fit_table(
         args, lambda data: fit_logistic(data, args.step, args.iters, args.tol, config),
     )
@@ -303,6 +316,8 @@ def _cmd_logreg(args, config):
 
 
 def _cmd_rf(args, config):
+    from .forest import MAX_POISSON_RATE, ForestParams, fit_forest
+
     table = dataio.read_table(args.input, args.label, numeric_labels=args.task == "regression")
     n, p = table.features.shape
     if p == 0:

@@ -121,16 +121,17 @@ def gram_job(
 def solve_normal_equations(gram: GramPair) -> np.ndarray:
     """Solve X'X b = X'y by Cholesky factorization.
 
-    A pivot below 1e-12 relative to the largest diagonal entry means a
-    (near-)singular system, e.g. duplicated feature columns; the error
-    names the offending pivot index.
+    A pivot at or below 1e-12 times its own column's diagonal entry means
+    a (near-)singular system, e.g. duplicated feature columns; the error
+    names the offending pivot index. Each pivot is judged in its column's
+    units, so a column of small numbers beside one of large numbers is
+    not mistaken for zero.
     """
     a = np.array(gram.xtx, dtype=float)
     b = np.array(gram.xty, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d) or b.shape != (d,):
         raise ParameterError(f"shape mismatch: {a.shape} vs {b.shape}")
-    tol = _PIVOT_RTOL * max(float(np.max(np.abs(np.diag(a)))), 0.0)
     lower = np.zeros_like(a)
     z = np.zeros(d)
     beta = np.zeros(d)
@@ -138,7 +139,7 @@ def solve_normal_equations(gram: GramPair) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(d):
             s = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-            if not s > tol or not math.isfinite(s):
+            if not s > _PIVOT_RTOL * a[j, j] or not math.isfinite(s):
                 raise SingularMatrixError(j)
             lower[j, j] = math.sqrt(s)
             for i in range(j + 1, d):

@@ -34,7 +34,7 @@ from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
 from .rng import record_draws
 
-SeedLike = Union[int, np.random.Generator]
+SeedLike = Union[int, "np.random.Generator"]  # a string, so importing loads no numpy.random
 
 
 _RESERVOIR_BLOCK = 4096  # records read, and slots drawn in one call, at a time

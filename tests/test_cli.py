@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+import mrlab.forest
 from mrlab import cli
 from mrlab.aggregates import CallLog, read_call_csv
 from mrlab.engine import RunStats
@@ -27,12 +28,17 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_module(module, argv):
-    """``python -m module *argv`` in a process of its own, with this
-    checkout's ``src`` first on the path."""
+def run_python(args):
+    """``python *args`` in a process of its own, with this checkout's
+    ``src`` first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(module, argv):
+    """``python -m module *argv`` in a process of its own."""
+    return run_python(["-m", module, *argv])
 
 
 def report_of(out):
@@ -278,7 +284,7 @@ def test_logreg_divergence_exits_one(numbers_csv, capsys):
 def test_linreg_with_overflowing_squares_exits_one_without_a_warning(numbers_csv, capsys):
     path = numbers_csv("huge.csv", ["x", "y"], [["1e200", 1], ["2e200", 2], [3, 3]])
     code, out, err = run_cli(["linreg", path, "--label", "y"], capsys)
-    assert (code, out, err) == (1, "", "mrlab: linreg: matrix is singular at pivot 0\n")
+    assert (code, out, err) == (1, "", "mrlab: linreg: matrix is singular at pivot 1\n")
 
 
 def test_kmeans_with_overflowing_distances_exits_one_naming_the_round(numbers_csv, capsys):
@@ -323,7 +329,7 @@ def test_rf_non_finite_model_exits_one_and_writes_nothing(numbers_csv, tmp_path,
         trees = [TreeModel([{"value": 1.0}]), TreeModel([{"value": math.inf}])]
         return ForestModel(trees, "regression"), RunStats()
 
-    monkeypatch.setattr(cli, "fit_forest", fit_forest)
+    monkeypatch.setattr(mrlab.forest, "fit_forest", fit_forest)  # rf imports it when it runs
     path = numbers_csv("t.csv", ["x", "y"], [[1, 1], [2, 2]])
     model_path, out_path = tmp_path / "model.json", tmp_path / "report.json"
     argv = ["rf", path, "--label", "y", "--task", "regression",
@@ -885,6 +891,29 @@ def test_python_dash_m_runs_the_cli(numbers_csv, capsys, module):
     proc = run_module(module, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_the_cli_loads_only_the_modules_its_command_runs(tmp_path):
+    # in a fresh interpreter, where nothing is imported yet
+    path = tmp_path / "calls.csv"
+    path.write_text("date,caller,callee,duration\n2024-01-01,a,b,10\n", encoding="utf-8")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import mrlab.cli\n"
+        "at_import = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = mrlab.cli.run(['calls-count', {str(path)!r}])\n"
+        "print(json.dumps([code, at_import, sorted(sys.modules)]))\n"
+    )
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    code, at_import, after_run = json.loads(proc.stdout)
+    assert code == 0
+    assert {m for m in at_import if m.split(".")[0] == "mrlab"} == {
+        "mrlab", "mrlab.cli", "mrlab.dataio", "mrlab.engine", "mrlab.errors"}
+    assert "numpy.random" not in at_import
+    assert "mrlab.aggregates" in after_run
+    assert not {"mrlab.forest", "mrlab.kmeans", "mrlab.linmodels"} & set(after_run)
 
 
 # ------------------------------------------------------------ argv property

@@ -121,6 +121,18 @@ def test_duplicated_column_reports_pivot():
     assert err.value.pivot == 2
 
 
+def test_columns_in_far_apart_units_solve_as_lstsq_does():
+    # The b column's diagonal is 1e-16 of the a column's: judged against
+    # the largest diagonal entry, its pivot would read as zero.
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=50) * 1e4, rng.normal(size=50) * 1e-4
+    y = 0.001 * a + 2000 * b + rng.normal(size=50)
+    x = np.column_stack([a, b])
+    model, _ = fit_linear(DataMatrix.from_features(x, y))
+    expected = np.linalg.lstsq(np.column_stack([np.ones(50), x]), y, rcond=None)[0]
+    np.testing.assert_allclose(model.beta, expected, rtol=1e-9)
+
+
 def test_solve_residual_bound():
     x, _, rng = random_matrix(5, n=100, p=4)
     y = rng.normal(size=100)
