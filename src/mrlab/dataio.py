@@ -15,19 +15,16 @@ index is a list sliced from the flat fields when it is asked for, a
 slice is a ``Rows``, and ``nbytes`` sizes every field in one pass. A
 field longer than ``csv.field_size_limit()`` raises RowParseError.
 
-A numeric table (``read_matrix``, and ``read_table`` with numeric
-labels) whose data lines hold no quote, no U+001C-U+001F, no empty line
-and no line longer than that limit is parsed by numpy's C reader,
-``np.loadtxt``, which hands each cell to the parser behind ``float``; its
-result is kept when it holds one row of the header's width per line.
-Every other file, and every file numpy refuses, is read by the flat
-pass and parsed in bulk: one pass of Python's ``float`` over every
-feature cell into a single array, and one over the stripped label
-strings. It accepts exactly the rows that the row scan ``_parse_rows``
-accepts. The row scan runs only when the bulk pass refuses a file, on
-rows sliced from the flat fields; it builds nothing and raises the error
-that names the first bad row. Either way a number reads as ``float``
-reads it.
+A numeric table (``read_matrix`` and ``read_table``) whose data lines
+hold no quote, no U+001C-U+001F, no empty line and no line longer than
+that limit is parsed by numpy's C reader, ``np.loadtxt``, which hands
+each cell to the parser behind ``float``; string labels are cut from the
+lines at their commas, as ``csv`` cuts a quote-free line. Its result is
+kept when it holds one row of the header's width per line. Every other
+file, and every file numpy refuses, is read by the flat pass and built
+row by row by ``_parse_rows``, which parses each cell with ``float`` and
+raises the error that names the first bad row. Either way a number
+reads as ``float`` reads it.
 """
 
 from __future__ import annotations
@@ -172,11 +169,11 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
-    checked for non-finite values before the labels are. A file whose
-    every cell is to be a number goes to numpy's reader first; the csv
-    pass reads the file again when that reader declines it.
+    checked for non-finite values before the labels are. Every file goes
+    to numpy's reader first; the csv pass reads the file again when that
+    reader declines it.
     """
-    read = _read_by_numpy(path, label) if label is None or numeric_labels else None
+    read = _read_by_numpy(path, label, numeric_labels)
     if read is None:
         read = _read_by_csv(path, label, numeric_labels)
     names, matrix, labels, lines = read
@@ -195,7 +192,7 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_by_numpy(path, label):
+def _read_by_numpy(path, label, numeric_labels):
     """``_read_numeric``'s result, before its non-finite check, from numpy's
     C reader, or None when the file is one the csv pass must read.
 
@@ -205,9 +202,12 @@ def _read_by_numpy(path, label):
     header that holds no quote, none of those characters, no empty line
     (numpy skips one; a lone "\r" is an empty line ended by "\r\n") and
     no line longer than the csv field limit, and its result stands only
-    when it reads one row of the header's width from each line. Files
-    with a missing label column or no data rows are left to the csv
-    pass, which raises their errors.
+    when it reads one row of the header's width from each line. String
+    labels are cut from each line at its commas, as ``csv`` cuts a
+    quote-free line, and numpy reads the other columns; since numpy then
+    skips the label column, the cut lines are what must have the
+    header's width. Files with a missing label column or no data rows are
+    left to the csv pass, which raises their errors.
     """
     with open_text(path) as fh:
         header, taken = _read_header(fh, path)
@@ -220,23 +220,30 @@ def _read_by_numpy(path, label):
         lines.pop()
     if not lines or "" in lines or "\r" in lines or max(map(len, lines)) > csv.field_size_limit():
         return None
-    n = len(lines)
+    n, width = len(lines), len(names)
+    j = None if label is None else names.index(label)
+    usecols, labels = None, []
+    if j is not None and not numeric_labels:
+        cells = [line.split(",") for line in lines]
+        if any(len(row) != width for row in cells):
+            return None
+        labels = [row[j].strip() for row in cells]
+        usecols, width = [k for k in range(width) if k != j], width - 1
     try:  # max_rows=n sizes the result once, where numpy would grow it
-        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=n)
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=n, usecols=usecols)
     except ValueError:
         return None
-    if matrix.shape != (n, len(names)):
+    if matrix.shape != (n, width):
         return None
     rows = range(taken + 1, taken + 1 + n)
-    if label is None:
-        return names, matrix, [], rows
-    j = names.index(label)
+    if j is None or not numeric_labels:
+        return names, matrix, labels, rows
     return names, np.delete(matrix, j, axis=1), matrix[:, j].copy(), rows
 
 
 def _read_by_csv(path, label, numeric_labels):
     """``_read_numeric``'s result, before its non-finite check, from
-    ``read_csv_fields`` and the bulk pass, or the row scan's error."""
+    ``read_csv_fields`` and the row loop ``_parse_rows``."""
     header, rows = read_csv_fields(path)
     names = [h.strip() for h in header]
     if label is not None and label not in names:
@@ -244,39 +251,14 @@ def _read_by_csv(path, label, numeric_labels):
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     label_idx = None if label is None else names.index(label)
-    parsed = _parse_bulk(rows.fields, rows.widths, len(names), label_idx, numeric_labels)
-    if parsed is None:
-        _parse_rows(rows, names, label_idx, numeric_labels)
-        raise AssertionError("the row scan accepted rows that the bulk parse refused")
-    return (names, *parsed, rows.lines)
+    return (names, *_parse_rows(rows, names, label_idx, numeric_labels), rows.lines)
 
 
-def _parse_bulk(fields, widths, width: int, label_idx, numeric_labels):
-    """``_read_by_csv``'s matrix and labels from one ``float`` pass over
-    every feature cell and one over the stripped labels when they are
-    numeric, or None if a row has the wrong field count or a cell does
-    not parse, exactly when ``_parse_rows`` raises."""
-    if set(widths) != {width}:
-        return None
-    cells = fields
-    labels = []
-    if label_idx is not None:  # leave the label cell out
-        labels = list(map(str.strip, fields[label_idx::width]))
-        cells = itertools.compress(cells, itertools.cycle([j != label_idx for j in range(width)]))
-        width -= 1
-    n = len(widths)
-    try:
-        matrix = np.fromiter(map(float, cells), float, n * width).reshape(n, width)
-        if numeric_labels:
-            labels = np.fromiter(map(float, labels), float, n)
-    except ValueError:
-        return None
-    return matrix, labels
-
-
-def _parse_rows(rows: Rows, names, label_idx, numeric_labels) -> None:
-    """The row-by-row scan: raises RowParseError at the first row with
-    the wrong field count or a cell that does not parse."""
+def _parse_rows(rows: Rows, names, label_idx, numeric_labels):
+    """The matrix and labels of ``rows``, parsed row by row with
+    ``float``; raises RowParseError at the first row with the wrong field
+    count or a cell that does not parse."""
+    cells, labels = [], []
     for row, line in zip(rows, rows.lines):
         if len(row) != len(names):
             raise RowParseError(line, f"expected {len(names)} fields, got {len(row)}")
@@ -284,15 +266,20 @@ def _parse_rows(rows: Rows, names, label_idx, numeric_labels) -> None:
             if j == label_idx:
                 continue
             try:
-                float(cell)
+                cells.append(float(cell))
             except ValueError:
                 raise RowParseError(line, f"bad numeric value {cell!r} in column {names[j]!r}") from None
+        if label_idx is None:
+            continue
+        raw = row[label_idx].strip()
         if numeric_labels:
-            raw = row[label_idx].strip()
             try:
-                float(raw)
+                raw = float(raw)
             except ValueError:
                 raise RowParseError(line, f"bad numeric label {raw!r}") from None
+        labels.append(raw)
+    matrix = np.array(cells, dtype=float).reshape(len(rows), len(names) - (label_idx is not None))
+    return matrix, np.array(labels, dtype=float) if numeric_labels else labels
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_value, parse_f64s_rows, parse_u32_key, u32_key
+from .encoding import f64s_row_blocks, parse_f64s_rows, parse_u32_key, u32_key
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
 from .rng import counter_hash, record_draws, record_uniforms, splitmix64_array
@@ -208,7 +208,7 @@ def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> l
         params.seed, split.origin_range[0], len(rows), params.trees, params.sample_size / n,
     )
     keys = [u32_key(j) for j in range(params.trees)]
-    payloads = [f64s_value(row) for row in rows]
+    payloads = f64s_row_blocks(rows[:, None, :])  # one payload a row
     out: list[tuple[bytes, bytes]] = []
     records, trees = np.nonzero(counts)  # row-major: record, then tree
     for r, j, c in zip(records.tolist(), trees.tolist(), counts[records, trees].tolist()):

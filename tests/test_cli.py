@@ -538,6 +538,30 @@ def test_a_body_of_blank_lines_exits_two_with_one_line(tmp_path, argv):
     assert proc.stderr == f"mrlab: {argv[0]}: row 2: expected 2 fields, got 0\n"
 
 
+@pytest.mark.parametrize("command", ["linreg", "logreg", "rf"])
+def test_a_label_missing_from_the_header_exits_two_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,0\n2,1\n", encoding="utf-8")
+    code, out, err = run_cli([command, str(path), "--label", "z"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"mrlab: {command}: label column 'z' not in header ['a', 'b']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["linreg", "--label", "b"],
+    ["kmeans", "--k", "1"],
+    ["rf", "--label", "b", "--task", "classification"],
+    ["rf", "--label", "b", "--task", "regression"],
+    ["bench-io"],
+], ids=["linreg", "kmeans", "rf-classification", "rf-regression", "bench-io"])
+def test_a_file_without_data_rows_exits_two_with_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n", encoding="utf-8")
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"mrlab: {argv[0]}: {path}: no data rows\n"
+
+
 def test_bad_sample_size_exits_two(numbers_csv, capsys):
     path = numbers_csv("rows.csv", ["v"], [[1], [2]])
     code, _, err = run_cli(["sample", path, "--n", "0"], capsys)

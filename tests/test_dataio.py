@@ -234,8 +234,7 @@ def refuse(what):
     return fail
 
 
-def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_parse_rows", refuse("the row-by-row parse"))
+def test_quote_free_tables_never_reach_the_csv_pass(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_text('a,b,c\n"1\n", 2 ,3\n4,5,-0.0\n', encoding="utf-8")
     with monkeypatch.context() as patch:  # a quoted cell is the csv pass's
@@ -244,30 +243,41 @@ def test_clean_tables_never_take_the_row_loop(tmp_path, monkeypatch):
         table = dataio.read_table(path, "b")
         assert table.features.tolist() == [[1, 3], [4, 0]]
         assert table.labels.tolist() == [2, 5]
+        assert dataio.read_table(path, "b", numeric_labels=False).labels == ["2", "5"]
+    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
     plain = tmp_path / "plain.csv"
     plain.write_text("a,b,c\n1, x ,3\n4,y,-0.0\n", encoding="utf-8")
-    with monkeypatch.context() as patch:  # so is a string label
-        patch.setattr(np, "loadtxt", refuse("numpy's reader"))
-        assert dataio.read_table(path, "b", numeric_labels=False).labels == ["2", "5"]
-        table = dataio.read_table(plain, "b", numeric_labels=False)
-        assert table.features.tolist() == [[1, 3], [4, 0]]
-        assert table.labels == ["x", "y"]
+    table = dataio.read_table(plain, "b", numeric_labels=False)  # a string label is numpy's
+    assert table.features.tolist() == [[1, 3], [4, 0]]
+    assert table.labels == ["x", "y"]
     plain.write_text("a,b,c\r\n1, 2 ,3\r\n4,\x855\u2003,-0.0\r\n", encoding="utf-8")
-    monkeypatch.setattr(dataio, "_parse_bulk", refuse("the csv bulk pass"))
-    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
     assert dataio.read_matrix(plain)[1].tolist() == [[1, 2, 3], [4, 5, 0]]
     table = dataio.read_table(plain, "b")
     assert arrays_bits(table.features, table.labels) == arrays_bits(np.array([[1.0, 3], [4, -0.0]]), np.array([2.0, 5]))
     assert list(table.lines) == [2, 3]
 
 
-def test_numbers_wrapped_in_unit_separators_are_read_by_the_bulk_passes(tmp_path, monkeypatch):
-    # str.strip removes U+001C-U+001F, which float alone rejects; the row
-    # loops strip a label and a duration before float reads them
-    def row_loop(*args):
-        raise AssertionError("a row loop ran on a clean file")
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_forest_tables_with_string_labels_are_read_by_numpy(tmp_path, monkeypatch, end):
+    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
+    path = tmp_path / "forest.csv"
+    lines = ["f0,f1,f2,f3,cls", "0.5,-1.25,2,0,c0", "1e-3,3,-0.0,4.75, c2 ", "2,0,1,-7,c1"]
+    path.write_text(end.join(lines) + end, encoding="utf-8")
+    table = dataio.read_table(path, "cls", numeric_labels=False)
+    want = np.array([[0.5, -1.25, 2, 0], [1e-3, 3, -0.0, 4.75], [2, 0, 1, -7]])
+    assert arrays_bits(table.features) == arrays_bits(want)
+    assert table.labels == ["c0", "c2", "c1"]
+    assert table.feature_names == ["f0", "f1", "f2", "f3"]
+    assert list(table.lines) == [2, 3, 4]
 
-    monkeypatch.setattr(dataio, "_parse_rows", row_loop)
+
+def test_labels_and_durations_wrapped_in_unit_separators_read_as_numbers(tmp_path, monkeypatch):
+    # str.strip removes U+001C-U+001F, which float alone rejects: the csv
+    # pass strips a label, and the call log's bulk pass a duration, before
+    # float reads them (the table's cells send it to the csv pass)
+    def row_loop(*args):
+        raise AssertionError("the call row loop ran on a clean file")
+
     monkeypatch.setattr(aggregates, "parse_call_row", row_loop)
     table, calls = tmp_path / "data.csv", tmp_path / "calls.csv"
     table.write_text("x,y\n1,\x1f1\x1f\n2, \x1c-0.5\x1e\n", encoding="utf-8")
@@ -317,7 +327,8 @@ def _quote_free_text(draw) -> str:
     return text + end * draw(st.booleans())
 
 
-@given(text=_quote_free_text(), kind=st.sampled_from(["table", "matrix"]), label=st.sampled_from(["b", "c"]))
+@given(text=_quote_free_text(), kind=st.sampled_from(["table", "table-strings", "matrix"]),
+       label=st.sampled_from(["b", "c"]))
 @settings(max_examples=300, deadline=None)
 def test_quote_free_files_read_as_the_row_loop_reads_them(tmp_path_factory, text, kind, label):
     path = tmp_path_factory.mktemp("plain") / "data.csv"
