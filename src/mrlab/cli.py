@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import sys
@@ -192,7 +193,7 @@ def _cmd_calls_count(args, config):
 
     log = read_call_csv(args.input)
     result, stats = calls_per_date_number(log, config)
-    # tuples of str and int, which the collector stops tracking, unlike lists
+    # tuples, which build faster than lists and which json writes as arrays too
     return {"counts": [(date, caller, n) for (date, caller), n in result]}, stats, 0
 
 
@@ -395,9 +396,29 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    """Parse argv, run the subcommand, print the JSON report."""
+    """Parse argv, run the subcommand, print the JSON report.
+
+    The command runs with Python's cyclic garbage collector paused, and
+    the caller's collector state is restored however ``run`` ends. Every
+    mapper and reducer the CLI runs is mrlab's own and builds no
+    reference cycle, so reference counting frees each object when it
+    dies and the collector's passes over the live pairs, groups and
+    report rows would find nothing to free. The parse stays outside the
+    pause: argparse leaves cycles behind the first time it builds the
+    parser.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(args, argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_command(args, argv) -> int:
     try:
         result, stats, exit_code = _HANDLERS[args.command](args, _config(args))
         report = {

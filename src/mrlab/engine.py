@@ -13,8 +13,9 @@ ordered by (split_id, emission index).
 run_iterative chains rounds over one dataset and owns the per-round read
 and write policy that RunStats records: disk-backed rounds re-read the
 dataset and re-write their output every round, memory-resident rounds
-read once and write the last output only. Its caller is the driver: it
-reads each round's output and builds the next round's job from it.
+read once and write the last output only. It cuts the splits once and
+every round maps the same splits. Its caller is the driver: it reads
+each round's output and builds the next round's job from it.
 """
 
 from __future__ import annotations
@@ -216,23 +217,26 @@ def run_job(
     dataset: Sequence,
     config: Optional[ClusterConfig] = None,
     *,
-    _resident: bool = False,
+    _splits: Optional[list[InputSplit]] = None,
 ) -> tuple[list[tuple[bytes, bytes]], RunStats]:
     """Run one MR round: map over splits, shuffle, reduce, on config
     (a one-split disk-mode ClusterConfig when omitted).
 
     Accounting: reading the dataset charges records/bytes read; in disk
     mode the raw map output is materialized, charging one write per
-    emitted pair; the reduce output is written. ``_resident`` is set
-    only by run_iterative, which charges the dataset read and the state
-    writes itself. ``iterations`` counts completed MR rounds. A failing
-    mapper, combiner or reducer raises JobExecutionError naming its
-    stage and the split or key it was working on.
+    emitted pair; the reduce output is written. ``_splits`` is passed
+    only by run_iterative, which cuts the dataset once for all its rounds
+    and charges the dataset read and the state writes itself, so run_job
+    charges them only when it cuts the splits. ``iterations`` counts
+    completed MR rounds. A failing mapper, combiner or reducer raises
+    JobExecutionError naming its stage and the split or key it was
+    working on.
     """
     config = ClusterConfig() if config is None else config
     stats = RunStats()
-    splits = partition(dataset, config.num_splits)
-    if not _resident:
+    splits = _splits
+    if splits is None:
+        splits = partition(dataset, config.num_splits)
         stats.records_read += len(dataset)
         stats.bytes_read += dataset_nbytes(dataset)
 
@@ -279,7 +283,7 @@ def run_job(
     except Exception as exc:
         raise JobExecutionError("reduce", str(exc), key=key) from exc
 
-    if not _resident:
+    if _splits is None:
         _charge_write(stats, output)
     stats.iterations += 1
     return output, stats
@@ -297,8 +301,9 @@ def run_iterative(
     job_factory(t) builds round t's JobSpec; converged(output), when
     given, reads round t's reducer output once and stops the chain by
     returning true. The caller carries whatever the next round needs.
-    Disk mode re-reads the dataset and re-writes the output every round;
-    memory mode reads once and writes the last round's output only.
+    The dataset is cut into splits once, and every round maps the same
+    splits. Disk mode re-reads the dataset and re-writes the output every
+    round; memory mode reads once and writes the last round's output only.
     Returns that last output and the summed ledger.
     """
     if max_iters < 1:
@@ -307,12 +312,13 @@ def run_iterative(
     stats = RunStats()
     disk = config.iteration_mode == DISK
     nbytes = dataset_nbytes(dataset)
+    splits = partition(dataset, config.num_splits)
     for t in range(max_iters):
         if disk or t == 0:
             stats.records_read += len(dataset)
             stats.bytes_read += nbytes
         try:
-            output, round_stats = run_job(job_factory(t), dataset, config, _resident=True)
+            output, round_stats = run_job(job_factory(t), dataset, config, _splits=splits)
         except JobExecutionError as err:
             err.iteration = t
             raise

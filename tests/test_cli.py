@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -938,6 +939,88 @@ def test_the_cli_loads_only_the_modules_its_command_runs(tmp_path):
     assert "numpy.random" not in at_import
     assert "mrlab.aggregates" in after_run
     assert not {"mrlab.forest", "mrlab.kmeans", "mrlab.linmodels"} & set(after_run)
+
+
+# ------------------------------------------------------- cyclic collector
+
+
+def write_collector_inputs(root):
+    """The seeded inputs, a singular table (exit 1) and a table with a
+    bad cell (exit 2)."""
+    write_seeded_inputs(root)
+    write_seeded_calls(root / "calls.csv")
+    (root / "dup.csv").write_text("a,b,y\n" + "".join(f"{x},{x},{x + 1}\n" for x in range(6)),
+                                  encoding="utf-8")
+    (root / "bad.csv").write_text("x,y\n1,2\n3,oops\n", encoding="utf-8")
+
+
+# Every subcommand once, a failing one of each exit code, and the files
+# that --out and the other -out flags write, with their exit codes.
+COLLECTOR_CASES = {
+    **{name: (argv, 0) for name, (argv, _digest) in REPORT_DIGESTS.items()},
+    "calls-avg": (["calls-avg", "calls.csv"], 0),
+    "calls-count": (["calls-count", "calls.csv", "--out", "report.json"], 0),
+    "kmeans-files": (["kmeans", "table.csv", "--k", "3", "--iters", "5",
+                      "--centers-out", "centers.csv", "--assignments-out", "labels.txt"], 0),
+    "rf-model-out": (["rf", "table.csv", "--label", "y", "--trees", "2", "--model-out", "model.json"], 0),
+    "sample-rows-out": (["sample", "table.csv", "--n", "5", "--rows-out", "rows.csv"], 0),
+    "linreg-singular": (["linreg", "dup.csv", "--label", "y"], 1),
+    "linreg-bad-row": (["linreg", "bad.csv", "--label", "y"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTOR_CASES))
+def test_a_command_leaves_no_cycle_for_the_collector(tmp_path, monkeypatch, capsys, name):
+    # run() pauses the collector on the premise that no command builds a
+    # reference cycle, so none waits for a collection to be freed
+    monkeypatch.chdir(tmp_path)
+    write_collector_inputs(tmp_path)
+    argv, expected = COLLECTOR_CASES[name]
+    # the first run builds the parser and imports the command's modules,
+    # which leave cycles once per process
+    assert run_cli([*argv, "--splits", "3"], capsys)[0] == expected
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run_cli([*argv, "--splits", "3"], capsys)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert code == expected
+    assert unreachable == 0
+
+
+@pytest.mark.parametrize("name", ["rf", "linreg-singular", "linreg-bad-row"])
+def test_run_restores_the_collector_on_every_exit(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    write_collector_inputs(tmp_path)
+    argv, expected = COLLECTOR_CASES[name]
+    assert gc.isenabled()
+    assert run_cli(argv, capsys)[0] == expected
+    assert gc.isenabled()
+
+
+def test_run_restores_the_collector_when_a_command_raises(numbers_csv, monkeypatch):
+    def crash(args, config):
+        assert not gc.isenabled()
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._HANDLERS, "linreg", crash)
+    path = numbers_csv("line.csv", ["x", "y"], [[x, 2 * x] for x in range(6)])
+    with pytest.raises(RuntimeError, match="unexpected"):
+        cli.run(["linreg", path, "--label", "y"])
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_paused_collector_paused(numbers_csv, capsys):
+    path = numbers_csv("line.csv", ["x", "y"], [[x, 2 * x] for x in range(6)])
+    gc.disable()
+    try:
+        code, _, _ = run_cli(["linreg", path, "--label", "y"], capsys)
+        collecting = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (code, collecting) == (0, False)
 
 
 # ------------------------------------------------------------ argv property

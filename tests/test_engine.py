@@ -337,6 +337,22 @@ def test_run_iterative_sizes_its_input_once(monkeypatch, mode, rounds_read):
     assert stats.iterations == 5
 
 
+@pytest.mark.parametrize("mode", ["disk", "memory"])
+def test_run_iterative_cuts_its_splits_once(monkeypatch, mode):
+    calls = []
+    real = engine.partition
+    monkeypatch.setattr(engine, "partition", lambda d, s: calls.append(s) or real(d, s))
+    seen = []
+
+    def factory(t):
+        return JobSpec(lambda split: seen.append(split) or [], lambda key, values: [])
+
+    _, stats = run_iterative(factory, 5, None, list(range(10)), ClusterConfig(num_splits=4, iteration_mode=mode))
+    assert calls == [4]
+    assert seen == partition(list(range(10)), 4) * 5
+    assert stats.iterations == 5
+
+
 def test_convergence_stops_early():
     def converged(output):
         return converged.calls.append(0) or len(converged.calls) >= 2
