@@ -5,26 +5,34 @@ malformed content, so failures point at the offending line. Every reader
 decodes its file through ``open_text``, which drops a leading byte-order
 mark and names the line of the first byte that is not UTF-8.
 
-Every CSV's header is read by ``csv.reader``. ``read_csv_fields`` reads
-the data rows in one ``csv.reader`` pass that keeps no row list: it
-gives them as ``Rows``, every data row's fields in one flat list, with
-each row's field count and the file line it starts on beside it. A file
-whose rows all have w fields holds column j as ``fields[j::w]``. ``Rows``
-is also a dataset of rows for the engine and the samplers: a row by
-index is a list sliced from the flat fields when it is asked for, a
-slice is a ``Rows``, and ``nbytes`` sizes every field in one pass. A
-field longer than ``csv.field_size_limit()`` raises RowParseError.
+Every CSV's header is read by ``csv.reader``, and the text after it is
+read and decoded once. ``read_csv_fields`` gives the data rows as
+``Rows``: every data row's fields in one flat list, with each row's
+field count and the file line it starts on beside it. A file whose rows
+all have w fields holds column j as ``fields[j::w]``. ``Rows`` is also a
+dataset of rows for the engine and the samplers: a row by index is a
+list sliced from the flat fields when it is asked for, a slice is a
+``Rows``, and ``nbytes`` sizes every field in one pass.
 
-A numeric table (``read_matrix`` and ``read_table``) whose data lines
-hold no quote, no U+001C-U+001F, no empty line and no line longer than
-that limit is parsed by numpy's C reader, ``np.loadtxt``, which hands
-each cell to the parser behind ``float``; string labels are cut from the
-lines at their commas, as ``csv`` cuts a quote-free line. Its result is
-kept when it holds one row of the header's width per line. Every other
-file, and every file numpy refuses, is read by the flat pass and built
-row by row by ``_parse_rows``, which parses each cell with ``float`` and
-raises the error that names the first bad row. Either way a number
-reads as ``float`` reads it.
+Three readers share the text, and the text picks one:
+
+- The quote-free cut (``_cut``). Text with no quote, no lone "\r", no
+  blank line and no line longer than ``csv.field_size_limit()`` is cut
+  as ``csv`` would cut it: each line is a row, split at its commas. The
+  text is cut a block of whole lines at a time: one ``str.split`` gives
+  a block's fields, and its row widths are counted from the comma and
+  newline bytes of its UTF-8 form.
+- numpy's C reader, ``np.loadtxt``, for a numeric table (``read_matrix``
+  and ``read_table``) whose text the cut accepts and that holds no
+  U+001C-U+001F. numpy hands each cell to the parser behind ``float``;
+  string labels are taken from the cut's fields. Its result is kept when
+  it holds one row of the header's width per line.
+- The ``csv`` pass, one ``csv.reader`` over the text, for every other
+  text; a field longer than the field limit raises RowParseError. A
+  numeric table that numpy refuses is built from its rows, cut or read
+  by ``csv``, row by row by ``_parse_rows``, which parses each cell with
+  ``float`` and raises the error that names the first bad row. Either
+  way a number reads as ``float`` reads it.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -79,17 +88,18 @@ def read_lines(path) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def _read_header(fh, path) -> tuple[list[str], int]:
-    """The header row read from fh with ``csv.reader``, and the number of
-    file lines it takes."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError(f"{path}: empty file") from None
-    except csv.Error as err:
-        raise RowParseError(1, str(err)) from None
-    return header, reader.line_num
+def _read_csv_text(path) -> tuple[list[str], int, str]:
+    """A CSV file's header row, read with ``csv.reader``, the number of
+    file lines it takes, and the text after it, decoded once."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: empty file") from None
+        except csv.Error as err:
+            raise RowParseError(1, str(err)) from None
+        return header, reader.line_num, fh.read()
 
 
 @dataclass(frozen=True)
@@ -136,23 +146,98 @@ class Rows:
 
 
 def read_csv_fields(path) -> tuple[list[str], Rows]:
-    """Raw CSV in one flat pass as (header, rows). A field longer than
+    """Raw CSV as (header, rows). A field longer than
     ``csv.field_size_limit()`` raises RowParseError naming the line on
     which its row starts."""
-    with open_text(path) as fh:
-        header, taken = _read_header(fh, path)
-        reader = csv.reader(fh)  # reads on from the line after the header
-        fields, widths, lines = [], [], []
-        start = taken + 1
-        try:
-            for row in reader:
-                fields.extend(row)
-                widths.append(len(row))
-                lines.append(start)
-                start = taken + reader.line_num + 1
-        except csv.Error as err:
-            raise RowParseError(start, str(err)) from None
-    return header, Rows(fields, widths, lines)
+    header, taken, text = _read_csv_text(path)
+    return header, _rows(text, taken)
+
+
+def _quote_free_lines(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The UTF-8 bytes of text and the offset at which each of its lines
+    starts, when ``csv`` would cut every line at its commas, else None.
+    That needs text with no quote, no lone "\r" (a "\r\n" ends a line
+    as "\n" does), no blank line and no line longer than
+    ``csv.field_size_limit()`` in UTF-8 bytes, which are at least its
+    characters. Line ends are found in the bytes: "\n" and "\r" are
+    ASCII, so neither is ever part of a longer character.
+    """
+    if '"' in text:
+        return None
+    data = np.frombuffer(text.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if not text.endswith("\n"):
+        ends = np.append(ends, data.size)
+    starts = np.append(0, ends[:-1] + 1)
+    lengths = ends - starts
+    if "\r" in text:
+        crs = np.flatnonzero(data == ord("\r"))
+        if crs[-1] + 1 == data.size or np.any(data[crs + 1] != ord("\n")):
+            return None
+        lengths[np.searchsorted(ends, crs)] -= 1  # the "\r" of its line's "\r\n"
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():  # "" is one blank line
+        return None
+    return data, starts
+
+
+# The quote-free cut takes text about this many characters at a time, so
+# that its temporaries beside the whole text (a block's UTF-8 bytes, masks
+# and comma-joined copy) stay small.
+_BLOCK = 1 << 16
+
+
+def _blocks(text: str):
+    """text in blocks of whole lines, each but the last of more than
+    ``_BLOCK`` characters."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _cut(text: str) -> tuple[list[str], list[int]] | None:
+    """The lines of text cut at their commas, as ``csv`` cuts them, when
+    ``_quote_free_lines`` accepts each of its ``_blocks``: every field in
+    one flat list, and each line's field count (its commas, found in the
+    UTF-8 bytes, plus one); else None."""
+    fields, widths = [], []
+    for block in _blocks(text):
+        lines = _quote_free_lines(block)
+        if lines is None:
+            return None
+        data, starts = lines
+        # np.add.reduceat over the comma mask would count them in one call,
+        # but it casts the whole mask to a temporary of 8 bytes a byte.
+        commas = np.flatnonzero(data == ord(","))
+        widths += (np.diff(np.searchsorted(commas, starts), append=commas.size) + 1).tolist()
+        fields += (block.replace("\r\n", ",") if "\r" in block else block).replace("\n", ",").split(",")
+        if block.endswith("\n"):
+            fields.pop()  # the block's final line end starts no line
+    return fields, widths
+
+
+def _rows(text: str, taken: int) -> Rows:
+    """The data rows of text, the file after a header that takes
+    ``taken`` lines: those of ``_cut`` when it cuts the text, else those
+    ``csv.reader`` reads, where a field longer than the field limit
+    raises RowParseError."""
+    cut = _cut(text)
+    if cut is not None:
+        fields, widths = cut
+        return Rows(fields, widths, list(range(taken + 1, taken + 1 + len(widths))))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    fields, widths, lines = [], [], []
+    start = taken + 1
+    try:
+        for row in reader:
+            fields.extend(row)
+            widths.append(len(row))
+            lines.append(start)
+            start = taken + reader.line_num + 1
+    except csv.Error as err:
+        raise RowParseError(start, str(err)) from None
+    return Rows(fields, widths, lines)
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
@@ -169,13 +254,15 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
 
     Each row must have one field per name; errors name the row's file
     line. A row's label is parsed after its other fields; the matrix is
-    checked for non-finite values before the labels are. Every file goes
-    to numpy's reader first; the csv pass reads the file again when that
-    reader declines it.
+    checked for non-finite values before the labels are. The file is
+    read and decoded once; its text goes to numpy's reader first, and to
+    the rows of ``_rows`` when that reader declines it.
     """
-    read = _read_by_numpy(path, label, numeric_labels)
+    header, taken, text = _read_csv_text(path)
+    names = [h.strip() for h in header]
+    read = _read_by_numpy(names, taken, text, label, numeric_labels)
     if read is None:
-        read = _read_by_csv(path, label, numeric_labels)
+        read = _read_by_rows(path, names, _rows(text, taken), label, numeric_labels)
     names, matrix, labels, lines = read
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
@@ -192,43 +279,38 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_by_numpy(path, label, numeric_labels):
+def _read_by_numpy(names, taken, text, label, numeric_labels):
     """``_read_numeric``'s result, before its non-finite check, from numpy's
-    C reader, or None when the file is one the csv pass must read.
+    C reader, or None when the file is one the row loop must read.
 
     numpy hands each cell to the parser behind ``float``, so it reads a
     number to the same bits, and refuses what ``float`` refuses, except
     for U+001C-U+001F, which it strips. It is given only text after the
-    header that holds no quote, none of those characters, no empty line
-    (numpy skips one; a lone "\r" is an empty line ended by "\r\n") and
-    no line longer than the csv field limit, and its result stands only
-    when it reads one row of the header's width from each line. String
-    labels are cut from each line at its commas, as ``csv`` cuts a
-    quote-free line, and numpy reads the other columns; since numpy then
-    skips the label column, the cut lines are what must have the
-    header's width. Files with a missing label column or no data rows are
-    left to the csv pass, which raises their errors.
+    header that holds none of those characters and each of whose
+    ``_blocks`` ``_quote_free_lines`` accepts (numpy would skip a blank
+    line), and its result stands only when it reads one row of the
+    header's width from each line. String labels are taken from the
+    fields of ``_cut`` when every line has the header's width, and numpy
+    reads the other columns. Files with a missing label column or no
+    data rows are left to the row loop's side, which raises their errors.
     """
-    with open_text(path) as fh:
-        header, taken = _read_header(fh, path)
-        text = fh.read()
-    names = [h.strip() for h in header]
-    if '"' in text or any(c in text for c in _SEPARATORS) or (label is not None and label not in names):
+    if any(c in text for c in _SEPARATORS) or (label is not None and label not in names):
+        return None
+    width = len(names)
+    j = None if label is None else names.index(label)
+    usecols, labels = None, []
+    if j is not None and not numeric_labels:
+        cut = _cut(text)
+        if cut is None or set(cut[1]) != {width}:
+            return None
+        labels = [cell.strip() for cell in cut[0][j::width]]
+        usecols, width = [k for k in range(width) if k != j], width - 1
+    elif not text or any(_quote_free_lines(block) is None for block in _blocks(text)):
         return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines or "" in lines or "\r" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    n, width = len(lines), len(names)
-    j = None if label is None else names.index(label)
-    usecols, labels = None, []
-    if j is not None and not numeric_labels:
-        cells = [line.split(",") for line in lines]
-        if any(len(row) != width for row in cells):
-            return None
-        labels = [row[j].strip() for row in cells]
-        usecols, width = [k for k in range(width) if k != j], width - 1
+    n = len(lines)
     try:  # max_rows=n sizes the result once, where numpy would grow it
         matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, max_rows=n, usecols=usecols)
     except ValueError:
@@ -241,11 +323,9 @@ def _read_by_numpy(path, label, numeric_labels):
     return names, np.delete(matrix, j, axis=1), matrix[:, j].copy(), rows
 
 
-def _read_by_csv(path, label, numeric_labels):
-    """``_read_numeric``'s result, before its non-finite check, from
-    ``read_csv_fields`` and the row loop ``_parse_rows``."""
-    header, rows = read_csv_fields(path)
-    names = [h.strip() for h in header]
+def _read_by_rows(path, names, rows: Rows, label, numeric_labels):
+    """``_read_numeric``'s result, before its non-finite check, from the
+    file's rows and the row loop ``_parse_rows``."""
     if label is not None and label not in names:
         raise ParameterError(f"label column {label!r} not in header {names}")
     if not rows:

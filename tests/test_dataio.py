@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,9 +92,26 @@ _CSV_TEXT = st.one_of(
 )
 
 
-@given(text=_CSV_TEXT, bom=st.booleans(), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data):
+# Quote-free text, which ``read_csv_fields`` cuts without ``csv.reader``
+# unless it holds a blank line or a lone carriage return.
+_PLAIN_CHARS = ["a", "é", ",", " ", "\x00", "\x1f", "\x85", "\u2028"]
+
+
+@st.composite
+def _quote_free_csv_text(draw) -> str:
+    """Half the files are non-empty lines ended by "\n" or "\r\n", the
+    last line's end optional; half are drawn a piece at a time, so blank
+    lines and lone carriage returns come up too."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from([*_PLAIN_CHARS, "\n", "\r\n", "\r"]), max_size=30).map("".join))
+    line = st.text(alphabet=_PLAIN_CHARS, min_size=1, max_size=6)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])).map("".join), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def assert_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data):
     path = tmp_path_factory.mktemp("flat") / "data.csv"
     path.write_bytes(BOM * bom + text.encode("utf-8"))
     want = raised_or(reference_csv_rows, path)
@@ -113,6 +131,106 @@ def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data):
     assert isinstance(part, dataio.Rows)
     assert (list(part), part.lines) == (rows[start:stop], lines[start:stop])
     assert got.nbytes == sum(record_nbytes(r) for r in rows)
+
+
+@given(text=_CSV_TEXT, bom=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data):
+    assert_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data)
+
+
+@given(text=_quote_free_csv_text(), bom=st.booleans(), block=st.sampled_from([1, 3, dataio._BLOCK]),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_quote_free_fields_match_a_row_walk(tmp_path_factory, text, bom, block, data):
+    with mock.patch.object(dataio, "_BLOCK", block):  # small blocks cut a file in many
+        assert_flat_fields_match_a_row_walk(tmp_path_factory, text, bom, data)
+
+
+@pytest.fixture
+def csv_rows_read(monkeypatch):
+    """The number of rows every ``csv.reader`` made from here on yields."""
+    count = [0]
+    make = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        reader = make(*args, **kwargs)
+
+        class Counting:
+            line_num = property(lambda self: reader.line_num)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(reader)
+                count[0] += 1
+                return row
+
+        return Counting()
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    return count
+
+
+def test_a_quote_free_body_is_cut_without_the_csv_pass(tmp_path, csv_rows_read):
+    path = tmp_path / "data.csv"
+    path.write_bytes("a,b\r\n1,é\x85\r\n,\n 2 ,\u2028,x".encode("utf-8"))
+    header, rows = dataio.read_csv_fields(path)
+    assert (header, list(rows), rows.lines) == (["a", "b"], [["1", "é\x85"], ["", ""], [" 2 ", "\u2028", "x"]], [2, 3, 4])
+    assert csv_rows_read[0] == 1  # the header
+    path.write_text("f,cls\n0.5, c0 \n-1,c1\n", encoding="utf-8")
+    assert dataio.read_table(path, "cls", numeric_labels=False).labels == ["c0", "c1"]
+    assert csv_rows_read[0] == 2
+    with pytest.raises(RowParseError) as exc:  # numpy refuses the labels; the row loop reads the cut rows
+        dataio.read_table(path, "f")
+    assert str(exc.value) == "row 2: bad numeric value ' c0 ' in column 'cls'"
+    assert csv_rows_read[0] == 3
+
+
+@pytest.mark.parametrize("body", [
+    '1,"2,3"\n4,5\n',
+    "1,2\r3,4\n",
+    "1,2\n\n3,4\n",
+    "1,2\r\n\r\n3,4\r\n",
+    "1," + "2" * 70000 + "," + "3" * 70000 + "\n",  # each field is under the limit
+    "é" * 70000 + ",1\n",  # 70000 characters, 140000 bytes
+], ids=["quote", "lone-cr", "blank-line", "blank-crlf-line", "long-line", "long-utf8-line"])
+def test_other_bodies_go_to_the_csv_pass(tmp_path, csv_rows_read, body):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n" + body, encoding="utf-8")
+    _header, rows, lines = reference_csv_rows(path)
+    csv_rows_read[0] = 0
+    got = dataio.read_csv_fields(path)[1]
+    assert (list(got), got.lines) == (rows, lines)
+    assert csv_rows_read[0] == 1 + len(rows)
+
+
+def test_a_field_over_the_limit_goes_to_the_csv_pass(tmp_path, csv_rows_read):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,2\n3," + "4" * 131073 + "\n", encoding="utf-8")
+    with pytest.raises(RowParseError) as exc:
+        dataio.read_csv_fields(path)
+    assert str(exc.value) == "row 3: field larger than field limit (131072)"
+    assert csv_rows_read[0] == 2  # the header and the first data row
+
+
+@pytest.mark.parametrize("body", ['"1",2\n3,4\n', "1,2\n3,4\n", "1_0,2\n3,4\n"],
+                         ids=["quoted", "quote-free", "refused-by-numpy"])
+def test_a_numeric_table_is_opened_and_decoded_once(tmp_path, monkeypatch, body):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n" + body, encoding="utf-8")
+    opened = []
+    open_text = dataio.open_text
+
+    def counting_open_text(where):
+        opened.append(where)
+        return open_text(where)
+
+    monkeypatch.setattr(dataio, "open_text", counting_open_text)
+    assert dataio.read_matrix(path)[1].tolist() == [[1 + 9 * ("_" in body), 2], [3, 4]]
+    assert dataio.read_table(path, "b", numeric_labels=False).labels == ["2", "4"]
+    assert opened == [path, path]
 
 
 # ----------------------------------------------------- bulk parse parity
@@ -334,6 +452,16 @@ def test_quote_free_files_read_as_the_row_loop_reads_them(tmp_path_factory, text
     path = tmp_path_factory.mktemp("plain") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(read, path, kind, label) == outcome(read_by_reference, path, kind, label)
+
+
+@pytest.mark.parametrize("kind", ["table", "table-strings", "matrix"])
+@pytest.mark.parametrize("body", ["1,2,3\n4,5,6\n7,8,9\n", "1,2,3\n4,5,6\n\n7,8,9\n", "1,2,3\r\n4,5,6\r7,8,9\r\n",
+                                  "1,2,3\n4,5,6\n7,8"], ids=["plain", "blank", "lone-cr", "ragged"])
+def test_tables_cut_in_small_blocks_read_as_the_row_loop_reads_them(tmp_path, monkeypatch, body, kind):
+    monkeypatch.setattr(dataio, "_BLOCK", 3)  # each block holds a line or two
+    path = tmp_path / "data.csv"
+    path.write_text("a,b,c\n" + body, encoding="utf-8")
+    assert outcome(read, path, kind, "b") == outcome(read_by_reference, path, kind, "b")
 
 
 # ----------------------------------------------------- byte-order mark
