@@ -19,14 +19,16 @@ Three readers share the text, and the text picks one:
 - The quote-free cut (``_cut``). Text with no quote, no lone "\r", no
   blank line and no line longer than ``csv.field_size_limit()`` is cut
   as ``csv`` would cut it: each line is a row, split at its commas. The
-  text is cut a block of whole lines at a time: one ``str.split`` gives
-  a block's fields, and its row widths are counted from the comma and
-  newline bytes of its UTF-8 form.
+  text is taken a block of whole lines at a time: the row widths are
+  counted from the comma and newline bytes of a block's UTF-8 form, and
+  once every block has been checked and counted, one ``str.split`` a
+  block gives the fields.
 - numpy's C reader, ``np.loadtxt``, for a numeric table (``read_matrix``
-  and ``read_table``) whose text the cut accepts and that holds no
-  U+001C-U+001F. numpy hands each cell to the parser behind ``float``;
-  string labels are taken from the cut's fields. Its result is kept when
-  it holds one row of the header's width per line.
+  and ``read_table``) whose text ``_quote_free`` accepts and that holds
+  no U+001C-U+001F. numpy hands each cell to the parser behind ``float``;
+  string labels are taken from the cut's fields, which the row loop
+  reads too if numpy refuses the table. Its result is kept when it holds
+  one row of the header's width per line.
 - The ``csv`` pass, one ``csv.reader`` over the text, for every other
   text; a field longer than the field limit raises RowParseError. A
   numeric table that numpy refuses is built from its rows, cut or read
@@ -154,16 +156,14 @@ def read_csv_fields(path) -> tuple[list[str], Rows]:
 
 
 def _quote_free_lines(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The UTF-8 bytes of text and the offset at which each of its lines
-    starts, when ``csv`` would cut every line at its commas, else None.
-    That needs text with no quote, no lone "\r" (a "\r\n" ends a line
+    """The UTF-8 bytes of quote-free text and the offset at which each of
+    its lines starts, when ``csv`` would cut every line at its commas,
+    else None. That needs text with no lone "\r" (a "\r\n" ends a line
     as "\n" does), no blank line and no line longer than
     ``csv.field_size_limit()`` in UTF-8 bytes, which are at least its
     characters. Line ends are found in the bytes: "\n" and "\r" are
     ASCII, so neither is ever part of a longer character.
     """
-    if '"' in text:
-        return None
     data = np.frombuffer(text.encode("utf-8"), np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     if not text.endswith("\n"):
@@ -196,12 +196,28 @@ def _blocks(text: str):
         start = stop
 
 
+def _refused_at_once(text: str) -> bool:
+    """Whether a scan in C finds, without cutting text, what the cut
+    refuses: a quote, which ``_quote_free_lines`` is never given, or a
+    blank first or last line."""
+    return '"' in text or text.startswith(("\n", "\r\n")) or text.endswith(("\n\n", "\n\r\n"))
+
+
+def _quote_free(text: str) -> bool:
+    """Whether ``_quote_free_lines`` accepts each of text's ``_blocks``."""
+    return not _refused_at_once(text) and all(_quote_free_lines(block) is not None for block in _blocks(text))
+
+
 def _cut(text: str) -> tuple[list[str], list[int]] | None:
     """The lines of text cut at their commas, as ``csv`` cuts them, when
     ``_quote_free_lines`` accepts each of its ``_blocks``: every field in
     one flat list, and each line's field count (its commas, found in the
-    UTF-8 bytes, plus one); else None."""
-    fields, widths = [], []
+    UTF-8 bytes, plus one); else None. Every block is checked, and its
+    widths counted, before any is split, so a text refused late costs no
+    splitting."""
+    if _refused_at_once(text):
+        return None
+    widths = []
     for block in _blocks(text):
         lines = _quote_free_lines(block)
         if lines is None:
@@ -211,6 +227,8 @@ def _cut(text: str) -> tuple[list[str], list[int]] | None:
         # but it casts the whole mask to a temporary of 8 bytes a byte.
         commas = np.flatnonzero(data == ord(","))
         widths += (np.diff(np.searchsorted(commas, starts), append=commas.size) + 1).tolist()
+    fields = []
+    for block in _blocks(text):
         fields += (block.replace("\r\n", ",") if "\r" in block else block).replace("\n", ",").split(",")
         if block.endswith("\n"):
             fields.pop()  # the block's final line end starts no line
@@ -256,13 +274,17 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
     line. A row's label is parsed after its other fields; the matrix is
     checked for non-finite values before the labels are. The file is
     read and decoded once; its text goes to numpy's reader first, and to
-    the rows of ``_rows`` when that reader declines it.
+    the rows of ``_rows`` when that reader declines it. Those rows are
+    made at most once.
     """
     header, taken, text = _read_csv_text(path)
     names = [h.strip() for h in header]
-    read = _read_by_numpy(names, taken, text, label, numeric_labels)
+    # String labels are taken from the rows, so numpy's reader and the
+    # row loop share the one cut (or csv pass) of the text.
+    rows = _rows(text, taken) if label is not None and not numeric_labels else None
+    read = _read_by_numpy(names, text, rows, taken, label, numeric_labels)
     if read is None:
-        read = _read_by_rows(path, names, _rows(text, taken), label, numeric_labels)
+        read = _read_by_rows(path, names, _rows(text, taken) if rows is None else rows, label, numeric_labels)
     names, matrix, labels, lines = read
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
@@ -279,34 +301,32 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_by_numpy(names, taken, text, label, numeric_labels):
+def _read_by_numpy(names, text, rows, taken, label, numeric_labels):
     """``_read_numeric``'s result, before its non-finite check, from numpy's
     C reader, or None when the file is one the row loop must read.
 
     numpy hands each cell to the parser behind ``float``, so it reads a
     number to the same bits, and refuses what ``float`` refuses, except
     for U+001C-U+001F, which it strips. It is given only text after the
-    header that holds none of those characters and each of whose
-    ``_blocks`` ``_quote_free_lines`` accepts (numpy would skip a blank
-    line), and its result stands only when it reads one row of the
-    header's width from each line. String labels are taken from the
-    fields of ``_cut`` when every line has the header's width, and numpy
-    reads the other columns. Files with a missing label column or no
-    data rows are left to the row loop's side, which raises their errors.
+    header that holds none of those characters and that ``_quote_free``
+    accepts (numpy would skip a blank line), and its result stands only
+    when it reads one row of the header's width from each line. String
+    labels are taken from ``rows``, the text's rows, when every row has
+    the header's width, and numpy reads the other columns. Files with a
+    missing label column or no data rows are left to the row loop's side,
+    which raises their errors.
     """
-    if any(c in text for c in _SEPARATORS) or (label is not None and label not in names):
+    if (not text or any(c in text for c in _SEPARATORS) or (label is not None and label not in names)
+            or not _quote_free(text)):
         return None
     width = len(names)
     j = None if label is None else names.index(label)
     usecols, labels = None, []
-    if j is not None and not numeric_labels:
-        cut = _cut(text)
-        if cut is None or set(cut[1]) != {width}:
+    if rows is not None:
+        if set(rows.widths) != {width}:
             return None
-        labels = [cell.strip() for cell in cut[0][j::width]]
+        labels = [cell.strip() for cell in rows.fields[j::width]]
         usecols, width = [k for k in range(width) if k != j], width - 1
-    elif not text or any(_quote_free_lines(block) is None for block in _blocks(text)):
-        return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

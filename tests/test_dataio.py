@@ -215,6 +215,24 @@ def test_a_field_over_the_limit_goes_to_the_csv_pass(tmp_path, csv_rows_read):
     assert csv_rows_read[0] == 2  # the header and the first data row
 
 
+@pytest.mark.parametrize("body, passes", [
+    ("1,2\n3,4\n", 2),  # every block checked and counted, then split
+    ("1,2\n\n3,4\n", 1),  # a blank line refuses it while blocks are checked
+    ("1,2\n3,4\n\n", 0),  # a blank last line refuses it at once
+    ('1,2\n3,"4"\n', 0),  # and so does a quote
+], ids=["quote-free", "blank-line", "blank-last-line", "quote"])
+def test_the_cut_splits_no_block_of_a_text_it_refuses(tmp_path, monkeypatch, body, passes):
+    monkeypatch.setattr(dataio, "_BLOCK", 3)  # each block holds a line or two
+    made, blocks = [], dataio._blocks
+    monkeypatch.setattr(dataio, "_blocks", lambda text: made.append(text) or blocks(text))
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n" + body, encoding="utf-8")
+    _header, rows, lines = reference_csv_rows(path)
+    got = dataio.read_csv_fields(path)[1]
+    assert (list(got), got.lines) == (rows, lines)
+    assert len(made) == passes
+
+
 @pytest.mark.parametrize("body", ['"1",2\n3,4\n', "1,2\n3,4\n", "1_0,2\n3,4\n"],
                          ids=["quoted", "quote-free", "refused-by-numpy"])
 def test_a_numeric_table_is_opened_and_decoded_once(tmp_path, monkeypatch, body):
@@ -387,6 +405,21 @@ def test_forest_tables_with_string_labels_are_read_by_numpy(tmp_path, monkeypatc
     assert table.labels == ["c0", "c2", "c1"]
     assert table.feature_names == ["f0", "f1", "f2", "f3"]
     assert list(table.lines) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_quote_free_tables_are_read_without_the_row_loop(tmp_path, monkeypatch, end):
+    monkeypatch.setattr(dataio, "_parse_rows", refuse("the row loop"))
+    path = tmp_path / "data.csv"
+    path.write_text(end.join(["a,b,c", "1, 2 ,3", "4,\x855\u2003,-0.0"]) + end, encoding="utf-8")
+    assert arrays_bits(dataio.read_matrix(path)[1]) == arrays_bits(np.array([[1.0, 2, 3], [4, 5, -0.0]]))
+    table = dataio.read_table(path, "b")
+    assert arrays_bits(table.features, table.labels) == arrays_bits(np.array([[1.0, 3], [4, -0.0]]), np.array([2.0, 5]))
+    assert list(table.lines) == [2, 3]
+    path.write_text(end.join(["f0,f1,f2,f3,cls", "0.5,-1.25,2,0,c0", "1e-3,3,-0.0,4.75, c2 "]) + end, encoding="utf-8")
+    table = dataio.read_table(path, "cls", numeric_labels=False)
+    assert arrays_bits(table.features) == arrays_bits(np.array([[0.5, -1.25, 2, 0], [1e-3, 3, -0.0, 4.75]]))
+    assert (table.labels, list(table.lines)) == (["c0", "c2"], [2, 3])
 
 
 def test_labels_and_durations_wrapped_in_unit_separators_read_as_numbers(tmp_path, monkeypatch):
