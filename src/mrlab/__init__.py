@@ -22,7 +22,7 @@ _EXPORTS = {
     ),
     "engine": (
         "DISK", "MEMORY", "ClusterConfig", "InputSplit", "JobSpec", "RunStats",
-        "partition", "per_record", "run_iterative", "run_job", "shuffle",
+        "partition", "run_iterative", "run_job", "shuffle",
     ),
     "errors": (
         "DivergenceError", "EmptyInputError", "JobExecutionError", "MRLabError",

@@ -36,7 +36,7 @@ from .encoding import (
     parse_f64s,
     text_key,
 )
-from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
+from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, record_nbytes, run_job
 from .errors import RowParseError
 from .numerics import exact_sums, sum_partials
 
@@ -53,10 +53,9 @@ class CallRecord:
 
     @property
     def nbytes(self) -> int:
-        """Bytes read: 10 for the ISO date, caller and callee in UTF-8 (a
-        lone surrogate as its three-byte form, as in ``text_key``), 8 for
-        the duration."""
-        return 18 + len((self.caller + self.callee).encode("utf-8", "surrogatepass"))
+        """Bytes read: 10 for the ISO date, ``record_nbytes`` of caller and
+        callee, 8 for the duration."""
+        return 18 + record_nbytes(self.caller + self.callee)
 
 
 def _iso(date: str) -> str:

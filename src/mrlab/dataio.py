@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import record_nbytes
 from .errors import EmptyInputError, ParameterError, RowParseError
 
 
@@ -84,10 +85,13 @@ def open_text(path):
 
 
 def read_lines(path) -> list[str]:
-    """One document per non-empty line."""
+    """One document per line that is not blank. Lines end at "\n",
+    "\r\n" or a lone "\r", as the CSV readers' lines do; unlike
+    ``str.splitlines``, "\v", "\f", U+001C-U+001E, U+0085, U+2028 and
+    U+2029 end none."""
     with open_text(path) as fh:
         text = fh.read()
-    return [line for line in text.splitlines() if line.strip()]
+    return [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line.strip()]
 
 
 def _read_csv_text(path) -> tuple[list[str], int, str]:
@@ -144,7 +148,7 @@ class Rows:
 
     @functools.cached_property
     def nbytes(self) -> int:
-        return len("".join(self.fields).encode("utf-8", "surrogatepass"))
+        return record_nbytes("".join(self.fields))
 
 
 def read_csv_fields(path) -> tuple[list[str], Rows]:

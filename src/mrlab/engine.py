@@ -3,9 +3,8 @@
 The engine mimics a small cluster on one thread: the dataset is cut into
 contiguous splits, the mapper is called once per split and returns that
 split's pairs, the shuffle groups emitted pairs by exact key bytes, and a
-reducer runs per group. A mapper that sums over its records can emit one
-partial per split (in-mapper combining); ``per_record`` lifts a function
-of one record into a mapper for the jobs that work a record at a time.
+reducer runs per group. A mapper takes a whole split, so one that sums
+over its records emits one partial per split (in-mapper combining).
 Outputs never depend on execution order because the shuffle applies a
 canonical ordering: groups sorted by key bytes, values within a group
 ordered by (split_id, emission index).
@@ -56,8 +55,8 @@ Reducer = Callable[[bytes, list], Iterable[tuple[bytes, bytes]]]
 class JobSpec:
     """Mapper + reducer (+ optional combiner) for one MR round.
 
-    The mapper takes one ``InputSplit`` and returns that split's pairs;
-    wrap a function of one record in ``per_record``. A mapper may emit
+    The mapper, the one form the engine takes, is called once per
+    ``InputSplit`` and returns that split's pairs. A mapper may emit
     per-split partials, but the reduced result must not depend on where
     the split boundaries fall: every draw is a counter-based hash
     (``rng.counter_hash`` and the draws built on it) keyed by its
@@ -191,27 +190,6 @@ def _charge_write(stats: RunStats, pairs: Sequence[tuple[bytes, bytes]]) -> None
     stats.bytes_written += sum(map(len, itertools.chain.from_iterable(pairs)))
 
 
-def per_record(fn: Callable[[Any], Iterable[tuple[bytes, bytes]]]) -> Mapper:
-    """A mapper that calls fn on each record of its split in order and
-    concatenates the pairs; a failure names the record's global index."""
-
-    def mapper(split: InputSplit) -> list[tuple[bytes, bytes]]:
-        out: list[tuple[bytes, bytes]] = []
-        for offset, record in enumerate(split.records):
-            try:
-                out.extend(fn(record))
-            except JobExecutionError:
-                raise
-            except Exception as exc:
-                raise JobExecutionError(
-                    "map", str(exc), split_id=split.split_id,
-                    record_index=split.origin_range[0] + offset,
-                ) from exc
-        return out
-
-    return mapper
-
-
 def run_job(
     job: JobSpec,
     dataset: Sequence,
@@ -230,7 +208,8 @@ def run_job(
     charges them only when it cuts the splits. ``iterations`` counts
     completed MR rounds. A failing mapper, combiner or reducer raises
     JobExecutionError naming its stage and the split or key it was
-    working on.
+    working on; a JobExecutionError the job raises itself, such as one
+    a mapper raises to name a record, passes on unchanged.
     """
     config = ClusterConfig() if config is None else config
     stats = RunStats()

@@ -121,6 +121,17 @@ def test_wordcount_report(tmp_path, capsys):
     assert counts == {"to": 2, "be": 2, "or": 1, "not": 1}
 
 
+def test_wordcount_reads_a_document_per_file_line(tmp_path, capsys):
+    # "\f" and U+2028 split tokens, but only "\n", "\r\n" and "\r" end a document
+    doc = tmp_path / "docs.txt"
+    doc.write_text("a b\x0cc d\nx\u2028y\n", encoding="utf-8", newline="")
+    code, out, _ = run_cli(["wordcount", str(doc)], capsys)
+    assert code == 0
+    report = report_of(out)
+    assert report["result"]["counts"] == [[token, 1] for token in "abcdxy"]
+    assert (report["stats"]["records_read"], report["stats"]["bytes_read"]) == (2, 12)
+
+
 def test_sample_reservoir_keeps_whole_tiny_file(numbers_csv, capsys):
     path = numbers_csv("rows.csv", ["v"], [[1], [2], [3]])
     code, out, _ = run_cli(["sample", path, "--method", "reservoir", "--n", "3"], capsys)

@@ -497,6 +497,12 @@ def test_tables_cut_in_small_blocks_read_as_the_row_loop_reads_them(tmp_path, mo
     assert outcome(read, path, kind, "b") == outcome(read_by_reference, path, kind, "b")
 
 
+def test_read_lines_ends_lines_as_the_csv_readers_do(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_bytes("a\r\nb\rc\n\n \n\x0c\r\nd e\x0bf\x1cg\x85h\u2029i".encode("utf-8"))
+    assert dataio.read_lines(path) == ["a", "b", "c", "d e\x0bf\x1cg\x85h\u2029i"]
+
+
 # ----------------------------------------------------- byte-order mark
 
 

@@ -12,19 +12,19 @@ from mrlab import aggregates, engine, forest, kmeans, linmodels, sampling
 from mrlab.aggregates import CallLog, CallRecord, avg_duration_by_date, calls_per_date_number
 from mrlab.encoding import count_value, f64s_value, parse_count, parse_f64s
 from mrlab.engine import (
-    ClusterConfig, InputSplit, JobSpec, partition, per_record, run_iterative, run_job, shuffle,
+    ClusterConfig, InputSplit, JobSpec, partition, run_iterative, run_job, shuffle,
 )
 from mrlab.errors import EmptyInputError, JobExecutionError, ParameterError
 
 
 def count_job():
-    def mapper(record):
-        return [(record.encode(), count_value(1))]
+    def mapper(split):
+        return [(record.encode(), count_value(1)) for record in split.records]
 
     def reducer(key, values):
         return [(key, count_value(sum(parse_count(v) for v in values)))]
 
-    return JobSpec(per_record(mapper), reducer)
+    return JobSpec(mapper, reducer)
 
 
 # ---------------------------------------------------------------- partition
@@ -120,14 +120,14 @@ def test_run_job_defaults_to_one_split_on_disk():
 
 
 def test_run_job_identity_groups_input():
-    def mapper(record):
-        return [record]
+    def mapper(split):
+        return list(split.records)
 
     def reducer(key, values):
         return [(key, v) for v in values]
 
     data = [(b"x", b"1"), (b"y", b"2"), (b"x", b"3")]
-    out, _ = run_job(JobSpec(per_record(mapper), reducer), data, ClusterConfig(num_splits=1))
+    out, _ = run_job(JobSpec(mapper, reducer), data, ClusterConfig(num_splits=1))
     assert out == [(b"x", b"1"), (b"x", b"3"), (b"y", b"2")]
 
 
@@ -152,8 +152,8 @@ def test_float_sums_agree_across_split_counts():
     rng = np.random.default_rng(3)
     data = [float(x) for x in rng.normal(size=500)]
 
-    def mapper(record):
-        return [(b"s", f64s_value([record]))]
+    def mapper(split):
+        return [(b"s", f64s_value([record])) for record in split.records]
 
     def reducer(key, values):
         total = math.fsum(parse_f64s(v)[0] for v in values)
@@ -164,7 +164,7 @@ def test_float_sums_agree_across_split_counts():
 
     results = []
     for s in (1, 2, 8):
-        out, _ = run_job(JobSpec(per_record(mapper), reducer, combiner), data, ClusterConfig(num_splits=s))
+        out, _ = run_job(JobSpec(mapper, reducer, combiner), data, ClusterConfig(num_splits=s))
         results.append(float(parse_f64s(out[0][1])[0]))
     for r in results[1:]:
         assert r == pytest.approx(results[0], rel=1e-9)
@@ -185,8 +185,8 @@ def test_combiner_preserves_reducer_result():
 
 
 def test_mapper_error_names_split_and_record():
-    def mapper(record):
-        if record == "boom":
+    def mapper(split):
+        if "boom" in split.records:
             raise ValueError("bad record")
         return []
 
@@ -195,9 +195,8 @@ def test_mapper_error_names_split_and_record():
 
     data = ["ok"] * 5 + ["boom"] + ["ok"] * 2
     with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(per_record(mapper), reducer), data, ClusterConfig(num_splits=2))
+        run_job(JobSpec(mapper, reducer), data, ClusterConfig(num_splits=2))
     assert err.value.stage == "map"
-    assert err.value.record_index == 5
     assert err.value.split_id == 1
     assert "split=1" in str(err.value)
 
@@ -216,18 +215,35 @@ def test_split_mapper_error_names_stage_and_split():
     assert "bad split" in str(err.value) and "split=2" in str(err.value)
 
 
-def test_per_record_error_names_global_record_index():
-    def mapper(row):
-        if row[0] == 7.0:
-            raise ValueError("bad row")
+def test_a_mappers_own_error_passes_through_unchanged():
+    data = ["ok"] * 7 + ["boom"] + ["ok"] * 2  # splits hold records 0-3, 4-6, 7-9
+    raised = []
+
+    def mapper(split):
+        # names the failing record by its global index, as only the mapper can
+        for offset, record in enumerate(split.records):
+            if record == "boom":
+                raised.append(JobExecutionError(
+                    "map", "bad record", split_id=split.split_id, record_index=split.origin_range[0] + offset,
+                ))
+                raise raised[-1]
         return []
 
-    data = np.arange(20.0).reshape(10, 2) / 2.0  # row i starts with i
     with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(per_record(mapper), lambda key, values: []), data, ClusterConfig(num_splits=3))
-    assert err.value.stage == "map"
-    assert err.value.split_id == 2  # splits hold rows 0-3, 4-6, 7-9
-    assert err.value.record_index == 7
+        run_job(JobSpec(mapper, lambda key, values: []), data, ClusterConfig(num_splits=3))
+    assert raised == [err.value] and err.value.__cause__ is None
+    assert (err.value.stage, err.value.split_id, err.value.record_index) == ("map", 2, 7)
+    assert (err.value.key, err.value.iteration) == (None, None)
+    assert str(err.value) == "bad record [stage=map, split=2, record=7]"
+
+    def factory(t):
+        return JobSpec(mapper if t == 1 else lambda split: [], lambda key, values: [])
+
+    with pytest.raises(JobExecutionError) as err:
+        run_iterative(factory, 3, None, data, ClusterConfig(num_splits=3))
+    assert err.value is raised[-1]
+    assert (err.value.iteration, err.value.split_id, err.value.record_index) == (1, 2, 7)
+    assert str(err.value) == "bad record [stage=map, iteration=1, split=2, record=7]"
 
 
 @pytest.mark.parametrize("n, splits", [(1, 1), (10, 3), (10, 10), (7, 20), (100, 8)])
@@ -252,14 +268,14 @@ def test_ndarray_splits_are_views_covering_every_row_once(n, splits):
 
 
 def test_reducer_error_names_key():
-    def mapper(record):
-        return [(record.encode(), b"1")]
+    def mapper(split):
+        return [(record.encode(), b"1") for record in split.records]
 
     def reducer(key, values):
         raise RuntimeError("reduce failed")
 
     with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(per_record(mapper), reducer), ["k1"], ClusterConfig())
+        run_job(JobSpec(mapper, reducer), ["k1"], ClusterConfig())
     assert err.value.stage == "reduce"
     assert err.value.key == b"k1"
 
@@ -270,7 +286,9 @@ def test_combiner_error_names_stage_split_and_key():
             raise RuntimeError("combine failed")
         return [(key, values[0])]
 
-    mapper = per_record(lambda record: [(record.encode(), b"1")])
+    def mapper(split):
+        return [(record.encode(), b"1") for record in split.records]
+
     data = ["ok", "ok", "bad", "ok"]
     with pytest.raises(JobExecutionError) as err:
         run_job(JobSpec(mapper, lambda key, values: [], combiner), data, ClusterConfig(num_splits=2))
@@ -282,7 +300,7 @@ def test_combiner_error_names_stage_split_and_key():
 
 def test_iterative_error_carries_iteration_index():
     def factory(t):
-        def mapper(record):
+        def mapper(split):
             if t == 2:
                 raise ValueError("dies at round 2")
             return []
@@ -290,7 +308,7 @@ def test_iterative_error_carries_iteration_index():
         def reducer(key, values):
             return []
 
-        return JobSpec(per_record(mapper), reducer)
+        return JobSpec(mapper, reducer)
 
     with pytest.raises(JobExecutionError) as err:
         run_iterative(factory, 5, None, [1, 2, 3], ClusterConfig())
@@ -302,13 +320,13 @@ def test_iterative_error_carries_iteration_index():
 
 
 def _noop_factory(t):
-    def mapper(record):
+    def mapper(split):
         return []
 
     def reducer(key, values):
         return []
 
-    return JobSpec(per_record(mapper), reducer)
+    return JobSpec(mapper, reducer)
 
 
 def test_disk_mode_rereads_each_round():
@@ -365,7 +383,7 @@ def test_convergence_stops_early():
 def test_converged_reads_each_rounds_output_once():
     # round t's mapper emits t per record; its reducer sums them
     def factory(t):
-        return JobSpec(per_record(lambda record: [(b"t", count_value(t))]), count_job().reducer)
+        return JobSpec(lambda split: [(b"t", count_value(t)) for _ in split.records], count_job().reducer)
 
     seen = []
 
@@ -387,13 +405,13 @@ def test_run_iterative_rejects_zero_iterations():
 def test_state_write_accounting_by_mode():
     # one state pair per round; disk re-writes it every round, memory once
     def factory(t):
-        def mapper_emit(record):
-            return [(b"s", b"x")] if record == 0 else []
+        def mapper_emit(split):
+            return [(b"s", b"x") for record in split.records if record == 0]
 
         def reducer_pass(key, values):
             return [(key, values[0])]
 
-        return JobSpec(per_record(mapper_emit), reducer_pass)
+        return JobSpec(mapper_emit, reducer_pass)
 
     data = list(range(10))
     _, disk = run_iterative(factory, 3, None, data, ClusterConfig(iteration_mode="disk"))

@@ -9,7 +9,7 @@ EXPORTS = {
     "aggregates": ["CallLog", "CallRecord", "avg_duration_by_date", "calls_per_date_number",
                    "read_call_csv", "word_count"],
     "engine": ["DISK", "MEMORY", "ClusterConfig", "InputSplit", "JobSpec", "RunStats", "partition",
-               "per_record", "run_iterative", "run_job", "shuffle"],
+               "run_iterative", "run_job", "shuffle"],
     "errors": ["DivergenceError", "EmptyInputError", "JobExecutionError", "MRLabError",
                "ParameterError", "RowParseError", "SingularMatrixError"],
     "forest": ["ForestModel", "ForestParams", "TreeModel", "fit_forest", "predict_forest"],
@@ -22,7 +22,7 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
 def test_all_is_the_sorted_public_names():
-    assert len(NAMES) == 45
+    assert len(NAMES) == 44
     assert mrlab.__all__ == NAMES
 
 
