@@ -260,9 +260,8 @@ def _cmd_kmeans(args, config):
             args.centers_out, names, [[repr(float(v)) for v in c] for c in centers.centers],
         )
     if args.assignments_out:
-        Path(args.assignments_out).write_text(
-            "".join(f"{a}\n" for a in assignments.tolist()), encoding="utf-8",
-        )
+        line = [f"{c}\n" for c in range(args.k)]  # one lookup a row, not one format
+        Path(args.assignments_out).write_text("".join([line[a] for a in assignments.tolist()]), encoding="utf-8")
     result = {
         "k": args.k,
         "centers": [[float(v) for v in c] for c in centers.centers],

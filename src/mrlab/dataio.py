@@ -156,7 +156,7 @@ def read_csv_fields(path) -> tuple[list[str], Rows]:
     ``csv.field_size_limit()`` raises RowParseError naming the line on
     which its row starts."""
     header, taken, text = _read_csv_text(path)
-    return header, _rows(text, taken)
+    return header, _rows(text, taken, _cut(text))
 
 
 def _quote_free_lines(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -239,12 +239,11 @@ def _cut(text: str) -> tuple[list[str], list[int]] | None:
     return fields, widths
 
 
-def _rows(text: str, taken: int) -> Rows:
+def _rows(text: str, taken: int, cut) -> Rows:
     """The data rows of text, the file after a header that takes
-    ``taken`` lines: those of ``_cut`` when it cuts the text, else those
-    ``csv.reader`` reads, where a field longer than the field limit
-    raises RowParseError."""
-    cut = _cut(text)
+    ``taken`` lines: those of ``cut``, which is ``_cut(text)``, when it
+    cut the text, else those ``csv.reader`` reads, where a field longer
+    than the field limit raises RowParseError."""
     if cut is not None:
         fields, widths = cut
         return Rows(fields, widths, list(range(taken + 1, taken + 1 + len(widths))))
@@ -284,11 +283,15 @@ def _read_numeric(path, label, numeric_labels: bool, nonfinite: str):
     header, taken, text = _read_csv_text(path)
     names = [h.strip() for h in header]
     # String labels are taken from the rows, so numpy's reader and the
-    # row loop share the one cut (or csv pass) of the text.
-    rows = _rows(text, taken) if label is not None and not numeric_labels else None
-    read = _read_by_numpy(names, text, rows, taken, label, numeric_labels)
+    # row loop share the one cut (or csv pass) of the text. _cut cuts
+    # exactly the texts _quote_free accepts, so a text it refused is not
+    # numpy's, and one it cut needs no second check.
+    strings = label is not None and not numeric_labels
+    cut = _cut(text) if strings else None
+    rows = _rows(text, taken, cut) if strings else None
+    read = None if strings and cut is None else _read_by_numpy(names, text, rows, taken, label, numeric_labels)
     if read is None:
-        read = _read_by_rows(path, names, _rows(text, taken) if rows is None else rows, label, numeric_labels)
+        read = _read_by_rows(path, names, _rows(text, taken, _cut(text)) if rows is None else rows, label, numeric_labels)
     names, matrix, labels, lines = read
     if not np.all(np.isfinite(matrix)):
         r = int(np.argwhere(~np.isfinite(matrix))[0][0])
@@ -315,13 +318,14 @@ def _read_by_numpy(names, text, rows, taken, label, numeric_labels):
     header that holds none of those characters and that ``_quote_free``
     accepts (numpy would skip a blank line), and its result stands only
     when it reads one row of the header's width from each line. String
-    labels are taken from ``rows``, the text's rows, when every row has
-    the header's width, and numpy reads the other columns. Files with a
-    missing label column or no data rows are left to the row loop's side,
-    which raises their errors.
+    labels are taken from ``rows``, given only when ``_cut`` cut them
+    from the text (so ``_quote_free`` need not check it), when every row
+    has the header's width, and numpy reads the other columns. Files with
+    a missing label column or no data rows are left to the row loop's
+    side, which raises their errors.
     """
     if (not text or any(c in text for c in _SEPARATORS) or (label is not None and label not in names)
-            or not _quote_free(text)):
+            or (rows is None and not _quote_free(text))):
         return None
     width = len(names)
     j = None if label is None else names.index(label)

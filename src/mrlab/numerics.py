@@ -14,8 +14,9 @@ column at any split count.
 
 A column holding a non-finite term, or a term whose magnitude is too
 close to overflow for the extraction, is summed by ``math.fsum`` in the
-mapper instead, so inf, nan, ``ValueError`` and ``OverflowError`` come
-out as they do from ``math.fsum``.
+mapper instead. A group's rows are summed in row order, so inf, nan,
+``ValueError`` and ``OverflowError`` come out as they do from
+``math.fsum`` over the group's rows in the order the block holds them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def exact_sums(block, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, 
 
     The rows come from error-free vector extraction (Rump, Ogita and
     Oishi, "Accurate floating-point summation, part I", 2008), with
-    2**m >= (rows of the largest group) + 2; a group longer than
-    ``_MAX_ROWS`` is summed as segments of that length. A pass takes, per
+    2**m >= (rows of the largest group) + 2; a group's rows are taken in
+    row order, and a group longer than ``_MAX_ROWS`` is summed as
+    segments of that many consecutive rows. A pass takes, per
     group and column, mu = max |x| and sigma = 2**(exponent(mu) + m),
     splits each term into q = (sigma + x) - sigma and x - q, both exact,
     and emits the sum of the q, which is exact in any order because every
@@ -62,32 +64,40 @@ def exact_sums(block, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, 
         ids, edges = np.zeros(1, dtype=np.int64), np.array([0, n])
         x = np.array(block.T, order="C")
     else:
-        order = np.argsort(groups)
-        ordered = np.asarray(groups)[order]
+        groups = np.asarray(groups)
+        # A stable sort keeps each group's rows in row order; on ids cast
+        # to 8 or 16 bits numpy sorts by radix.
+        small = groups.astype(np.min_scalar_type(groups.max()), copy=False)
+        order = np.argsort(small, kind="stable")
+        ordered = small[order]
         edges = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
-        ids = ordered[edges[:-1]]
-        x = np.ascontiguousarray(block.T[:, order])
+        ids = groups[order[edges[:-1]]]
+        x = np.take(block, order, axis=0).T.copy()
     starts, lengths = edges[:-1], edges[1:] - edges[:-1]
-    if lengths.max() > _MAX_ROWS:
+    longest = int(lengths.max())
+    if longest > _MAX_ROWS:
         # Cut each group into segments of at most _MAX_ROWS rows, summed as
         # groups of their own; a group's rows are its segments' rows.
-        per = -(-int(lengths.max()) // _MAX_ROWS)
+        per = -(-longest // _MAX_ROWS)
         offset = np.arange(n) - np.repeat(starts, lengths)
         segment = np.repeat(np.arange(len(ids)) * per, lengths) + offset // _MAX_ROWS
         seg_ids, sums = exact_sums(x.T, segment)
         out = np.zeros((len(ids), per) + sums.shape[1:])
         out[seg_ids // per, seg_ids % per] = sums
         return ids, out.reshape(len(ids), -1, w)
-    m = int(lengths.max() + 1).bit_length()
+    m = (longest + 1).bit_length()
 
     q = np.empty_like(x)  # scratch
     mu = np.maximum.reduceat(np.abs(x, out=q), starts, axis=1)
-    cols, grps = np.nonzero(~(mu < 2.0 ** (1023 - m)))  # non-finite or near overflow
-    ends = starts + lengths
-    fallback = [math.fsum(x[c, starts[g] : ends[g]].tolist()) for c, g in zip(cols, grps)]
-    for c, g in zip(cols, grps):
-        x[c, starts[g] : ends[g]] = 0.0
-    mu[cols, grps] = 0.0
+    limit = 2.0 ** (1023 - m)
+    fallback = []
+    if not (mu < limit).all():  # non-finite or near overflow: math.fsum's
+        cols, grps = np.nonzero(~(mu < limit))
+        ends = starts + lengths
+        fallback = [math.fsum(x[c, starts[g] : ends[g]].tolist()) for c, g in zip(cols, grps)]
+        for c, g in zip(cols, grps):
+            x[c, starts[g] : ends[g]] = 0.0
+        mu[cols, grps] = 0.0
 
     rows = []
     while mu.any():
@@ -101,7 +111,8 @@ def exact_sums(block, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, 
         mu = np.maximum.reduceat(np.abs(x, out=q), starts, axis=1)
     if not rows:
         rows.append(np.zeros_like(mu))
-    rows[0][cols, grps] = fallback
+    if fallback:
+        rows[0][cols, grps] = fallback
     return ids, np.stack(rows).transpose(2, 0, 1)
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import mrlab.forest
+import mrlab.kmeans
 from mrlab import cli
 from mrlab.aggregates import CallLog, read_call_csv
 from mrlab.engine import RunStats
@@ -297,6 +298,18 @@ def test_linreg_with_overflowing_squares_exits_one_without_a_warning(numbers_csv
     path = numbers_csv("huge.csv", ["x", "y"], [["1e200", 1], ["2e200", 2], [3, 3]])
     code, out, err = run_cli(["linreg", path, "--label", "y"], capsys)
     assert (code, out, err) == (1, "", "mrlab: linreg: matrix is singular at pivot 1\n")
+
+
+def test_kmeans_assignments_file_holds_one_line_a_row(numbers_csv, tmp_path, monkeypatch, capsys):
+    fitted, fit = [], mrlab.kmeans.fit_kmeans
+    monkeypatch.setattr(mrlab.kmeans, "fit_kmeans", lambda *args, **kw: fitted.append(fit(*args, **kw)) or fitted[0])
+    path = numbers_csv("points.csv", ["x", "y"], [[100 * (i % 12) + i % 5, i % 3] for i in range(60)])
+    assign_out = tmp_path / "assign.txt"
+    code, _, _ = run_cli(["kmeans", path, "--k", "12", "--assignments-out", str(assign_out)], capsys)
+    assert code == 0
+    assignments = fitted[0][1].tolist()
+    assert max(assignments) >= 10  # two-digit cluster ids
+    assert assign_out.read_bytes() == "".join(f"{a}\n" for a in assignments).encode("utf-8")
 
 
 def test_kmeans_with_overflowing_distances_exits_one_naming_the_round(numbers_csv, capsys):

@@ -233,6 +233,21 @@ def test_the_cut_splits_no_block_of_a_text_it_refuses(tmp_path, monkeypatch, bod
     assert len(made) == passes
 
 
+@pytest.mark.parametrize("body, passes", [
+    ("1,2, x\n3,4,y \n", 2),  # checked and counted, then split; numpy's reader takes the cut as it is
+    ("1,2, x\r3,4,y \n", 1),  # a lone CR refuses it while blocks are checked, and numpy's reader too
+], ids=["quote-free", "lone-cr"])
+def test_a_string_label_table_is_checked_once(tmp_path, monkeypatch, body, passes):
+    monkeypatch.setattr(dataio, "_BLOCK", 3)  # each block holds a line or two
+    made, blocks = [], dataio._blocks
+    monkeypatch.setattr(dataio, "_blocks", lambda text: made.append(text) or blocks(text))
+    path = tmp_path / "data.csv"
+    path.write_text("a,b,c\n" + body, encoding="utf-8")
+    table = dataio.read_table(path, "c", numeric_labels=False)
+    assert (table.features.tolist(), table.labels, list(table.lines)) == ([[1, 2], [3, 4]], ["x", "y"], [2, 3])
+    assert len(made) == passes
+
+
 @pytest.mark.parametrize("body", ['"1",2\n3,4\n', "1,2\n3,4\n", "1_0,2\n3,4\n"],
                          ids=["quoted", "quote-free", "refused-by-numpy"])
 def test_a_numeric_table_is_opened_and_decoded_once(tmp_path, monkeypatch, body):
@@ -380,7 +395,7 @@ def test_quote_free_tables_never_reach_the_csv_pass(tmp_path, monkeypatch):
         assert table.features.tolist() == [[1, 3], [4, 0]]
         assert table.labels.tolist() == [2, 5]
         assert dataio.read_table(path, "b", numeric_labels=False).labels == ["2", "5"]
-    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
+    monkeypatch.setattr(dataio, "_parse_rows", refuse("the row loop"))
     plain = tmp_path / "plain.csv"
     plain.write_text("a,b,c\n1, x ,3\n4,y,-0.0\n", encoding="utf-8")
     table = dataio.read_table(plain, "b", numeric_labels=False)  # a string label is numpy's
@@ -395,7 +410,7 @@ def test_quote_free_tables_never_reach_the_csv_pass(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_forest_tables_with_string_labels_are_read_by_numpy(tmp_path, monkeypatch, end):
-    monkeypatch.setattr(dataio, "read_csv_fields", refuse("the csv pass"))
+    monkeypatch.setattr(dataio, "_parse_rows", refuse("the row loop"))
     path = tmp_path / "forest.csv"
     lines = ["f0,f1,f2,f3,cls", "0.5,-1.25,2,0,c0", "1e-3,3,-0.0,4.75, c2 ", "2,0,1,-7,c1"]
     path.write_text(end.join(lines) + end, encoding="utf-8")

@@ -184,23 +184,6 @@ def test_combiner_preserves_reducer_result():
 # ---------------------------------------------------------------- errors
 
 
-def test_mapper_error_names_split_and_record():
-    def mapper(split):
-        if "boom" in split.records:
-            raise ValueError("bad record")
-        return []
-
-    def reducer(key, values):
-        return []
-
-    data = ["ok"] * 5 + ["boom"] + ["ok"] * 2
-    with pytest.raises(JobExecutionError) as err:
-        run_job(JobSpec(mapper, reducer), data, ClusterConfig(num_splits=2))
-    assert err.value.stage == "map"
-    assert err.value.split_id == 1
-    assert "split=1" in str(err.value)
-
-
 def test_split_mapper_error_names_stage_and_split():
     def mapper(split):
         if split.split_id == 2:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +136,33 @@ def test_a_near_overflow_group_leaves_the_other_groups_exact():
     assert exact_column_sums(sums[0]) == exact_column_sums(block[2:])
 
 
+def grouped_outcome(column, groups):
+    """math.fsum over each group's rows in row order, ids ascending, or
+    the first error it raises."""
+    return fsum_outcome(lambda: [math.fsum(column[groups == g].tolist()) for g in sorted(set(groups.tolist()))])
+
+
+def assert_groups_follow_fsum_in_row_order(column, groups):
+    def group_totals():
+        return [math.fsum(rows[:, 0].tolist()) for rows in exact_sums(column[:, None], groups)[1]]
+
+    assert fsum_outcome(group_totals) == grouped_outcome(column, groups)
+
+
+def test_a_groups_fallback_sums_its_rows_in_row_order():
+    # Group 1 in row order overflows; visited as rows 1, 0, 2 it gives inf.
+    assert_groups_follow_fsum_in_row_order(np.array([math.inf, 1e308, 1e308, 1e308, math.inf]),
+                                           np.array([1, 1, 1, 0, 0]))
+
+
+@given(st.lists(st.tuples(st.sampled_from([1e308, -1e308, math.inf, -math.inf, 1.0]), st.sampled_from([0, 5])),
+                min_size=17, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_grouped_fallback_columns_follow_fsum_in_row_order(rows):
+    column, groups = (np.array(values) for values in zip(*rows))
+    assert_groups_follow_fsum_in_row_order(column, groups)
+
+
 def test_segments_longer_than_the_pass_cap_stay_exact(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_ROWS", 4)
     rng = np.random.default_rng(5)
@@ -159,3 +187,49 @@ def test_a_partial_is_its_expansion_rows():
     block = np.array([[1.0, 2.0**-60], [2.0**60, 3.0]])
     [rows] = exact_sums(block)[1]
     assert np.array_equal(parse_f64s_rows([partial_sum(b"k", block)[1]]), rows)
+
+
+# ------------------------------------------------------------- pinned bits
+
+def pinned_cases():
+    """Seeded blocks, none with a column that takes the fsum fallback:
+    ungrouped and grouped, small and wide ids, zero columns and terms
+    spread over 2**115, which takes three passes or more."""
+    rng = np.random.default_rng(31)
+    for n, w in [(25, 9), (625, 4), (2500, 9)]:
+        for spread in (0.0, 40.0):
+            block = rng.normal(size=(n, w)) * np.exp(rng.uniform(-spread, spread, size=(n, w)))
+            block[:, 1] = 0.0
+            yield block, None
+            yield block, rng.integers(0, 8, size=n)
+            yield block, rng.choice(np.array([0, 3, 300, 70_000, 2**40]), size=n)
+
+
+# sha256 of every pinned case's ids and expansion rows. The kernel may be
+# rewritten for speed; these bits, and so every partial, must not move.
+EXPANSION_DIGEST = "0b16fcf6f457efd9bcd27a79968d69882fd925df3dd4d4837f783238684865c2"
+
+
+def expansion_digest(monkeypatch) -> str:
+    digest = hashlib.sha256()
+
+    def add(ids, sums):
+        digest.update(repr((ids.dtype.str, ids.tolist(), sums.shape)).encode())
+        digest.update(np.ascontiguousarray(sums).tobytes())
+
+    for block, groups in pinned_cases():
+        add(*exact_sums(block, groups))
+    monkeypatch.setattr(numerics, "_MAX_ROWS", 4)
+    rng = np.random.default_rng(32)
+    block = rng.normal(size=(23, 3)) * np.exp(rng.uniform(-30, 30, size=(23, 3)))
+    add(*exact_sums(block))
+    # Each group's rows are adjacent, so that any sort of the ids cuts the
+    # same rows into each segment.
+    add(*exact_sums(block, np.sort(rng.integers(0, 3, size=23))))
+    return digest.hexdigest()
+
+
+def test_the_expansions_keep_their_bits(monkeypatch):
+    passes = [exact_sums(block, groups)[1].shape[1] for block, groups in pinned_cases()]
+    assert max(passes) >= 3
+    assert expansion_digest(monkeypatch) == EXPANSION_DIGEST
