@@ -10,7 +10,8 @@ byte-identical reports, so the reports double as reproduction artifacts.
 Exit codes: 0 success; 1 algorithmic failure (singular system,
 divergence, failed scan sample, job crash, a nan or inf in the report or
 model, named by its field); 2 usage errors, missing files, an unwritable
---out path and malformed input. The report is written to --out before
+--out path, an output flag naming the input or another output flag's file,
+and malformed input. The report is written to --out before
 stdout, so a report that cannot be saved is not printed either. A failure
 prints one "mrlab:" line on stderr and nothing on stdout, except a failed
 scan sample, which still reports and writes what it kept, and an argparse
@@ -25,6 +26,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -352,6 +354,20 @@ def _cmd_rf(args, config):
     return result, stats, 0
 
 
+def _refuse_shared_paths(args) -> None:
+    """Refuse an output flag that names the input file or the same file as
+    another output flag: the write would replace the input, or the later
+    write the earlier one. Paths are compared resolved, symlinks followed."""
+    named = {os.path.realpath(args.input): "the input"}
+    for dest, path in vars(args).items():
+        if not path or not (dest == "out" or dest.endswith("_out")):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ParameterError(f"{flag} names the same file as {other}: {path}")
+
+
 def _identity_factory(t: int):
     return JobSpec(lambda split: [], lambda key, values: [])
 
@@ -419,6 +435,7 @@ def run(argv) -> int:
 
 def _run_command(args, argv) -> int:
     try:
+        _refuse_shared_paths(args)
         result, stats, exit_code = _HANDLERS[args.command](args, _config(args))
         report = {
             "schema": SCHEMA_VERSION,

@@ -28,6 +28,11 @@ The trees are those a depth-first grower builds, numbered as it numbers
 them: the root is 0, and the i-th node to split in a depth-first walk
 that visits each left subtree before its right one (counting from 0)
 takes ids 2i+1 for its left child and 2i+2 for its right child.
+
+A reducer emits its tree as a node table, a float64 ``f64s_value`` with
+three numbers a node (see ``TreeModel.from_table``), built by numpy from
+the level arrays. The driver makes each tree's node dicts once, from its
+table, and JSON is made once too, for the report or model file.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .encoding import f64s_row_blocks, parse_f64s_rows, parse_u32_key, u32_key
+from .encoding import f64s_row_blocks, f64s_value, parse_f64s, parse_f64s_rows, parse_u32_key, u32_key
 from .engine import ClusterConfig, InputSplit, JobSpec, RunStats, run_job
 from .errors import ParameterError
 from .rng import counter_hash, record_draws, record_uniforms, splitmix64_array
@@ -101,8 +106,25 @@ class TreeModel:
             depth += 1
 
     def as_dict(self) -> dict:
-        """The serialized form shared by model files and shuffle values."""
+        """The tree as plain JSON types, the form model files and reports hold."""
         return {"degenerate": self.degenerate, "nodes": self.nodes}
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, task: str) -> "TreeModel":
+        """A tree from its node table, a (nodes, 3) float array whose row i
+        holds node i's feature (-1 for a leaf), its threshold (a leaf's
+        class id or mean) and its left child's id (-1 for a leaf); a right
+        child's id is its left sibling's plus one."""
+        feature, value, left = table.T
+        if task == CLASSIFICATION:
+            key, payloads = "class", np.where(feature < 0, value, 0.0).astype(np.int64).tolist()
+        else:
+            key, payloads = "value", value.tolist()
+        return cls([
+            {key: c} if f < 0 else {"feature": f, "threshold": t, "left": l, "right": l + 1}
+            for f, t, l, c in zip(feature.astype(np.int64).tolist(), value.tolist(),
+                                  left.astype(np.int64).tolist(), payloads)
+        ])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TreeModel":
@@ -336,8 +358,9 @@ def train_tree_reduce(
     key: int,
     task: str,
     n_classes: int = 0,
-) -> TreeModel:
-    """Grow one CART tree from a tree's resampled records, one level at a time.
+) -> np.ndarray:
+    """Grow one CART tree from a tree's resampled records, one level at a
+    time, and return its node table (see ``TreeModel.from_table``).
 
     At each node, mtry features are drawn without replacement and the
     impurity-minimizing midpoint split is taken (Gini for
@@ -391,7 +414,7 @@ def train_tree_reduce(
         )
         split = impure[found]  # indices into the open nodes
         levels.append((width, open_ids[split], feat, threshold))
-        internal.extend((first + open_ids[split]).tolist())
+        internal.append(first + open_ids[split])
         if split.size == 0:
             break
 
@@ -419,24 +442,23 @@ def train_tree_reduce(
         regrouped += np.arange(p)[:, None] * kept.shape[1]
         order = kept.ravel()[regrouped]
     is_leaf = np.ones(first + width, dtype=bool)
-    is_leaf[internal] = False
-    return _tree_from_levels(levels, _leaf_payloads(node_of_row, y, np.flatnonzero(is_leaf), task, classes))
+    is_leaf[np.concatenate(internal)] = False
+    payloads = _leaf_payloads(node_of_row, y, np.flatnonzero(is_leaf), task, classes)
+    return _node_table(levels, is_leaf, payloads)
 
 
-def _leaf_payloads(node_of_row, y, leaves, task, classes) -> list:
+def _leaf_payloads(node_of_row, y, leaves, task, classes) -> np.ndarray:
     """The payloads of the nodes ``leaves`` (ascending breadth-first
     indices), given the node each row ends in: the majority class, ties to
     the smallest, or the mean label over the node's rows in row order."""
     count = int(leaves[-1]) + 1
     if task == CLASSIFICATION:
         counts = np.bincount(node_of_row * classes + y.astype(np.intp), minlength=count * classes)
-        return [{"class": c} for c in counts.reshape(count, classes)[leaves].argmax(axis=1).tolist()]
+        return counts.reshape(count, classes)[leaves].argmax(axis=1).astype(float)
     bounds = np.cumsum(np.bincount(node_of_row, minlength=count)).tolist()
     ys = y[np.argsort(node_of_row, kind="stable")]
     with np.errstate(over="ignore"):
-        return [
-            {"value": _mean(ys[(bounds[i - 1] if i else 0):bounds[i]])} for i in leaves.tolist()
-        ]
+        return np.array([_mean(ys[(bounds[i - 1] if i else 0):bounds[i]]) for i in leaves.tolist()])
 
 
 def _mean(values: np.ndarray) -> float:
@@ -449,13 +471,14 @@ def _mean(values: np.ndarray) -> float:
     return float(mean)
 
 
-def _tree_from_levels(levels, payloads) -> TreeModel:
-    """Lay out a tree grown level by level in depth-first numbering.
+def _node_table(levels, is_leaf: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """Lay out a tree grown level by level as its node table, rows in
+    depth-first id order.
 
     ``levels`` holds, per level, its width and the indices, features and
     thresholds of its split nodes; the children of a level's s-th split
-    are nodes 2s and 2s+1 of the next level. ``payloads`` are the leaves'
-    payloads in breadth-first order.
+    are nodes 2s and 2s+1 of the next level. ``is_leaf`` marks the leaves
+    in breadth-first order, and ``payloads`` are theirs in that order.
     """
     # Bottom up: the splits inside each node's subtree.
     inside, below = [], np.zeros(0, dtype=np.intp)
@@ -465,23 +488,25 @@ def _tree_from_levels(levels, payloads) -> TreeModel:
         inside.append(count)
         below = count
     inside.reverse()
-    # Top down: the splits before each node in depth-first order, and its id.
-    nodes: list = [None] * (1 + 2 * int(inside[0][0]))
-    payloads = iter(payloads)
-    before, ids = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for depth, (width, split, feat, threshold) in enumerate(levels):
-        r = before[split]
-        for i, f, t, left in zip(ids[split].tolist(), feat.tolist(), threshold.tolist(),
-                                 (2 * r + 1).tolist()):
-            nodes[i] = {"feature": f, "threshold": t, "left": left, "right": left + 1}
-        leaves = np.ones(width, dtype=bool)
-        leaves[split] = False
-        for i in ids[leaves].tolist():
-            nodes[i] = next(payloads)
-        if split.size:
-            before = np.column_stack([r + 1, r + 1 + inside[depth + 1][0::2]]).ravel()
-            ids = np.column_stack([2 * r + 1, 2 * r + 2]).ravel()
-    return TreeModel(nodes=nodes)
+    # Top down: the splits before each node in depth-first order.
+    level_before = [np.zeros(1, dtype=np.intp)]
+    for below, (_width, split, _feat, _threshold) in zip(inside[1:], levels):
+        r = level_before[-1][split] + 1
+        level_before.append(np.column_stack([r, r + below[0::2]]).ravel())
+    # The s-th split in breadth-first order has children 2s+1 and 2s+2, and
+    # the i-th split in depth-first order has children 2i+1 and 2i+2.
+    split = np.flatnonzero(~is_leaf)
+    ids = np.zeros(is_leaf.size, dtype=np.intp)  # by breadth-first index
+    ids[1:] = (2 * np.concatenate(level_before)[split] + 1).repeat(2)
+    ids[2::2] += 1
+    table = np.full((ids.size, 3), -1.0)
+    table[ids[split]] = np.column_stack([
+        np.concatenate([level[2] for level in levels]),
+        np.concatenate([level[3] for level in levels]),
+        ids[1::2],
+    ])
+    table[ids[is_leaf], 1] = payloads
+    return table
 
 
 def fit_forest(
@@ -528,31 +553,23 @@ def fit_forest(
     def reducer(key, values):
         tree_id = parse_u32_key(key)
         rows = parse_f64s_rows(values)
-        tree = train_tree_reduce(
+        table = train_tree_reduce(
             rows[:, :-1], rows[:, -1], params,
             _growth_key(params.seed, tree_id), task, n_classes,
         )
-        return [(key, tree_to_bytes(tree))]
+        return [(key, f64s_value(table.ravel()))]
 
     job = JobSpec(lambda split: poisson_resample_split(split, params, n), reducer)
     output, stats = run_job(job, np.column_stack([x, y]), config)
 
-    trained = {parse_u32_key(k): tree_from_bytes(v) for k, v in output}
-    fallback = _leaf_payloads(np.zeros(n, dtype=np.intp), y, np.zeros(1, dtype=np.intp), task, n_classes)[0]
+    trained = {parse_u32_key(k): TreeModel.from_table(parse_f64s(v).reshape(-1, 3), task) for k, v in output}
+    fallback = _leaf_payloads(np.zeros(n, dtype=np.intp), y, np.zeros(1, dtype=np.intp), task, n_classes)
+    leaf = TreeModel.from_table(np.array([[-1.0, fallback[0], -1.0]]), task).nodes[0]
     trees = [
-        trained.get(j, TreeModel(nodes=[dict(fallback)], degenerate=True))
+        trained.get(j, TreeModel(nodes=[dict(leaf)], degenerate=True))
         for j in range(params.trees)
     ]
     return ForestModel(trees, task, classes), stats
-
-
-def tree_to_bytes(tree: TreeModel) -> bytes:
-    """A tree as UTF-8 JSON; a non-finite number raises ValueError."""
-    return json.dumps(tree.as_dict(), sort_keys=True, allow_nan=False).encode("utf-8")
-
-
-def tree_from_bytes(data: bytes) -> TreeModel:
-    return TreeModel.from_dict(json.loads(data.decode("utf-8")))
 
 
 def predict_forest(model: ForestModel, record) -> object:

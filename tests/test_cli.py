@@ -771,7 +771,9 @@ def write_seeded_inputs(root, seed=11, rows=300):
 # SHA-256 of the other subcommands' reports on write_seeded_inputs's files,
 # recorded before shuffle pairs became plain tuples; kmeans, linreg and
 # logreg re-pinned when partials became exact (bytes_written moved in all
-# three, and the kmeans and logreg results at 3 splits).
+# three, and the kmeans and logreg results at 3 splits); rf re-pinned when
+# its reducers began to write node tables, not JSON (bytes_written alone
+# moved, 45150 to 40224).
 REPORT_DIGESTS = {
     "sample-reservoir": (
         ["sample", "table.csv", "--method", "reservoir", "--n", "20"],
@@ -803,7 +805,7 @@ REPORT_DIGESTS = {
     ),
     "rf": (
         ["rf", "table.csv", "--label", "y", "--trees", "3"],
-        "8dc34a3c1ffa32187eb278c689fdf103938ef022b4541447e169f0f8ecfd37a9",
+        "bc6df278cd5462b211f924d0ce58f1d93d337f8a2890a016364a1a3d0c57fb3a",
     ),
     "bench-io": (
         ["bench-io", "table.csv", "--iters", "3"],
@@ -930,6 +932,34 @@ def test_unwritable_out_path_exits_two_and_prints_no_report(numbers_csv, tmp_pat
     assert err.startswith("mrlab: sample: ")
     assert str(out_path) in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calls-avg", "calls.csv", "--out", "calls.csv"], "--out names the same file as the input: calls.csv"),
+    (["calls-count", "calls.csv", "--out", "./calls.csv"], "--out names the same file as the input: ./calls.csv"),
+    (["wordcount", "m.csv", "--out", "sub/../m.csv"], "--out names the same file as the input: sub/../m.csv"),
+    (["sample", "m.csv", "--n", "2", "--rows-out", "m.csv"], "--rows-out names the same file as the input: m.csv"),
+    (["kmeans", "m.csv", "--k", "2", "--centers-out", "c.txt", "--assignments-out", "c.txt"],
+     "--assignments-out names the same file as --centers-out: c.txt"),
+    (["linreg", "m.csv", "--label", "y", "--out", "link.csv"], "--out names the same file as the input: link.csv"),
+    (["logreg", "m.csv", "--label", "y", "--out", "{tmp}/m.csv"], "--out names the same file as the input: {tmp}/m.csv"),
+    (["rf", "m.csv", "--label", "y", "--model-out", "s.json", "--out", "s.json"],
+     "--model-out names the same file as --out: s.json"),
+    (["bench-io", "m.csv", "--out", "m.csv"], "--out names the same file as the input: m.csv"),
+], ids=["calls-avg", "calls-count", "wordcount", "sample", "kmeans", "linreg", "logreg", "rf", "bench-io"])
+def test_output_flags_that_name_one_file_exit_two_before_any_job(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    files = {"m.csv": "x,y\n1,0\n2,1\n3,0\n4,1\n", "calls.csv": "date,caller,callee,duration\n2024-01-01,a,b,1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "m.csv")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"mrlab: {argv[0]}: {message.format(tmp=tmp_path)}\n"
+    assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in files} == files
+    assert not (tmp_path / "c.txt").exists() and not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("module", ["mrlab", "mrlab.cli"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mrlab import forest
-from mrlab.encoding import parse_f64s, parse_u32_key
+from mrlab.encoding import f64s_value, parse_f64s, parse_u32_key
 from mrlab.engine import ClusterConfig, InputSplit
 from mrlab.errors import ParameterError
 from mrlab.forest import (
@@ -177,11 +177,16 @@ def test_growth_draws_do_not_reuse_the_poisson_stream():
 # ------------------------------------------------------------ tree training
 
 
+def grow(x, y, params, key, task, n_classes=0):
+    """The tree whose node table train_tree_reduce returns."""
+    return TreeModel.from_table(train_tree_reduce(x, y, params, key, task, n_classes), task)
+
+
 def test_pure_sample_gives_single_leaf():
     x = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1.0, 1.0, 1.0])
     params = ForestParams(trees=1, sample_size=3, mtry=1)
-    tree = train_tree_reduce(x, y, params, 0, CLASSIFICATION, n_classes=2)
+    tree = grow(x, y, params, 0, CLASSIFICATION, n_classes=2)
     assert tree.nodes == [{"class": 1}]
 
 
@@ -189,7 +194,7 @@ def test_two_point_split_lands_at_midpoint():
     x = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     params = ForestParams(trees=1, sample_size=2, mtry=1)
-    tree = train_tree_reduce(x, y, params, 0, CLASSIFICATION, n_classes=2)
+    tree = grow(x, y, params, 0, CLASSIFICATION, n_classes=2)
     root = tree.nodes[0]
     assert root["feature"] == 0
     assert root["threshold"] == 0.5
@@ -229,7 +234,7 @@ def test_root_split_matches_exhaustive_oracle_classification(seed):
     x = rng.integers(0, 6, size=(40, 3)).astype(float)  # discrete grid: plenty of ties
     y = rng.integers(0, 3, size=40).astype(float)
     params = ForestParams(trees=1, sample_size=40, mtry=3, max_depth=1, seed=seed)
-    tree = train_tree_reduce(x, y, params, seed, CLASSIFICATION, n_classes=3)
+    tree = grow(x, y, params, seed, CLASSIFICATION, n_classes=3)
     expected = oracle_best_split(x, y, 1, CLASSIFICATION, 3)
     root = tree.nodes[0]
     assert (root["feature"], root["threshold"]) == (expected[1], expected[2])
@@ -243,7 +248,7 @@ def test_root_split_matches_exhaustive_oracle_regression(seed):
     if np.all(y == y[0]):
         y[0] += 1.0
     params = ForestParams(trees=1, sample_size=30, mtry=2, max_depth=1, seed=seed)
-    tree = train_tree_reduce(x, y, params, seed, REGRESSION)
+    tree = grow(x, y, params, seed, REGRESSION)
     expected = oracle_best_split(x, y, 1, REGRESSION, 0)
     root = tree.nodes[0]
     if expected is None:
@@ -257,7 +262,7 @@ def test_max_depth_bounds_tree():
     x = rng.normal(size=(200, 3))
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
     params = ForestParams(trees=1, sample_size=200, mtry=3, max_depth=2)
-    tree = train_tree_reduce(x, y, params, 1, CLASSIFICATION, n_classes=2)
+    tree = grow(x, y, params, 1, CLASSIFICATION, n_classes=2)
     assert tree.depth() <= 2
 
 
@@ -266,7 +271,7 @@ def test_min_leaf_respected_by_every_split():
     x = rng.normal(size=(80, 2))
     y = (x[:, 0] > 0).astype(float)
     params = ForestParams(trees=1, sample_size=80, mtry=2, min_leaf=7)
-    tree = train_tree_reduce(x, y, params, 2, CLASSIFICATION, n_classes=2)
+    tree = grow(x, y, params, 2, CLASSIFICATION, n_classes=2)
 
     def leaf_sizes(node_id, rows):
         node = tree.nodes[node_id]
@@ -297,7 +302,7 @@ def test_regrowing_from_a_node_reproduces_its_subtree(task):
     else:
         y, n_classes = 2.0 * x[:, 0] + rng.normal(size=300), 0
     params = ForestParams(trees=1, sample_size=300, mtry=2, max_depth=8)
-    tree = train_tree_reduce(x, y, params, 77, task, n_classes)
+    tree = grow(x, y, params, 77, task, n_classes)
     internal = 0
     work = [(0, np.arange(300), 0, 77)]  # node, rows, depth, node key
     while work:
@@ -307,7 +312,7 @@ def test_regrowing_from_a_node_reproduces_its_subtree(task):
             continue
         internal += 1
         rest = dataclasses.replace(params, max_depth=params.max_depth - depth)
-        regrown = train_tree_reduce(x[rows], y[rows], rest, key, task, n_classes)
+        regrown = grow(x[rows], y[rows], rest, key, task, n_classes)
         assert subtree(regrown, 0) == subtree(tree, node_id)
         mask = x[rows, node["feature"]] <= node["threshold"]
         left_key, right_key = forest._child_keys(np.array([key], dtype=np.uint64))[0].tolist()
@@ -425,6 +430,10 @@ def depth_first_reference(x, y, params, key, task, n_classes=0):
     return TreeModel(nodes=nodes)
 
 
+def as_json(tree):
+    return json.dumps(tree.as_dict(), sort_keys=True)
+
+
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_level_growth_equals_the_depth_first_reference(task):
     # Rounded features tie often; up to 10 classes sums Gini terms pairwise.
@@ -443,9 +452,9 @@ def test_level_growth_equals_the_depth_first_reference(task):
             max_depth=[None, 0, 1, 3][case % 4], min_leaf=int(rng.integers(1, 5)),
         )
         key = int(rng.integers(0, 2**63))
-        grown = train_tree_reduce(x, y, params, key, task, n_classes)
+        grown = grow(x, y, params, key, task, n_classes)
         reference = depth_first_reference(x, y, params, key, task, n_classes)
-        assert forest.tree_to_bytes(grown) == forest.tree_to_bytes(reference), case
+        assert as_json(grown) == as_json(reference), case
 
 
 @pytest.mark.parametrize("columns", range(1, 8))
@@ -475,9 +484,9 @@ def test_level_growth_equals_the_reference_at_8_to_12_classes(n_classes):
         y = rng.integers(0, n_classes, n).astype(float)
         params = ForestParams(trees=1, sample_size=n, mtry=p, max_depth=[None, 2][case % 2])
         key = int(rng.integers(0, 2**63))
-        grown = train_tree_reduce(x, y, params, key, CLASSIFICATION, n_classes)
+        grown = grow(x, y, params, key, CLASSIFICATION, n_classes)
         reference = depth_first_reference(x, y, params, key, CLASSIFICATION, n_classes)
-        assert forest.tree_to_bytes(grown) == forest.tree_to_bytes(reference), case
+        assert as_json(grown) == as_json(reference), case
 
 
 # SHA-256 of fit_forest(...).to_json(), recorded from the depth-first grower.
@@ -507,7 +516,7 @@ def test_chain_tree_grows_and_reports_its_depth():
     y = np.zeros(2000)
     y[1000:] = np.arange(1000) % 2
     params = ForestParams(trees=1, sample_size=2000, mtry=1)
-    tree = train_tree_reduce(x, y, params, 3, CLASSIFICATION, 2)
+    tree = grow(x, y, params, 3, CLASSIFICATION, 2)
     assert len(tree.nodes) == 1999
     assert tree.depth() == 999
 
@@ -520,15 +529,15 @@ def test_split_between_adjacent_doubles_separates_them():
     c = float(np.nextafter(b, 2.0))
     x = np.array([[a], [b], [c], [c]])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    tree = train_tree_reduce(x, y, ForestParams(trees=1, sample_size=4, mtry=1), 5, CLASSIFICATION, 2)
+    tree = grow(x, y, ForestParams(trees=1, sample_size=4, mtry=1), 5, CLASSIFICATION, 2)
     thresholds = sorted(node["threshold"] for node in tree.nodes if "feature" in node)
     assert thresholds == [a, b]
 
 
 def test_midpoint_overflow_keeps_the_lower_value():
     x = np.array([[1.0e308], [1.7e308]])
-    tree = train_tree_reduce(x, np.array([0.0, 1.0]), ForestParams(trees=1, sample_size=2, mtry=1),
-                             5, CLASSIFICATION, 2)
+    tree = grow(x, np.array([0.0, 1.0]), ForestParams(trees=1, sample_size=2, mtry=1),
+                5, CLASSIFICATION, 2)
     assert tree.nodes[0]["threshold"] == 1.0e308
     assert [tree.predict(row) for row in x] == [0, 1]
 
@@ -538,7 +547,7 @@ def test_negative_midpoint_overflow_keeps_the_lower_value():
     # without a depth limit the same split would repeat without end
     x = np.array([[-1.7e308], [-1.0e308]])
     params = ForestParams(trees=1, sample_size=2, mtry=1, max_depth=3)
-    tree = train_tree_reduce(x, np.array([0.0, 1.0]), params, 5, CLASSIFICATION, 2)
+    tree = grow(x, np.array([0.0, 1.0]), params, 5, CLASSIFICATION, 2)
     assert tree.nodes[0]["threshold"] == -1.7e308
     assert [tree.predict(row) for row in x] == [0, 1]
 
@@ -548,14 +557,14 @@ def test_leaf_means_whose_sums_overflow_stay_finite():
     y = np.array(labels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        leaf = train_tree_reduce(np.zeros((4, 1)), y, ForestParams(trees=1, sample_size=4, mtry=1),
-                                 5, REGRESSION)
+        leaf = grow(np.zeros((4, 1)), y, ForestParams(trees=1, sample_size=4, mtry=1),
+                    5, REGRESSION)
         both = forest._leaf_payloads(np.array([0, 0, 1, 1]), y, np.array([0, 1]), REGRESSION, 0)
         model, _ = fit_forest(np.zeros((4, 1)), labels, ForestParams(trees=3, sample_size=4, mtry=1,
                                                                      max_depth=0), REGRESSION)
         predicted = predict_forest(model, [0.0])
     assert leaf.nodes == [{"value": 1.625e308}]
-    assert both == [{"value": 1.55e308}, {"value": 1.7e308}]
+    assert both.tolist() == [1.55e308, 1.7e308]
     assert all(math.isfinite(t.nodes[0]["value"]) for t in model.trees)
     assert 1.5e308 <= predicted <= 1.7e308
     json.loads(model.to_json())
@@ -567,13 +576,11 @@ def test_leaf_means_that_do_not_overflow_keep_their_bits():
     nodes = rng.integers(0, 6, 50)
     leaves = np.unique(nodes)
     got = forest._leaf_payloads(nodes, y, leaves, REGRESSION, 0)
-    assert [p["value"] for p in got] == [float(np.mean(y[nodes == i])) for i in leaves]
+    assert got.tolist() == [float(np.mean(y[nodes == i])) for i in leaves]
 
 
 def test_json_writers_refuse_non_finite_numbers():
     tree = TreeModel([{"value": math.nan}])
-    with pytest.raises(ValueError):
-        forest.tree_to_bytes(tree)
     with pytest.raises(ValueError):
         ForestModel([tree], REGRESSION).to_json()
 
@@ -582,7 +589,7 @@ def test_labels_whose_squares_overflow_still_train():
     x = np.arange(6.0)[:, None]
     y = np.array([1e200, -1e200, 3e200, 0.0, 2e200, 1.0])
     params = ForestParams(trees=1, sample_size=6, mtry=1, max_depth=2)
-    tree = train_tree_reduce(x, y, params, 5, REGRESSION)
+    tree = grow(x, y, params, 5, REGRESSION)
     assert tree.depth() <= 2 and "feature" in tree.nodes[0]
 
 
@@ -694,6 +701,74 @@ def test_all_identical_trees_match_single_tree():
     cloned = ForestModel(single.trees * 5, CLASSIFICATION, classes=single.classes)
     for row in x[:20]:
         assert predict_forest(cloned, row) == predict_forest(single, row)
+
+
+# -------------------------------------------------------------- node tables
+
+
+@pytest.mark.parametrize("task, table, nodes", [
+    (CLASSIFICATION,
+     [[1, 0.25, 1], [0, -3.5, 3], [-1, 2, -1], [-1, 0, -1], [-1, 1, -1]],
+     [{"feature": 1, "threshold": 0.25, "left": 1, "right": 2},
+      {"feature": 0, "threshold": -3.5, "left": 3, "right": 4},
+      {"class": 2}, {"class": 0}, {"class": 1}]),
+    (REGRESSION,
+     [[0, 1.5, 1], [2, 1e-300, 3], [1, -7.25, 5],
+      [-1, -0.0, -1], [-1, 5e-324, -1], [-1, 1.7e308, -1], [-1, -1.7e308, -1]],
+     [{"feature": 0, "threshold": 1.5, "left": 1, "right": 2},
+      {"feature": 2, "threshold": 1e-300, "left": 3, "right": 4},
+      {"feature": 1, "threshold": -7.25, "left": 5, "right": 6},
+      {"value": -0.0}, {"value": 5e-324}, {"value": 1.7e308}, {"value": -1.7e308}]),
+], ids=["classification", "regression"])
+def test_node_table_round_trips_through_the_float64_codec(task, table, nodes):
+    value = f64s_value(np.array(table, dtype=float).ravel())
+    assert len(value) == 4 + 24 * len(nodes)
+    tree = TreeModel.from_table(parse_f64s(value).reshape(-1, 3), task)
+    assert tree.nodes == nodes and not tree.degenerate
+    text = json.dumps(tree.as_dict(), sort_keys=True)  # ids and classes stay ints: 2, not 2.0
+    assert text == json.dumps({"degenerate": False, "nodes": nodes}, sort_keys=True)
+    if task == REGRESSION:  # the sign of zero, the least subnormal and the largest magnitudes keep their bits
+        assert [repr(n["value"]) for n in tree.nodes[3:]] == ["-0.0", "5e-324", "1.7e+308", "-1.7e+308"]
+        assert '{"value": -0.0}' in text
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_fit_forest_trees_are_the_reducers_node_tables(task):
+    rng = np.random.default_rng(31)
+    n = 120
+    x = np.round(rng.normal(size=(n, 3)), 1)
+    if task == CLASSIFICATION:
+        labels, n_classes = rng.integers(0, 3, n).tolist(), 3  # class i is label i
+    else:
+        labels, n_classes = np.round(2.0 * x[:, 0] + rng.normal(size=n), 2).tolist(), 0
+    y = np.array(labels, dtype=float)
+    params = ForestParams(trees=5, sample_size=n, mtry=2, seed=6)
+    model, _ = fit_forest(x, labels, params, task, ClusterConfig(num_splits=3))
+    counts = poisson_count_block(params.seed, 0, n, params.trees, 1.0)
+    for j, tree in enumerate(model.trees):
+        rows = np.repeat(np.arange(n), counts[:, j])  # tree j's resampled rows, in record order
+        key = forest._growth_key(params.seed, j)
+        table = train_tree_reduce(x[rows], y[rows], params, key, task, n_classes)
+        assert not tree.degenerate
+        assert tree.as_dict() == TreeModel.from_table(table, task).as_dict(), j
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("sample_size", [80, 2])
+def test_forest_ledger_writes_each_tree_as_its_node_table(task, sample_size):
+    x, labels = blobs(seed=12, n_per=40)
+    if task == REGRESSION:
+        labels = np.round(x[:, 0], 1).tolist()
+    params = ForestParams(trees=12, sample_size=sample_size, mtry=1, seed=3)
+    model, stats = fit_forest(x, labels, params, task, ClusterConfig(num_splits=3))
+    trained = [t for t in model.trees if not t.degenerate]
+    assert trained
+    if sample_size == 2:
+        assert len(trained) < len(model.trees)  # trees that drew no row write nothing
+    map_pair = 4 + 4 + 8 * (x.shape[1] + 1)  # tree key, length prefix, features and label
+    tables = sum(4 + 4 + 24 * len(t.nodes) for t in trained)  # tree key, length prefix, nodes
+    assert stats.bytes_written == stats.records_shuffled * map_pair + tables
+    assert stats.records_written == stats.records_shuffled + len(trained)
 
 
 def test_model_json_roundtrip():
