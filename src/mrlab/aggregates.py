@@ -242,7 +242,10 @@ def _as_log(records: Sequence[CallRecord] | CallLog) -> CallLog:
 
 
 def _count_reduce(key: bytes, values: list) -> list[tuple[bytes, bytes]]:
-    return [(key, count_value(sum(map(parse_count, values))))]
+    """Sum a key's ``count_value`` payloads; a lone payload is already its sum."""
+    if len(values) == 1:
+        return [(key, values[0])]
+    return [(key, b"%d" % sum(map(int, values)))]
 
 
 def avg_duration_job() -> JobSpec:

@@ -104,7 +104,8 @@ def parse_f64s_rows(values: Sequence[bytes]) -> np.ndarray:
     size = _LEN.size + 8 * width
     if width < 0 or len(first) % size:
         raise ValueError(f"corrupt float64 array: {len(first)} bytes is no whole number of records")
-    if any(not v or len(v) % size for v in values):
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    if not lengths.all() or (lengths % size).any():
         raise ValueError(f"float64 arrays of unequal width: expected records of {size} bytes")
     packed = np.frombuffer(b"".join(values), dtype=[("n", "<u4"), ("v", "<f8", (width,))])
     declared = packed["n"]

@@ -24,6 +24,10 @@ MapReduce pass and SLIQ (Mehta, Agrawal and Rissanen, EDBT 1996) keeps
 each attribute's rows presorted: the rows are argsorted once per feature,
 each level finds the best split of all its nodes in one vectorized pass,
 and one stable sort by child node regroups the lists for the next level.
+A reducer receives each record's copies back to back and grows on its
+distinct rows, each weighted by its run of adjacent copies, as online
+bagging (Oza and Russell, AISTATS 2001) weights a record by its Poisson
+count; the trees are the same as grown from the copies.
 The trees are those a depth-first grower builds, numbered as it numbers
 them: the root is 0, and the i-th node to split in a depth-first walk
 that visits each left subtree before its right one (counting from 0)
@@ -238,16 +242,17 @@ def poisson_resample_split(split: InputSplit, params: ForestParams, n: int) -> l
     return out
 
 
-def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
+def _level_splits(order, starts, sizes, feats, x, y, w, min_leaf, task, classes):
     """The best split of each node of one level, found for all of them at once.
 
     Node k's rows are ``order[f, starts[k]:starts[k] + sizes[k]]`` for every
     feature f, sorted by that feature; ``feats[k]`` are its drawn features in
-    ascending order. Candidates are the midpoints of sorted distinct values
-    that leave ``min_leaf`` rows on each side, scored by weighted Gini
-    impurity (classification) or variance (regression). A node takes its
-    first minimum over (feature, threshold) ascending, so ties go to the
-    smallest feature, then the smallest threshold.
+    ascending order, and row r stands for ``w[r]`` copies of itself (a
+    float64 integer). Candidates are the midpoints of sorted distinct values
+    that leave ``min_leaf`` copies on each side, scored by weighted Gini
+    impurity (classification) or variance (regression) over the copies. A
+    node takes its first minimum over (feature, threshold) ascending, so
+    ties go to the smallest feature, then the smallest threshold.
 
     Returns (nodes, features, thresholds) for the nodes with a candidate;
     a threshold t keeps its left part exactly, as x <= t.
@@ -259,26 +264,29 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
     src = (feats * order.shape[1] + starts[:, None]).ravel()
     rows = order.ravel()[np.arange(int(lens.sum())) + np.repeat(src - seg_start, lens)]
     xs = x[rows, np.repeat(feats.ravel(), lens)]
-    ys = y[rows]
+    ys, ws = y[rows], w[rows]
+    weight = np.zeros(xs.size + 1)  # copies before each flat index, exact in float64
+    np.cumsum(ws, out=weight[1:])
 
-    # A cut is the flat index of its right part's first row. Those within
-    # min_leaf rows of a segment's ends leave too few rows on one side.
+    # A cut is the flat index of its right part's first row, within a
+    # segment. Those that leave under min_leaf copies on a side are dropped.
     is_cut = np.zeros(xs.size + 1, dtype=bool)
     np.less(xs[:-1], xs[1:], out=is_cut[1:-1])
-    ends = (np.append(seg_start, xs.size)[:, None] + np.arange(1 - min_leaf, min_leaf)).ravel()
-    is_cut[ends[(ends >= 0) & (ends <= xs.size)]] = False
+    is_cut[seg_start] = False
     cut = np.flatnonzero(is_cut)
-    seg = np.searchsorted(seg_start, cut, side="right") - 1
-    left = cut - seg_start[seg]
-    size = lens[seg]
+    seg = np.repeat(np.arange(lens.size), lens)[cut]
+    seg_end = seg_start + lens
+    before = weight[seg_start]
+    size = (weight[seg_end] - before)[seg]
+    sizes_l = weight[cut] - before[seg]
+    sizes_r = size - sizes_l
+    valid = np.flatnonzero((sizes_l >= min_leaf) & (sizes_r >= min_leaf))
+    if valid.size < cut.size:
+        cut, seg, size, sizes_l, sizes_r = cut[valid], seg[valid], size[valid], sizes_l[valid], sizes_r[valid]
     if cut.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    base = seg_start[seg]
-    end = base + size
-    sizes_l = left.astype(float)
-    sizes_r = size - sizes_l
     if task == CLASSIFICATION:
-        # Per class: its count left of each cut, from one running count, and
+        # Per class: its copies left of each cut, from one running count, and
         # its squared share of each side, written in place. The squares are
         # summed over the classes as np.sum(np.column_stack(...), axis=1)
         # would: numpy adds fewer than 8 terms of a row in order, so below 8
@@ -293,14 +301,16 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
         else:
             squares_l, squares_r = np.empty((m, classes)), np.empty((m, classes))
         is_c = np.empty(ys.size, dtype=bool)
-        running = np.zeros(ys.size + 1, dtype=np.int64)
-        at_cut, at_base, at_end = np.empty((3, m), dtype=np.int64)
+        w_c = np.empty(ys.size)
+        running = np.zeros(ys.size + 1)
+        at_cut, at_base, at_end = np.empty((3, m))
         for c in range(classes):
-            np.cumsum(np.equal(ys, c, out=is_c), out=running[1:])
+            np.multiply(np.equal(ys, c, out=is_c), ws, out=w_c)
+            np.cumsum(w_c, out=running[1:])
             # mode="clip" takes without a buffer; no index is out of range.
             np.take(running, cut, out=at_cut, mode="clip")
-            np.take(running, base, out=at_base, mode="clip")
-            np.take(running, end, out=at_end, mode="clip")
+            np.take(running[seg_start], seg, out=at_base, mode="clip")
+            np.take(running[seg_end], seg, out=at_end, mode="clip")
             if not fold:
                 share_l, share_r = squares_l[:, c], squares_r[:, c]
             np.subtract(at_cut, at_base, out=share_l)
@@ -320,17 +330,20 @@ def _level_splits(order, starts, sizes, feats, x, y, min_leaf, task, classes):
         gini_r *= np.divide(sizes_r, size, out=sizes_r)
         score = np.add(gini_l, gini_r, out=gini_l)
     else:
-        # Prefix sums restart at each segment: a running sum minus an offset
-        # would round differently. Labels beyond about 1e154 overflow their
-        # squares; the nan scores that follow are never the best.
+        # Prefix sums run over every copy, as repeated additions, and restart
+        # at each segment: a running sum minus an offset would round
+        # differently. Labels beyond about 1e154 overflow their squares; the
+        # nan scores that follow are never the best.
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.column_stack([ys, ys * ys])
+            expanded = np.repeat(ys, ws.astype(np.intp))
+            terms = np.column_stack([expanded, expanded * expanded])
+            copy_start, copy_end = before.astype(np.intp), weight[seg_end].astype(np.intp)  # per segment
             sums = np.concatenate([
-                np.cumsum(terms[a:b], axis=0)
-                for a, b in zip(seg_start.tolist(), (seg_start + lens).tolist())
+                np.cumsum(terms[a:b], axis=0) for a, b in zip(copy_start.tolist(), copy_end.tolist())
             ])
-            sl, sl2 = sums[cut - 1].T
-            sr, sr2 = (sums[end - 1] - sums[cut - 1]).T
+            at_cut, at_end = weight[cut].astype(np.intp) - 1, copy_end[seg] - 1
+            sl, sl2 = sums[at_cut].T
+            sr, sr2 = (sums[at_end] - sums[at_cut]).T
             var_l = sl2 / sizes_l - (sl / sizes_l) ** 2
             var_r = sr2 / sizes_r - (sr / sizes_r) ** 2
             score = sizes_l / size * var_l + sizes_r / size * var_r
@@ -378,6 +391,13 @@ def train_tree_reduce(
     right one: the root is 0, and the i-th node to split in that walk
     (counting from 0) takes ids 2i+1 (left child) and 2i+2 (right child).
     Features and labels must be finite.
+
+    Growth runs on the distinct rows: each run of adjacent rows equal bit
+    for bit, features and label, as a record's Poisson copies arrive, is
+    grown as one row weighted by the run's length. Node sizes, min_leaf
+    and class counts add up the weights, and regression prefix sums and
+    leaf means run over every copy in row order, so the tree is the one
+    grown from the copies. Equal rows that are not adjacent stay apart.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -387,17 +407,30 @@ def train_tree_reduce(
         raise ParameterError("cannot train a tree without features")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ParameterError("cannot train a tree on non-finite features or labels")
+    classes = max(n_classes, int(y.max()) + 1) if task == CLASSIFICATION else 0
+    x_bits, y_bits = x.view(np.uint64), y.view(np.uint64)
+    new_run = np.ones(len(y), dtype=bool)
+    np.any(x_bits[1:] != x_bits[:-1], axis=1, out=new_run[1:])
+    new_run[1:] |= y_bits[1:] != y_bits[:-1]
+    first = np.flatnonzero(new_run)
+    return _grow(x[first], y[first], np.diff(np.append(first, len(y))), params, key, task, classes)
+
+
+def _grow(x, y, w, params, key, task, classes) -> np.ndarray:
+    """``train_tree_reduce``'s grower: row r stands for ``w[r] >= 1``
+    adjacent copies of itself (an integer array), and the tree is the one
+    grown from the copies."""
     n, p = x.shape
     mtry = min(params.mtry, p)
-    classes = max(n_classes, int(y.max()) + 1) if task == CLASSIFICATION else 0
+    copies = w.astype(float)  # exact: sums of copies stay below 2**53
 
-    def may_split(sizes, depth):  # min_leaf rows fit on each side, max_depth not reached
+    def may_split(sizes, depth):  # min_leaf copies fit on each side, max_depth not reached
         return (sizes >= 2 * params.min_leaf) & (params.max_depth is None or depth < params.max_depth)
 
     # The open nodes of a level are those that may split: their indices in
-    # the level, sizes and keys. order[f] holds their rows grouped by node,
-    # each group sorted by feature f.
-    open_ids = np.flatnonzero(may_split(np.array([n]), 0))
+    # the level, row counts and keys. order[f] holds their rows grouped by
+    # node, each group sorted by feature f.
+    open_ids = np.flatnonzero(may_split(np.array([w.sum()]), 0))
     sizes, keys = np.full(open_ids.size, n), np.full(open_ids.size, key % 2**64, dtype=np.uint64)
     order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
     node_of_row = np.zeros(n, dtype=np.intp)  # breadth-first index of each row's node
@@ -410,7 +443,7 @@ def train_tree_reduce(
         impure = np.flatnonzero(np.minimum.reduceat(ys, starts) < np.maximum.reduceat(ys, starts))
         feats = np.sort(_node_features(keys[impure], p, mtry), axis=1)
         found, feat, threshold = _level_splits(
-            order, starts[impure], sizes[impure], feats, x, y, params.min_leaf, task, classes,
+            order, starts[impure], sizes[impure], feats, x, y, copies, params.min_leaf, task, classes,
         )
         split = impure[found]  # indices into the open nodes
         levels.append((width, open_ids[split], feat, threshold))
@@ -429,10 +462,10 @@ def train_tree_reduce(
         first, width, depth = first + width, 2 * split.size, depth + 1
 
         # Children that may split are the next open nodes; regroup the lists by child.
-        child_sizes = np.bincount(child, minlength=width)
-        can_split = may_split(child_sizes, depth)
+        can_split = may_split(np.bincount(child, weights=copies[rows], minlength=width), depth)
         open_ids = np.flatnonzero(can_split)
-        sizes, keys = child_sizes[open_ids], _child_keys(keys[split]).ravel()[open_ids]
+        sizes = np.bincount(child, minlength=width)[open_ids]
+        keys = _child_keys(keys[split]).ravel()[open_ids]
         stays = np.zeros(n, dtype=bool)
         stays[rows] = can_split[child]
         slot = np.zeros(n, dtype=np.min_scalar_type(max(open_ids.size - 1, 0)))
@@ -443,20 +476,22 @@ def train_tree_reduce(
         order = kept.ravel()[regrouped]
     is_leaf = np.ones(first + width, dtype=bool)
     is_leaf[np.concatenate(internal)] = False
-    payloads = _leaf_payloads(node_of_row, y, np.flatnonzero(is_leaf), task, classes)
+    payloads = _leaf_payloads(node_of_row, y, np.flatnonzero(is_leaf), task, classes, w)
     return _node_table(levels, is_leaf, payloads)
 
 
-def _leaf_payloads(node_of_row, y, leaves, task, classes) -> np.ndarray:
+def _leaf_payloads(node_of_row, y, leaves, task, classes, w=None) -> np.ndarray:
     """The payloads of the nodes ``leaves`` (ascending breadth-first
-    indices), given the node each row ends in: the majority class, ties to
-    the smallest, or the mean label over the node's rows in row order."""
+    indices), given the node each row ends in and its copies ``w`` (one
+    each if None): the majority class, ties to the smallest, or the mean
+    label over the node's copies in row order."""
     count = int(leaves[-1]) + 1
     if task == CLASSIFICATION:
-        counts = np.bincount(node_of_row * classes + y.astype(np.intp), minlength=count * classes)
+        counts = np.bincount(node_of_row * classes + y.astype(np.intp), weights=w, minlength=count * classes)
         return counts.reshape(count, classes)[leaves].argmax(axis=1).astype(float)
-    bounds = np.cumsum(np.bincount(node_of_row, minlength=count)).tolist()
-    ys = y[np.argsort(node_of_row, kind="stable")]
+    bounds = np.cumsum(np.bincount(node_of_row, weights=w, minlength=count)).astype(np.int64).tolist()
+    order = np.argsort(node_of_row, kind="stable")
+    ys = y[order] if w is None else np.repeat(y[order], w[order])
     with np.errstate(over="ignore"):
         return np.array([_mean(ys[(bounds[i - 1] if i else 0):bounds[i]]) for i in leaves.tolist()])
 

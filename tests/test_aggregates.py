@@ -18,6 +18,7 @@ from mrlab.aggregates import (
     word_count,
 )
 from mrlab.dataio import read_csv_fields
+from mrlab.encoding import count_value
 from mrlab.engine import ClusterConfig, partition
 from mrlab.errors import RowParseError
 
@@ -125,6 +126,16 @@ def test_word_count_matches_counter_oracle():
         out, _ = word_count(docs, ClusterConfig(num_splits=splits))
         assert dict(out) == dict(oracle)
         assert [t for t, _ in out] == sorted(oracle)
+
+
+@pytest.mark.parametrize("counts", [[7], [0], [10**20], [3, 4], [1, 1, 1], [0, 2**70, 5]])
+def test_count_reduce_returns_the_count_value_of_the_sum(counts):
+    # One payload passes through as it came; more are summed and re-encoded.
+    values = [count_value(n) for n in counts]
+    out = aggregates._count_reduce(b"k", values)
+    assert out == [(b"k", count_value(sum(counts)))]
+    if len(values) == 1:
+        assert out[0][1] is values[0]
 
 
 def test_lone_surrogates_are_keyed_and_sized_as_text_keys():

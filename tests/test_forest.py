@@ -489,6 +489,66 @@ def test_level_growth_equals_the_reference_at_8_to_12_classes(n_classes):
         assert as_json(grown) == as_json(reference), case
 
 
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_growth_on_poisson_copies_equals_the_depth_first_reference(task):
+    # A reducer's rows hold each record's copies back to back. Growth weighs
+    # each run of equal adjacent rows by its length; the reference grows on
+    # the copies themselves.
+    rng = np.random.default_rng(4040 if task == CLASSIFICATION else 4041)
+    for case in range(96):
+        n, p = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+        x = np.round(rng.normal(size=(n, p)) * 3, int(rng.integers(0, 3)))
+        if task == CLASSIFICATION:
+            n_classes = case % 12 + 1
+            y = rng.integers(0, n_classes, n).astype(float)
+        else:
+            n_classes = 0
+            y = np.round(rng.normal(size=n) * 5, int(rng.integers(0, 4)))
+        counts = rng.poisson([0.5, 1.0, 3.0][case % 3], n)  # zeros drop records
+        counts[0] += counts.sum() == 0
+        x, y = np.repeat(x, counts, axis=0), np.repeat(y, counts)
+        params = ForestParams(
+            trees=1, sample_size=n, mtry=int(rng.integers(1, p + 1)),
+            max_depth=[None, 0, 1, 3][case % 4], min_leaf=case // 4 % 4 + 1,
+        )
+        key = int(rng.integers(0, 2**63))
+        grown = grow(x, y, params, key, task, n_classes)
+        reference = depth_first_reference(x, y, params, key, task, n_classes)
+        assert as_json(grown) == as_json(reference), case
+
+
+@pytest.mark.parametrize("labels", [[-0.1, 2.1, -0.1], [0.3, 9.0, 0.3, 0.3, 9.0]])
+def test_equal_rows_apart_are_not_merged(labels):
+    # Equal rows that are not adjacent stay apart. A leaf's mean adds its
+    # labels in row order; gathering the equal rows, in order of first
+    # occurrence or sorted, makes the sum round differently.
+    y = np.array(labels)
+    x = np.zeros((y.size, 1))
+    _, first, inverse = np.unique(y, return_index=True, return_inverse=True)
+    for gathered in (y[np.argsort(first[inverse], kind="stable")], np.sort(y)):
+        assert np.mean(gathered) != np.mean(y)
+    params = ForestParams(trees=1, sample_size=y.size, mtry=1)
+    tree = grow(x, y, params, 3, REGRESSION)
+    assert tree.nodes == [{"value": float(np.mean(y))}]
+    assert as_json(tree) == as_json(depth_first_reference(x, y, params, 3, REGRESSION))
+
+
+@pytest.mark.parametrize("counts, splits", [((2, 2), True), ((1, 3), False), ((3, 1), False), ((2, 5), True)])
+def test_min_leaf_counts_copies_not_distinct_rows(counts, splits):
+    # Two distinct rows: the cut between them leaves min_leaf = 2 on each side
+    # only when each row's copies are counted.
+    x = np.repeat([[0.0], [1.0]], counts, axis=0)
+    y = np.repeat([0.0, 1.0], counts)
+    params = ForestParams(trees=1, sample_size=len(y), mtry=1, min_leaf=2)
+    tree = grow(x, y, params, 9, CLASSIFICATION, 2)
+    if splits:
+        assert tree.nodes[0] == {"feature": 0, "threshold": 0.5, "left": 1, "right": 2}
+        assert tree.nodes[1:] == [{"class": 0}, {"class": 1}]
+    else:
+        assert tree.nodes == [{"class": int(counts[1] > counts[0])}]
+    assert as_json(tree) == as_json(depth_first_reference(x, y, params, 9, CLASSIFICATION, 2))
+
+
 # SHA-256 of fit_forest(...).to_json(), recorded from the depth-first grower.
 FIT_DIGESTS = {
     CLASSIFICATION: "5c0483089c78fe8ba93307d4b67b13b59cc0a8959078811ba09b8e2e89157dd4",
